@@ -17,6 +17,7 @@ def broadcast_vector(world: CliqueWorld, subset: Sequence[int], phase: str,
                      src_pos: int, in_key, out_key) -> None:
     """Vector held at one node -> full copy at every node (scatter + allgather)."""
     subset = tuple(subset)
+    nodes = np.array(subset)
     n = len(subset)
     length = {}
 
@@ -39,8 +40,7 @@ def broadcast_vector(world: CliqueWorld, subset: Sequence[int], phase: str,
         part = view.get((out_key, "chunk"))
         if part is None:
             return
-        for j in range(n):
-            yield subset[j], (out_key, "part", view.node), part
+        yield nodes, (out_key, "part", view.node), np.broadcast_to(part, (n, part.size))
 
     world.route(subset, f"{phase}-allgather", allgather)
 
@@ -62,35 +62,14 @@ def allgather_scalars(world: CliqueWorld, subset: Sequence[int], phase: str,
                       in_key, out_key) -> None:
     """Every node holds a scalar; afterwards every node holds the full vector."""
     subset = tuple(subset)
+    nodes = np.array(subset)
 
     def spread(view):
-        value = view.get(in_key)
-        for node in subset:
-            yield node, (out_key, "from", view.node), int(value)
+        yield nodes, (out_key, "from", view.node), np.full(len(subset), int(view.get(in_key)))
 
     world.route(subset, f"{phase}-exchange", spread)
 
     def assemble(view):
-        vec = np.array([view.pop((out_key, "from", node)) for node in subset],
-                       dtype=np.int64)
-        view.put(out_key, vec)
-
-    world.run_local(subset, f"{phase}-assemble", assemble)
-
-
-def gather_scalars(world: CliqueWorld, subset: Sequence[int], phase: str,
-                   in_key, dst_pos: int, out_key) -> None:
-    """Every node sends one scalar to a designated node, which keeps the vector."""
-    subset = tuple(subset)
-
-    def send(view):
-        yield subset[dst_pos], (out_key, "from", view.node), int(view.get(in_key))
-
-    world.route(subset, f"{phase}-gather", send)
-
-    def assemble(view):
-        if view.node != subset[dst_pos]:
-            return
         vec = np.array([view.pop((out_key, "from", node)) for node in subset],
                        dtype=np.int64)
         view.put(out_key, vec)

@@ -72,7 +72,7 @@ def _tri_inverse_inner(world: CliqueWorld, subset: tuple[int, ...], a: DMat,
     a22 = DMat(world.fresh_name("A22"), nh2, nh2, p, sub2)
 
     def split(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         row = view.get(a.row_key(pos))
         col = view.get(a.col_key(pos))
         if pos < h:
@@ -97,7 +97,7 @@ def _tri_inverse_inner(world: CliqueWorld, subset: tuple[int, ...], a: DMat,
     lhs22 = DMat(world.fresh_name("L22"), h, h, p, sub1, has_cols=False)
 
     def hand_over(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         if pos < h:
             return
         j = pos - h
@@ -107,7 +107,7 @@ def _tri_inverse_inner(world: CliqueWorld, subset: tuple[int, ...], a: DMat,
     world.route(subset, "handover", hand_over)
 
     def pad_rows(view):
-        pos = sub1.index(view.node)
+        pos = view.pos
         if pos < nh2:
             row = view.get(lhs22.row_key(pos))
             padded = np.zeros(h, dtype=np.int64)
@@ -121,7 +121,7 @@ def _tri_inverse_inner(world: CliqueWorld, subset: tuple[int, ...], a: DMat,
     a21 = DMat(world.fresh_name("A21"), h, h, p, sub1, has_rows=False)
 
     def slice_a21(view):
-        pos = sub1.index(view.node)
+        pos = view.pos
         col = view.get(a.col_key(pos))
         padded = np.zeros(h, dtype=np.int64)
         padded[:nh2] = col[h:]
@@ -133,14 +133,14 @@ def _tri_inverse_inner(world: CliqueWorld, subset: tuple[int, ...], a: DMat,
     y = mm_multi(world, sub1, [x], [inv11], kernel, phase="prod2")[0]
 
     def negate(view):
-        pos = sub1.index(view.node)
+        pos = view.pos
         view.put(y.row_key(pos), (-view.get(y.row_key(pos))) % p)
         view.put(y.col_key(pos), (-view.get(y.col_key(pos))) % p)
 
     world.run_local(sub1, "negate", negate)
 
     def hand_back(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         if pos >= h or pos >= nh2:
             return
         yield sub2[pos], ("yrow",), view.get(y.row_key(pos))
@@ -150,7 +150,7 @@ def _tri_inverse_inner(world: CliqueWorld, subset: tuple[int, ...], a: DMat,
     out = DMat(world.fresh_name("Tinv"), n, n, p, subset)
 
     def assemble(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         row = np.zeros(n, dtype=np.int64)
         col = np.zeros(n, dtype=np.int64)
         if pos < h:
@@ -229,28 +229,24 @@ def char_poly(world: CliqueWorld, subset: Sequence[int], a: DMat,
         stride_mats = [ident] + strides  # exponents 0, pc, 2*pc, ...
 
         def tableau(view):
-            pos = subset.index(view.node)
+            pos = view.pos
             r_mat = np.stack([view.get(dm.row_key(pos)) for dm in stride_mats])
             c_mat = np.stack([view.get(dm.col_key(pos)) for dm in lows], axis=1)
             view.put("trU", matmul_mod(r_mat, c_mat, p))
 
         world.run_local(subset, "tableau", tableau)
 
+        nodes = np.array(subset)
+        traced = min(n, pc * pc)
+
         def scatter_traces(view):
-            u_mat = view.pop("trU")
-            pos = subset.index(view.node)
-            for a1 in range(pc):
-                for a2 in range(pc):
-                    k0 = a1 * pc + a2  # trace of A^(k0+1)
-                    if k0 < n:
-                        yield subset[k0], ("trpart", pos), int(u_mat[a1, a2])
+            # entry (a1, a2) is this node's part of the trace of A^(a1*pc + a2 + 1)
+            yield nodes[:traced], ("trpart", view.pos), view.pop("trU").ravel()[:traced]
 
         world.route(subset, "traces", scatter_traces)
 
         def sum_traces(view):
-            total = 0
-            for sender in range(n):
-                total += view.pop(("trpart", sender))
+            total = sum(map(int, view.pop_many(("trpart", sender) for sender in range(n))))
             view.put("s_own", total % p)
 
         world.run_local(subset, "trace-sum", sum_traces)
@@ -259,7 +255,7 @@ def char_poly(world: CliqueWorld, subset: Sequence[int], a: DMat,
         s_dm = DMat(world.fresh_name("S"), n, n, p, subset)
 
         def newton_rows(view):
-            pos = subset.index(view.node)
+            pos = view.pos
             s = view.get("s_all")
             row = np.zeros(n, dtype=np.int64)
             row[pos] = pos + 1
@@ -276,7 +272,7 @@ def char_poly(world: CliqueWorld, subset: Sequence[int], a: DMat,
         s_inv = tri_inverse(world, subset, s_dm, kernel)
 
         def coeff(view):
-            pos = subset.index(view.node)
+            pos = view.pos
             s = view.get("s_all")
             value = int(np.dot(view.get(s_inv.row_key(pos)) % p, s % p) % p)
             view.put("c_own", (-value) % p)
@@ -322,7 +318,7 @@ def inverse(world: CliqueWorld, subset: Sequence[int], a: DMat,
                   for _ in range(pc)]
 
         def build_e(view):
-            pos = subset.index(view.node)
+            pos = view.pos
             rows = np.stack([view.get(dm.row_key(pos)) for dm in stride_mats])
             for a2 in range(pc):
                 weights = np.array(
@@ -338,7 +334,7 @@ def inverse(world: CliqueWorld, subset: Sequence[int], a: DMat,
         scale = (-pow(cn, -1, p)) % p
 
         def assemble(view):
-            pos = subset.index(view.node)
+            pos = view.pos
             row = np.zeros(n, dtype=np.int64)
             col = np.zeros(n, dtype=np.int64)
             for prod in prods:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .ff import (PrimeField, dft_matrix, least_prime_congruent,
                  primitive_root_of_unity)
-from .mm import DMat, MediumPlan, make_medium_plan, mm_multi, predict_rounds
+from .mm import (DMat, MediumPlan, four_step, make_medium_plan, mm_multi,
+                 predict_rounds)
 from .minplus import INF, INF_THRESHOLD, clamp, entry_bits
 from .sim import CliqueWorld, wide_value_units
 
@@ -151,7 +152,7 @@ def dist_prod_dft(world: CliqueWorld, subset: Sequence[int], a: MinPlusMatrix,
                    for _ in range(plan.batch)]
 
         def encode(view):
-            pos = subset.index(view.node)
+            pos = view.pos
             row = view.get(a.row_key(pos))
             coords = _transform_entries(np.asarray(row), plan, table, w_mat)
             for s0 in range(plan.batch):
@@ -189,7 +190,7 @@ def dist_prod_dft(world: CliqueWorld, subset: Sequence[int], a: MinPlusMatrix,
             return out_vec
 
         def decode(view):
-            pos = subset.index(view.node)
+            pos = view.pos
             row_stack = np.stack([view.get(pr.row_key(pos)) for pr in prods])
             col_stack = np.stack([view.get(pr.col_key(pos)) for pr in prods])
             view.put(out.row_key(pos), decode_vector(row_stack))
@@ -200,6 +201,30 @@ def dist_prod_dft(world: CliqueWorld, subset: Sequence[int], a: MinPlusMatrix,
 
 
 # -------------------------------------------------------- semiring strategy
+
+class MinPlusAlgebra:
+    """The node-local steps of the four-step pattern over (min, +) with the
+    schoolbook kernel, which selects blocks rather than combining them:
+    product mu = (i*d + j)*e + s takes A block (i, s) and B block (s, j)."""
+
+    zero = INF
+    form_phase = "form-local"
+
+    def __init__(self, plan: MediumPlan):
+        self.d, self.e = plan.d, plan.e
+        self.i, self.j, self.s = np.unravel_index(np.arange(plan.t), (plan.d, plan.d, plan.e))
+
+    def form(self, ablk: np.ndarray, bblk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return ablk[self.i, :, self.s, :], bblk[self.j, :, self.s, :].transpose(0, 2, 1)
+
+    def multiply(self, s_mat: np.ndarray, t_mat: np.ndarray) -> np.ndarray:
+        return clamp((s_mat[:, None, :] + t_mat.T[None, :, :]).min(axis=2))
+
+    def combine(self, prods: np.ndarray) -> np.ndarray:
+        _, c, _ = prods.shape
+        best = prods.reshape(self.d, self.d, self.e, c, c).min(axis=2)
+        return clamp(best.transpose(0, 2, 1, 3))
+
 
 def dist_prod_semiring(world: CliqueWorld, subset: Sequence[int], a: MinPlusMatrix,
                        b: MinPlusMatrix, bound: Optional[int] = None,
@@ -217,180 +242,10 @@ def dist_prod_semiring(world: CliqueWorld, subset: Sequence[int], a: MinPlusMatr
     plan = make_medium_plan(n, m, 1, "trivial", 1.0)
     width = wide_value_units(entry_bits(2 * bound), n)
     phase = phase or world.fresh_name("distsemi")
-    d, q, c, r = plan.d, plan.q, plan.c, plan.r
-    e = plan.e
-    X, Z, n_hat, m_hat = plan.X, plan.Z, plan.n_hat, plan.m_hat
-
-    inner_sel = [
-        np.add.outer(np.arange(e) * Z, v0 * r + np.arange(r)).ravel()
-        for v0 in range(q)
-    ]
-    inner_mask = [sel < m for sel in inner_sel]
-    outer_pos = [
-        np.add.outer(np.arange(d) * X, u0 * c + np.arange(c)).ravel()
-        for u0 in range(q)
-    ]
-    outer_mask = [pos_arr < n for pos_arr in outer_pos]
-
     with world.ledger.group(phase):
-
-        def build_form(view):
-            pos = subset.index(view.node)
-            row = np.full(m_hat, INF, dtype=np.int64)
-            row[:m] = view.get(a.row_key(pos))
-            col = np.full(m_hat, INF, dtype=np.int64)
-            col[:m] = view.get(b.col_key(pos))
-            u_own = (pos % X) // c
-            for v0 in range(q):
-                sel = inner_sel[v0][inner_mask[v0]]
-                yield subset[plan.worker(0, u_own, v0)], ("dA", pos), row[sel]
-                yield subset[plan.worker(0, v0, u_own)], ("dB", pos), col[sel]
-
-        world.route(subset, "form", build_form, width=width)
-
-        def local_form(view):
-            pos = subset.index(view.node)
-            label = _semi_worker(plan, pos)
-            if label is None:
-                return
-            u0, v0 = label
-            ablk = np.full((d, c, e, r), INF, dtype=np.int64)
-            bblk = np.full((e, r, d, c), INF, dtype=np.int64)
-            buf = np.full(e * r, INF, dtype=np.int64)
-            for i0 in range(d):
-                for xp0 in range(c):
-                    slot = plan.slot(i0, u0, xp0)
-                    if slot < n:
-                        vec = view.pop(("dA", slot), None)
-                        if vec is not None:
-                            buf[:] = INF
-                            buf[inner_mask[v0]] = vec
-                            ablk[i0, xp0] = buf.reshape(e, r)
-                    slot_b = plan.slot(i0, v0, xp0)
-                    if slot_b < n:
-                        vec = view.pop(("dB", slot_b), None)
-                        if vec is not None:
-                            buf[:] = INF
-                            buf[inner_mask[u0]] = vec
-                            bblk[:, :, i0, xp0] = buf.reshape(e, r)
-            view.put("dAblk", ablk)
-            view.put("dBblk", bblk)
-
-        world.run_local(subset, "form-local", local_form)
-
-        # step 2: node (i,j,s') gathers block row i / inner s' of A and
-        # inner s' / block col j of B, then takes the local min-plus product
-        def build_gather(view):
-            pos = subset.index(view.node)
-            label = _semi_worker(plan, pos)
-            if label is None:
-                return
-            u0, v0 = label
-            ablk = view.get("dAblk")
-            bblk = view.get("dBblk")
-            for mu0 in range(plan.t):
-                i0, rest = divmod(mu0, d * e)
-                j0, s0 = divmod(rest, e)
-                dst = subset[mu0]
-                yield dst, ("dS", u0, v0), ablk[i0, :, s0, :]
-                yield dst, ("dT", u0, v0), bblk[s0, :, j0, :]
-
-        world.route(subset, "gather", build_gather, width=width)
-
-        def local_multiply(view):
-            pos = subset.index(view.node)
-            if pos >= plan.t:
-                return
-            s_mat = np.full((X, Z), INF, dtype=np.int64)
-            t_mat = np.full((Z, X), INF, dtype=np.int64)
-            for u0 in range(q):
-                for v0 in range(q):
-                    s_mat[u0 * c:(u0 + 1) * c, v0 * r:(v0 + 1) * r] = view.pop(("dS", u0, v0))
-                    t_mat[u0 * r:(u0 + 1) * r, v0 * c:(v0 + 1) * c] = view.pop(("dT", u0, v0))
-            prod = clamp((s_mat[:, None, :] + t_mat.T[None, :, :]).min(axis=2))
-            view.put("dP", prod)
-
-        world.run_local(subset, "multiply", local_multiply)
-
-        def build_combine(view):
-            pos = subset.index(view.node)
-            if pos >= plan.t:
-                return
-            prod = view.get("dP")
-            for u0 in range(q):
-                for v0 in range(q):
-                    dst = subset[plan.worker(0, u0, v0)]
-                    yield dst, ("dPs", pos), prod[u0 * c:(u0 + 1) * c, v0 * c:(v0 + 1) * c]
-
-        world.route(subset, "combine", build_combine, width=width)
-
-        def local_combine(view):
-            pos = subset.index(view.node)
-            label = _semi_worker(plan, pos)
-            if label is None:
-                return
-            cblk = np.full((d, c, d, c), INF, dtype=np.int64)
-            for mu0 in range(plan.t):
-                i0, rest = divmod(mu0, d * e)
-                j0, _ = divmod(rest, e)
-                piece = view.pop(("dPs", mu0))
-                cblk[i0, :, j0, :] = np.minimum(cblk[i0, :, j0, :], piece)
-            view.put("dC", clamp(cblk))
-
-        world.run_local(subset, "combine-local", local_combine)
-
         out = MinPlusMatrix(world.fresh_name("MP"), n, n, 2 * bound, subset)
-
-        def build_deliver(view):
-            pos = subset.index(view.node)
-            label = _semi_worker(plan, pos)
-            if label is None:
-                return
-            u0, v0 = label
-            cblk = view.get("dC")
-            for i0 in range(d):
-                for xp0 in range(c):
-                    slot = plan.slot(i0, u0, xp0)
-                    if slot < n:
-                        yield subset[slot], ("dCr", v0), cblk[i0, xp0].ravel()[outer_mask[v0]]
-            for j0 in range(d):
-                for yp0 in range(c):
-                    slot = plan.slot(j0, v0, yp0)
-                    if slot < n:
-                        yield (subset[slot], ("dCc", u0, j0, yp0),
-                               cblk[:, :, j0, yp0].ravel()[outer_mask[u0]])
-
-        world.route(subset, "deliver", build_deliver, width=width)
-
-        def local_deliver(view):
-            pos = subset.index(view.node)
-            row = np.full(n, INF, dtype=np.int64)
-            col = np.full(n, INF, dtype=np.int64)
-            for v0 in range(q):
-                vec = view.pop(("dCr", v0), None)
-                if vec is not None:
-                    row[outer_pos[v0][outer_mask[v0]]] = vec
-            for u0 in range(q):
-                vec = view.pop(("dCc", u0, pos // X, (pos % X) % c), None)
-                if vec is not None:
-                    col[outer_pos[u0][outer_mask[u0]]] = vec
-            view.put(out.row_key(pos), row)
-            view.put(out.col_key(pos), col)
-            for key in ("dAblk", "dBblk", "dP", "dC"):
-                view.pop(key, None)
-
-        world.run_local(subset, "deliver-local", local_deliver)
-        for node in subset:
-            store = world.stores[node]
-            for key in ("dAblk", "dBblk", "dP", "dC"):
-                store.pop(key, None)
+        four_step(world, subset, plan, MinPlusAlgebra(plan), [a], [b], [out], width)
     return out
-
-
-def _semi_worker(plan: MediumPlan, pos: int) -> Optional[tuple[int, int]]:
-    if pos >= plan.q * plan.q:
-        return None
-    return divmod(pos, plan.q)
 
 
 # ------------------------------------------------------------- cost model

@@ -147,7 +147,7 @@ def apsp_zwick(world: CliqueWorld, graph: WeightedGraph, sample_c: float = 3.0,
                                   has_rows=False)
 
             def build_sub(view):
-                pos = subset.index(view.node)
+                pos = view.pos
                 ids = view.get("zw_sample_all")
                 row = view.get(dist.row_key(pos))[ids]
                 col = view.get(dist.col_key(pos))[ids]
@@ -163,7 +163,7 @@ def apsp_zwick(world: CliqueWorld, graph: WeightedGraph, sample_c: float = 3.0,
                                 kernel=kernel, phase=f"product{it}")
 
             def merge(view):
-                pos = subset.index(view.node)
+                pos = view.pos
                 view.put(dist.row_key(pos),
                          np.minimum(view.get(dist.row_key(pos)),
                                     view.get(relaxed.row_key(pos))))
@@ -184,7 +184,7 @@ def diameter(world: CliqueWorld, graph: WeightedGraph,
     with world.ledger.group(world.fresh_name("diameter")):
 
         def local_max(view):
-            pos = subset.index(view.node)
+            pos = view.pos
             row = view.get(dist.row_key(pos))
             others = np.delete(row, pos)
             if others.size == 0:
@@ -220,7 +220,7 @@ def build_tutte_instance(world: CliqueWorld, graph: WeightedGraph, p: int,
     with world.ledger.group(world.fresh_name("tutte")):
 
         def draw_and_send(view):
-            pos = subset.index(view.node)
+            pos = view.pos
             adj_row = view.get(f"tutte_adj:{pos}")
             if adj_row is None:
                 raise AssertionError("adjacency row missing")
@@ -235,14 +235,14 @@ def build_tutte_instance(world: CliqueWorld, graph: WeightedGraph, p: int,
                     yield subset[j], ("tutte_x", pos), int(values[j])
 
         def stage_adj(view):
-            pos = subset.index(view.node)
+            pos = view.pos
             view.put(f"tutte_adj:{pos}", graph.adj[pos].copy())
 
         world.run_local(subset, "stage", stage_adj)
         world.route(subset, "exchange", draw_and_send)
 
         def build_rows(view):
-            pos = subset.index(view.node)
+            pos = view.pos
             adj_row = view.get(f"tutte_adj:{pos}")
             row = np.zeros(n, dtype=np.int64)
             own = view.pop("tutte_vals")
@@ -313,7 +313,7 @@ def _share_incidence(world: CliqueWorld, graph: WeightedGraph, inv: DMat,
     words = math.ceil(n / word_bits)
 
     def pack(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         row = view.get(inv.row_key(pos))
         bits = (np.asarray(row) % inv.p != 0) & (graph.adj[pos] < INF_THRESHOLD)
         packed = np.zeros(words, dtype=np.int64)
@@ -422,7 +422,7 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
     n11 = DMat(world.fresh_name("N11"), rank, rank, p, sub_r)
 
     def slice_n11(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         if pos >= rank:
             return
         view.put(n11.row_key(pos), view.get(nmat.row_key(pos))[:rank])
@@ -437,7 +437,7 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
     tail = n - rank
 
     def send_n12(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         if pos < rank:
             return
         j0 = pos - rank
@@ -452,7 +452,7 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
         rhs = DMat(world.fresh_name("N12"), rank, rank, p, sub_r, has_rows=False)
 
         def stage(view, g=g, rhs=rhs):
-            pos = sub_r.index(view.node)
+            pos = view.pos
             j0 = g * rank + pos
             col = view.get(("ge_n12", j0)) if j0 < tail else None
             if col is None:
@@ -468,9 +468,9 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
     y_mat = DMat(world.fresh_name("Y"), n, n, p, subset, has_rows=False)
 
     def send_x(view):
-        if view.node not in sub_r:
+        pos = view.pos  # sub_r is a prefix of subset
+        if pos >= rank:
             return
-        pos = sub_r.index(view.node)
         for g in range(chunks):
             j0 = g * rank + pos
             if j0 < tail:
@@ -480,7 +480,7 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
     world.route(subset, "moveX", send_x)
 
     def build_y(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         col = np.zeros(n, dtype=np.int64)
         if pos < tail:
             xcol = view.pop(("ge_x", pos))
@@ -498,7 +498,7 @@ def _verify_null_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
     check = mm_multi(world, subset, [tutte], [basis], kernel, phase="check")[0]
 
     def flag(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         row = view.get(check.row_key(pos))
         view.put("ge_ok", 1 if int((row[:max(1, n - rank)] % tutte.p).max(initial=0)) == 0
                  else 0)
@@ -515,7 +515,7 @@ def _classify(world: CliqueWorld, graph: WeightedGraph, basis: DMat,
     p = basis.p
 
     def d_flag(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         row = view.get(basis.row_key(pos)) % p
         view.put("ge_d", 1 if int(row[:tail].max(initial=0)) != 0 else 0)
 
@@ -523,7 +523,7 @@ def _classify(world: CliqueWorld, graph: WeightedGraph, basis: DMat,
     allgather_scalars(world, subset, "dshare", "ge_d", "ge_d_all")
 
     def k_flag(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         d_all = view.get("ge_d_all")
         if d_all[pos]:
             view.put("ge_k", 0)

@@ -84,7 +84,7 @@ def _place_band(world: CliqueWorld, subset: tuple[int, ...], wide: WideMat,
     n = len(subset)
     if offset % n == 0:
         def copy(view):
-            pos = subset.index(view.node)
+            pos = view.pos
             for j0 in range(pos, prod.cols, n):
                 view.put(wide.col_key(offset + j0), view.get(prod.col_key(j0)))
 
@@ -92,7 +92,7 @@ def _place_band(world: CliqueWorld, subset: tuple[int, ...], wide: WideMat,
         return
 
     def shift(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         for j0 in range(pos, prod.cols, n):
             dst = subset[(offset + j0) % n]
             yield dst, wide.col_key(offset + j0), view.get(prod.col_key(j0))
@@ -132,7 +132,7 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
         wide = krylov_sequence(world, subset, a, "mp_v", length, kernel)
 
         def project(view):
-            pos = subset.index(view.node)
+            pos = view.pos
             w = view.get("mp_w")
             for j0 in range(pos, 2 * n, len(subset)):
                 col = view.get(wide.col_key(j0))
@@ -182,7 +182,7 @@ def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
             da = DMat(world.fresh_name("DA"), n, n, p, subset)
 
             def scale(view):
-                pos = subset.index(view.node)
+                pos = view.pos
                 d = view.get("dr_d_all")
                 view.put(da.row_key(pos), view.get(a.row_key(pos)) * int(d[pos]) % p)
                 view.put(da.col_key(pos), view.get(a.col_key(pos)) * d % p)
@@ -227,6 +227,7 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
     repeated Monte Carlo failure); never returns an unverified answer.
     """
     subset = tuple(subset)
+    nodes = np.array(subset)
     n = len(subset)
     p = a.p
     _check_field_size(p, n, "solve")
@@ -257,7 +258,7 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
             world.route(subset, f"coeffs{attempt}", send_coeffs)
 
             def scatter_terms(view):
-                pos = subset.index(view.node)
+                pos = view.pos
                 for j0 in range(pos, min(length, n), n):
                     pair = view.pop(("sv_coef", j0), None)
                     if pair is None:
@@ -265,22 +266,21 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
                     m0, coef = int(pair[0]), int(pair[1])
                     col = view.get(wide.col_key(j0))
                     term = (-coef * pow(m0, -1, p) % p) * col % p
-                    for ell in range(n):
-                        yield subset[ell], ("sv_part", j0), int(term[ell])
+                    yield nodes, ("sv_part", j0), term
 
             world.route(subset, f"terms{attempt}", scatter_terms)
 
             def accumulate(view):
                 total = 0
                 for j0 in range(min(length, n)):
-                    total += view.pop(("sv_part", j0), 0)
+                    total += int(view.pop(("sv_part", j0), 0))
                 view.put("sv_x", total % p)
 
             world.run_local(subset, "sum", accumulate)
             allgather_scalars(world, subset, f"xshare{attempt}", "sv_x", "sv_x_all")
 
             def check(view):
-                pos = subset.index(view.node)
+                pos = view.pos
                 x_all = view.get("sv_x_all")
                 lhs = int(np.dot(view.get(a.row_key(pos)) % p, x_all) % p)
                 view.put("sv_ok", 1 if lhs == int(b[pos]) else 0)
@@ -307,7 +307,7 @@ def build_unit_toeplitz(world: CliqueWorld, subset: Sequence[int], uv_key,
     v_dm = DMat(world.fresh_name("V"), n, n, p, subset)
 
     def build(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         pre = view.get(uv_key)
         u, v = pre[:n - 1], pre[n - 1:2 * (n - 1)]
         urow = np.zeros(n, dtype=np.int64)
@@ -366,7 +366,7 @@ def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
             d_dm = DMat(world.fresh_name("D"), n, n, p, subset, has_rows=False)
 
             def build_diag(view):
-                pos = subset.index(view.node)
+                pos = view.pos
                 d = view.get("rk_pre_all")[2 * (n - 1):]
                 dcol = np.zeros(n, dtype=np.int64)
                 dcol[pos] = int(d[pos]) % p

@@ -19,10 +19,6 @@ def clamp(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_inf(values) -> np.ndarray:
-    return np.asarray(values) >= INF_THRESHOLD
-
-
 def entry_bits(bound_m: int) -> int:
     """Bits needed for a signed entry with |value| <= bound plus the inf flag."""
     return max(1, math.ceil(math.log2(2 * max(1, bound_m) + 2)))

@@ -98,7 +98,7 @@ def identity_dmat(world: CliqueWorld, subset: Sequence[int], size: int, p: int) 
     dm = DMat(world.fresh_name("I"), size, size, p, tuple(subset))
 
     def build(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         if pos < size:
             e = np.zeros(size, dtype=np.int64)
             e[pos] = 1 % p
@@ -133,6 +133,10 @@ class MediumPlan:
     def alg(self) -> bilinear.BilinearAlgorithm:
         return bilinear.algorithm_for(self.family, self.d, self.gamma)
 
+    @functools.cached_property
+    def routes(self) -> "FourStepRoutes":
+        return FourStepRoutes(self)
+
     @property
     def X(self) -> int:
         return self.q * self.c
@@ -148,15 +152,6 @@ class MediumPlan:
     @property
     def m_hat(self) -> int:
         return self.e * self.Z
-
-    def worker(self, s0: int, u0: int, v0: int) -> int:
-        return (s0 * self.q + u0) * self.q + v0
-
-    def mul_node(self, s0: int, mu0: int) -> int:
-        return s0 * self.t + mu0
-
-    def slot(self, i0: int, u0: int, xp0: int) -> int:
-        return i0 * self.X + u0 * self.c + xp0
 
     def phase_loads(self) -> dict[str, int]:
         """Per-node load of each routed step of the four-step pattern, in elements.
@@ -220,6 +215,43 @@ class MediumPlan:
         }
 
 
+class FourStepRoutes:
+    """Destinations and selections of every routed step of a plan, in subset
+    positions; the one place the four-step index arithmetic is written.
+
+    Output slot s < n (the node at position s) lies in worker column
+    u = (s mod X) // c, at row i*c + x' of its column's (d*c)-row block,
+    where s = i*X + u*c + x'.  Inner index j < m lies in inner column
+    v = (j mod Z) // r.  Worker (s0, u, v) sits at position (s0*q + u)*q + v
+    and multiply node (s0, mu) at s0*t + mu.
+    """
+
+    def __init__(self, plan: MediumPlan):
+        n, m, k, q, c, r, t = plan.n, plan.m, plan.k, plan.q, plan.c, plan.r, plan.t
+        outer = np.add.outer(np.arange(plan.d) * plan.X, np.arange(c)).ravel()
+        inner = np.add.outer(np.arange(plan.e) * plan.Z, np.arange(r)).ravel()
+        self.slots: list[np.ndarray] = []       # real slots of column u, in (i, x') order
+        self.rows: list[np.ndarray] = []        # their rows i*c + x' in the column block
+        self.inner_cols: list[np.ndarray] = []  # real inner indices of column v, within e*r
+        inner_real = []
+        for w0 in range(q):
+            real = outer + w0 * c < n
+            self.slots.append(outer[real] + w0 * c)
+            self.rows.append(np.flatnonzero(real))
+            real = inner + w0 * r < m
+            self.inner_cols.append(np.flatnonzero(real))
+            inner_real.append(inner[real] + w0 * r)
+        self.workers = np.arange(k * q * q).reshape(k, q, q)
+        self.mul_nodes = np.arange(k * t).reshape(k, t)
+        # form sends: inner columns grouped by how many real indices they hold,
+        # so that each group travels as one block of equally long rows
+        widths = [sel.size for sel in inner_real]
+        self.inner_groups: list[tuple[np.ndarray, np.ndarray]] = []
+        for size in sorted(set(widths) - {0}):
+            vs = [v0 for v0 in range(q) if widths[v0] == size]
+            self.inner_groups.append((np.array(vs), np.stack([inner_real[v0] for v0 in vs])))
+
+
 def make_medium_plan(n: int, m: int, k: int, family: str, gamma: float) -> MediumPlan:
     budget = max(1, n // k)
     d = bilinear.max_d_for_budget(family, budget, gamma)
@@ -281,7 +313,9 @@ def mm_multi(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
         plan = _plan_for(n, m, k, kernel)
         if plan is None:
             return _mm_large(world, subset, a_list, b_list)
-        return _mm_medium(world, subset, a_list, b_list, plan)
+        outs = [DMat(world.fresh_name("C"), n, n, p, subset) for _ in range(k)]
+        four_step(world, subset, plan, FieldAlgebra(plan, p), a_list, b_list, outs)
+        return outs
 
 
 def _mm_large(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
@@ -289,28 +323,27 @@ def _mm_large(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
     n, k = len(subset), len(a_list)
     m = a_list[0].cols
     p = a_list[0].p
+    nodes = np.array(subset)
     g = max(1, min(n // k, m))
     w = math.ceil(m / g)
     spans = [(t0 * w, min((t0 + 1) * w, m)) for t0 in range(g)]
+    full = m // w  # the first `full` spans are w wide, then at most one narrower
 
     def build_gather(view):
-        pos = subset.index(view.node)
-        if pos >= n:
-            return
+        pos = view.pos
         for s0 in range(k):
             row = view.get(a_list[s0].row_key(pos))
-            col = view.get(b_list[s0].col_key(pos)) if pos < n else None
-            for t0, (lo, hi) in enumerate(spans):
-                dst = subset[s0 * g + t0]
-                if row is not None:
-                    yield dst, ("LA", s0, pos), row[lo:hi]
-                if col is not None:
-                    yield dst, ("LB", s0, pos), col[lo:hi]
+            col = view.get(b_list[s0].col_key(pos))
+            for vec, key in ((row, ("LA", s0, pos)), (col, ("LB", s0, pos))):
+                if vec is not None:
+                    yield nodes[s0 * g:s0 * g + full], key, vec[:full * w].reshape(full, w)
+                    if m % w:
+                        yield subset[s0 * g + full], key, vec[full * w:]
 
     world.route(subset, "blocks", build_gather)
 
     def compute(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         if pos >= k * g:
             return
         s0, t0 = divmod(pos, g)
@@ -328,19 +361,20 @@ def _mm_large(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
     outs = [DMat(world.fresh_name("C"), n, n, p, tuple(subset)) for _ in range(k)]
 
     def build_scatter(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         if pos >= k * g:
             return
         s0, t0 = divmod(pos, g)
         prod = view.get(("LC", s0))
-        for ell in range(n):
-            yield subset[ell], ("LCr", s0, t0), prod[ell, :]
-            yield subset[ell], ("LCc", s0, t0), prod[:, ell]
+        yield nodes, ("LCr", s0, t0), prod
+        yield nodes, ("LCc", s0, t0), prod.T
 
     world.route(subset, "assemble", build_scatter)
 
     def finish(view):
-        pos = subset.index(view.node)
+        pos = view.pos
+        if pos < k * g:
+            view.pop(("LC", pos // g))
         for s0 in range(k):
             row = np.zeros(n, dtype=np.int64)
             col = np.zeros(n, dtype=np.int64)
@@ -351,191 +385,161 @@ def _mm_large(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
             view.put(outs[s0].col_key(pos), col)
 
     world.run_local(subset, "sum-blocks", finish)
-    # drop worker scratch
-    for node in subset:
-        store = world.stores[node]
-        for key in [key for key in store if isinstance(key, tuple) and key[0] == "LC"]:
-            del store[key]
     return outs
 
 
-def _mm_medium(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
-               b_list: Sequence[DMat], plan: MediumPlan) -> list[DMat]:
-    n, m, k, p = plan.n, plan.m, plan.k, a_list[0].p
-    d, e, t, q, c, r = plan.d, plan.e, plan.t, plan.q, plan.c, plan.r
-    X, Z, n_hat, m_hat = plan.X, plan.Z, plan.n_hat, plan.m_hat
-    alpha = plan.alg.alpha % p
-    beta = plan.alg.beta % p
-    lam = plan.alg.lam % p
+class FieldAlgebra:
+    """The node-local arithmetic of the four-step pattern for a bilinear kernel
+    over GF(p): the alpha/beta/lambda contractions and the block product, all
+    through `matmul_mod`, so they are exact wherever it is."""
 
-    # index selections: entries of one padded row going to the v-th worker column
-    inner_sel = [
-        np.add.outer(np.arange(e) * Z, v0 * r + np.arange(r)).ravel()
-        for v0 in range(q)
-    ]
-    # only structurally real positions travel; receivers zero-fill the padding
-    inner_mask = [sel < m for sel in inner_sel]
-    outer_pos = [
-        np.add.outer(np.arange(d) * X, u0 * c + np.arange(c)).ravel()
-        for u0 in range(q)
-    ]
-    outer_mask = [pos_arr < n for pos_arr in outer_pos]
+    zero = 0
+    form_phase = "form-combine"
+
+    def __init__(self, plan: MediumPlan, p: int):
+        alg = plan.alg
+        self.p = p
+        self.d = alg.d
+        self.alpha = (alg.alpha % p).reshape(alg.t, -1)
+        self.beta = (alg.beta % p).reshape(alg.t, -1)
+        self.lam = (alg.lam % p).reshape(alg.t, -1).T
+
+    def form(self, ablk: np.ndarray, bblk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d, c, e, r) blocks of A and of B transposed -> the t left (c, r)
+        and right (r, c) operands."""
+        d, c, e, r = ablk.shape
+        s_all = matmul_mod(self.alpha, ablk.transpose(0, 2, 1, 3).reshape(d * e, c * r), self.p)
+        t_all = matmul_mod(self.beta, bblk.transpose(0, 2, 3, 1).reshape(d * e, r * c), self.p)
+        return s_all.reshape(-1, c, r), t_all.reshape(-1, r, c)
+
+    def multiply(self, s_mat: np.ndarray, t_mat: np.ndarray) -> np.ndarray:
+        return matmul_mod(s_mat, t_mat, self.p)
+
+    def combine(self, prods: np.ndarray) -> np.ndarray:
+        """t products (c, c) -> the worker's (d, c, d, c) block of C."""
+        t, c, _ = prods.shape
+        out = matmul_mod(self.lam, prods.reshape(t, c * c), self.p)
+        return out.reshape(self.d, self.d, c, c).transpose(0, 2, 1, 3)
+
+
+def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algebra,
+              a_list: Sequence, b_list: Sequence, outs: Sequence, width: int = 1) -> None:
+    """The four-step multi-product pattern of `plan` on the k factor pairs.
+
+    Node i of the subset holds row i of each a_list[s] and column i of each
+    b_list[s] (under their row_key/col_key) and receives row i and column i
+    of the s-th product under outs[s]'s keys.  `algebra` supplies the zero
+    element and the node-local steps (form, multiply, combine); every routed
+    step moves blocks whose destinations come from `plan.routes`, and each
+    element is charged `width` units.
+    """
+    subset = tuple(subset)
+    nodes = np.array(subset)
+    n, k, t, q = plan.n, plan.k, plan.t, plan.q
+    d, e, c, r, X = plan.d, plan.e, plan.c, plan.r, plan.X
+    routes = plan.routes
+    zero = algebra.zero
 
     def build_form(view):
-        pos = subset.index(view.node)
-        if pos >= n:
-            return
+        pos = view.pos
         u_own = (pos % X) // c
-        for s0 in range(k):
-            padded_row = np.zeros(m_hat, dtype=np.int64)
-            padded_row[:m] = view.get(a_list[s0].row_key(pos))
-            padded_col = np.zeros(m_hat, dtype=np.int64)
-            padded_col[:m] = view.get(b_list[s0].col_key(pos))
-            for v0 in range(q):
-                sel = inner_sel[v0][inner_mask[v0]]
-                yield subset[plan.worker(s0, u_own, v0)], ("mA", s0, pos), padded_row[sel]
-                yield subset[plan.worker(s0, v0, u_own)], ("mB", s0, pos), padded_col[sel]
+        rows = np.stack([view.get(a.row_key(pos)) for a in a_list])
+        cols = np.stack([view.get(b.col_key(pos)) for b in b_list])
+        for vs, sel in routes.inner_groups:
+            yield nodes[routes.workers[:, u_own, vs].ravel()], ("fA", pos), \
+                rows[:, sel].reshape(-1, sel.shape[1])
+            yield nodes[routes.workers[:, vs, u_own].ravel()], ("fB", pos), \
+                cols[:, sel].reshape(-1, sel.shape[1])
 
-    world.route(subset, "form", build_form)
+    world.route(subset, "form", build_form, width)
 
     def local_form(view):
-        pos = subset.index(view.node)
-        label = _worker_label(plan, pos)
+        label = _worker_label(plan, view.pos)
         if label is None:
             return
-        s0, u0, v0 = label
-        ablk = np.zeros((d, c, e, r), dtype=np.int64)
-        bblk = np.zeros((e, r, d, c), dtype=np.int64)
-        buf = np.zeros(e * r, dtype=np.int64)
-        for i0 in range(d):
-            for xp0 in range(c):
-                slot = plan.slot(i0, u0, xp0)
-                if slot < n:
-                    vec = view.pop(("mA", s0, slot), None)
-                    if vec is not None:
-                        buf[:] = 0
-                        buf[inner_mask[v0]] = vec
-                        ablk[i0, xp0] = buf.reshape(e, r)
-                slot_b = plan.slot(i0, v0, xp0)
-                if slot_b < n:
-                    vec = view.pop(("mB", s0, slot_b), None)
-                    if vec is not None:
-                        buf[:] = 0
-                        buf[inner_mask[u0]] = vec
-                        bblk[:, :, i0, xp0] = buf.reshape(e, r)
-        s_all = np.einsum("mij,ixjz->mxz", alpha, ablk) % p
-        t_all = np.einsum("mij,jziy->mzy", beta, bblk) % p
-        view.put("mS_all", s_all)
-        view.put("mT_all", t_all)
+        _, u0, v0 = label
+        ablk = np.full((d * c, e * r), zero, dtype=np.int64)
+        bblk = np.full((d * c, e * r), zero, dtype=np.int64)
+        for blk, key, w_out, w_in in ((ablk, "fA", u0, v0), (bblk, "fB", v0, u0)):
+            if routes.slots[w_out].size and routes.inner_cols[w_in].size:
+                pieces = view.pop_many((key, slot) for slot in routes.slots[w_out].tolist())
+                blk[np.ix_(routes.rows[w_out], routes.inner_cols[w_in])] = \
+                    np.concatenate(pieces).reshape(len(pieces), -1)
+        view.put("fST", algebra.form(ablk.reshape(d, c, e, r), bblk.reshape(d, c, e, r)))
 
-    world.run_local(subset, "form-combine", local_form)
+    world.run_local(subset, algebra.form_phase, local_form)
 
     def build_gather(view):
-        pos = subset.index(view.node)
-        label = _worker_label(plan, pos)
+        label = _worker_label(plan, view.pos)
         if label is None:
             return
         s0, u0, v0 = label
-        s_all = view.get("mS_all")
-        t_all = view.get("mT_all")
-        for mu0 in range(t):
-            dst = subset[plan.mul_node(s0, mu0)]
-            yield dst, ("mS", u0, v0), s_all[mu0]
-            yield dst, ("mT", u0, v0), t_all[mu0]
+        s_all, t_all = view.get("fST")
+        yield nodes[routes.mul_nodes[s0]], ("fS", u0, v0), s_all
+        yield nodes[routes.mul_nodes[s0]], ("fT", u0, v0), t_all
 
-    world.route(subset, "gather", build_gather)
+    world.route(subset, "gather", build_gather, width)
+
+    pairs = [(u0, v0) for u0 in range(q) for v0 in range(q)]
 
     def local_multiply(view):
-        pos = subset.index(view.node)
-        if pos >= k * t:
+        view.pop("fST", None)
+        if view.pos >= k * t:
             return
-        s0, mu0 = divmod(pos, t)
-        s_mat = np.zeros((X, Z), dtype=np.int64)
-        t_mat = np.zeros((Z, X), dtype=np.int64)
-        for u0 in range(q):
-            for v0 in range(q):
-                s_mat[u0 * c:(u0 + 1) * c, v0 * r:(v0 + 1) * r] = view.pop(("mS", u0, v0))
-                t_mat[u0 * r:(u0 + 1) * r, v0 * c:(v0 + 1) * c] = view.pop(("mT", u0, v0))
-        view.put("mP", matmul_mod(s_mat, t_mat, p))
+        s_mat = np.concatenate(view.pop_many(("fS",) + pair for pair in pairs))
+        t_mat = np.concatenate(view.pop_many(("fT",) + pair for pair in pairs))
+        s_mat = s_mat.reshape(q, q, c, r).transpose(0, 2, 1, 3).reshape(X, q * r)
+        t_mat = t_mat.reshape(q, q, r, c).transpose(0, 2, 1, 3).reshape(q * r, X)
+        view.put("fProd", algebra.multiply(s_mat, t_mat))
 
     world.run_local(subset, "multiply", local_multiply)
 
     def build_combine(view):
-        pos = subset.index(view.node)
-        if pos >= k * t:
+        if view.pos >= k * t:
             return
-        s0, mu0 = divmod(pos, t)
-        prod = view.get("mP")
-        for u0 in range(q):
-            for v0 in range(q):
-                dst = subset[plan.worker(s0, u0, v0)]
-                yield dst, ("mPs", mu0), prod[u0 * c:(u0 + 1) * c, v0 * c:(v0 + 1) * c]
+        s0, mu0 = divmod(view.pos, t)
+        prod = view.get("fProd").reshape(q, c, q, c).transpose(0, 2, 1, 3)
+        yield nodes[routes.workers[s0].ravel()], ("fP", mu0), prod.reshape(q * q, c, c)
 
-    world.route(subset, "combine", build_combine)
+    world.route(subset, "combine", build_combine, width)
 
     def local_combine(view):
-        pos = subset.index(view.node)
-        label = _worker_label(plan, pos)
-        if label is None:
+        view.pop("fProd", None)
+        if _worker_label(plan, view.pos) is None:
             return
-        p_all = np.stack([view.pop(("mPs", mu0)) for mu0 in range(t)])
-        cblk = np.einsum("mij,mxy->ixjy", lam, p_all) % p
-        view.put("mC", cblk)
+        prods = np.concatenate(view.pop_many(("fP", mu0) for mu0 in range(t)))
+        view.put("fC", algebra.combine(prods.reshape(t, c, c)))
 
     world.run_local(subset, "combine-local", local_combine)
 
-    outs = [DMat(world.fresh_name("C"), n, n, p, tuple(subset)) for _ in range(k)]
-
     def build_deliver(view):
-        pos = subset.index(view.node)
-        label = _worker_label(plan, pos)
+        label = _worker_label(plan, view.pos)
         if label is None:
             return
         s0, u0, v0 = label
-        cblk = view.get("mC")
-        for i0 in range(d):
-            for xp0 in range(c):
-                slot = plan.slot(i0, u0, xp0)
-                if slot < n:
-                    yield subset[slot], ("mCr", s0, v0), cblk[i0, xp0].ravel()[outer_mask[v0]]
-        for j0 in range(d):
-            for yp0 in range(c):
-                slot = plan.slot(j0, v0, yp0)
-                if slot < n:
-                    yield (subset[slot], ("mCc", s0, u0, j0, yp0),
-                           cblk[:, :, j0, yp0].ravel()[outer_mask[u0]])
+        cblk = view.get("fC").reshape(d * c, d * c)[np.ix_(routes.rows[u0], routes.rows[v0])]
+        # the destination fixes the slot, so one key per sending worker suffices
+        yield nodes[routes.slots[u0]], ("fR", s0, v0), cblk
+        yield nodes[routes.slots[v0]], ("fK", s0, u0), cblk.T
 
-    world.route(subset, "deliver", build_deliver)
+    world.route(subset, "deliver", build_deliver, width)
 
     def local_deliver(view):
-        pos = subset.index(view.node)
-        if pos >= n:
-            return
-        for s0 in range(k):
-            row = np.zeros(n, dtype=np.int64)
-            col = np.zeros(n, dtype=np.int64)
-            for v0 in range(q):
-                vec = view.pop(("mCr", s0, v0), None)
-                if vec is not None:
-                    row[outer_pos[v0][outer_mask[v0]]] = vec
-            for u0 in range(q):
-                vec = view.pop(("mCc", s0, u0, pos // X, (pos % X) % c), None)
-                if vec is not None:
-                    col[outer_pos[u0][outer_mask[u0]]] = vec
-            view.put(outs[s0].row_key(pos), row)
-            view.put(outs[s0].col_key(pos), col)
-        view.pop("mC", None)
-        view.pop("mS_all", None)
-        view.pop("mT_all", None)
-        view.pop("mP", None)
+        view.pop("fC", None)
+        for s0, out in enumerate(outs):
+            row = np.full(n, zero, dtype=np.int64)
+            col = np.full(n, zero, dtype=np.int64)
+            for w0 in range(q):
+                piece = view.pop(("fR", s0, w0), None)
+                if piece is not None:
+                    row[routes.slots[w0]] = piece
+                piece = view.pop(("fK", s0, w0), None)
+                if piece is not None:
+                    col[routes.slots[w0]] = piece
+            view.put(out.row_key(view.pos), row)
+            view.put(out.col_key(view.pos), col)
 
     world.run_local(subset, "deliver-local", local_deliver)
-    # scratch cleanup for nodes that held worker state but own no output slot
-    for node in subset:
-        store = world.stores[node]
-        for key in ("mC", "mS_all", "mT_all", "mP"):
-            store.pop(key, None)
-    return outs
 
 
 def _worker_label(plan: MediumPlan, pos: int) -> Optional[tuple[int, int, int]]:
@@ -561,7 +565,7 @@ def mm_square_times_wide(world: CliqueWorld, subset: Sequence[int], lhs: DMat,
         rhs = DMat(world.fresh_name("W"), n, n, p, subset, has_rows=False)
 
         def stage(view, g=g, rhs=rhs):
-            pos = subset.index(view.node)
+            pos = view.pos
             base = g * n
             col = None
             j0 = base + pos
@@ -577,7 +581,7 @@ def mm_square_times_wide(world: CliqueWorld, subset: Sequence[int], lhs: DMat,
     result = WideMat(world.fresh_name("WP"), n, L, p, subset)
 
     def collect(view):
-        pos = subset.index(view.node)
+        pos = view.pos
         for g in range(chunks):
             j0 = g * n + pos
             if j0 < L:

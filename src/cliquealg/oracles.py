@@ -204,11 +204,6 @@ def floyd_warshall(adj) -> np.ndarray:
     return dist
 
 
-def has_negative_cycle(adj) -> bool:
-    dist = floyd_warshall(adj)
-    return bool((np.diag(dist) < 0).any())
-
-
 # ---------------------------------------------------------------- matchings
 
 def matching_table(n: int, edges) -> list[int]:

@@ -1,5 +1,16 @@
 """Synchronous congested-clique engine: node stores, routing, and the cost ledger.
 
+A routed phase is described by a build function that each node of the active
+subset runs on its own `NodeView` (which carries the node's id and its
+position `pos` in the subset).  It yields sends of one of two shapes:
+
+    (dst, key, payload)     one message: payload goes to node dst under key;
+    (dsts, key, payload)    a block: dsts is an int array of nodes, and row
+                            payload[i] goes to node dsts[i] under key.
+
+A one-message send is the one-row case of a block; both are checked and
+charged by the same rules.
+
 Cost convention: a routing phase on an active subset of size n_act, in which the
 most loaded node sends or receives S message units, is charged
 
@@ -16,7 +27,9 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections import Counter
 from contextlib import contextmanager
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -29,10 +42,6 @@ class RoutingViolation(Exception):
 
 
 class DisjointnessError(Exception):
-    pass
-
-
-class IsolationViolation(Exception):
     pass
 
 
@@ -152,12 +161,16 @@ class CostLedger:
 
 
 class NodeView:
-    """Access handle for one node's local store; the only state a compute sees."""
+    """Access handle for one node's local store; the only state a compute sees.
 
-    __slots__ = ("node", "_store", "_world")
+    `pos` is the node's position in the subset the phase runs on.
+    """
 
-    def __init__(self, node: int, store: dict, world: "CliqueWorld"):
+    __slots__ = ("node", "pos", "_store", "_world")
+
+    def __init__(self, node: int, pos: int, store: dict, world: "CliqueWorld"):
         self.node = node
+        self.pos = pos
         self._store = store
         self._world = world
 
@@ -172,6 +185,11 @@ class NodeView:
 
     def pop(self, key, default=None):
         return self._store.pop(key, default)
+
+    def pop_many(self, keys: Iterable) -> list:
+        """Remove and return the values of several keys, in order."""
+        store = self._store
+        return [store.pop(key) for key in keys]
 
     def has(self, key) -> bool:
         return key in self._store
@@ -197,6 +215,7 @@ class CliqueWorld:
         self.stores: list[dict] = [dict() for _ in range(n + 1)]  # 1-based
         self.ledger = CostLedger()
         self._name_counter = 0
+        self._subsets: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def all_nodes(self) -> tuple[int, ...]:
         return tuple(range(1, self.n + 1))
@@ -205,9 +224,6 @@ class CliqueWorld:
         self._name_counter += 1
         return f"{prefix}{self._name_counter}"
 
-    def view(self, node: int) -> NodeView:
-        return NodeView(node, self.stores[node], self)
-
     def node_rng(self, phase: str, node: int) -> random.Random:
         digest = hashlib.sha256(f"{self.seed}|{phase}|{node}".encode()).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
@@ -215,9 +231,21 @@ class CliqueWorld:
     def run_local(self, subset: Sequence[int], phase: str,
                   fn: Callable[[NodeView], None]) -> None:
         """Node-local computation on every node of the subset; zero rounds."""
-        for node in subset:
-            fn(self.view(node))
+        for pos, node in enumerate(subset):
+            fn(NodeView(node, pos, self.stores[node], self))
         self.ledger.phase(phase, len(subset), 0, 0)
+
+    def _subset_arrays(self, subset: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The subset's nodes as an array, and its membership mask over node
+        ids 0..n+1; both cached per subset."""
+        subset = tuple(subset)
+        found = self._subsets.get(subset)
+        if found is None:
+            nodes = np.array(subset, dtype=np.int64)
+            member = np.zeros(self.n + 2, dtype=bool)
+            member[nodes] = True
+            found = self._subsets[subset] = (nodes, member)
+        return found
 
     @staticmethod
     def route_rounds(load: int, n_act: int) -> int:
@@ -227,45 +255,66 @@ class CliqueWorld:
     def route(self, subset: Sequence[int], phase: str,
               build: Callable[[NodeView], Iterable[tuple]],
               width: int = 1) -> PhaseRecord:
-        """One routed phase.  build(view) yields (dst, key, payload) messages.
+        """One routed phase.  build(view) yields (dst, key, payload) sends.
 
-        Payloads are ints or numpy arrays of field values; each element counts
-        `width` units.  Sources and destinations must lie in the subset.
+        dst is a node, or an int array of nodes for a block send, in which
+        row payload[i] goes to dsts[i]; a send of one message is the one-row
+        block.  Payloads are ints or numpy arrays of field values; each
+        element of a row counts `width` units.  Every destination must lie in
+        the subset, and no (destination, key) pair may be delivered twice.
+        A row addressed to its own sender stays local and is free; a send
+        whose rows hold no elements is skipped.  All sends are checked and
+        charged before any is delivered, and each delivered block is copied
+        once, so later changes at the sender do not reach the receivers.
         """
-        members = set(subset)
         n_act = len(subset)
-        sent: dict[int, int] = {}
-        recv: dict[int, int] = {}
-        staged: list[tuple[int, object, object]] = []
-        seen_keys: set = set()
-        for node in subset:
-            view = self.view(node)
-            for dst, key, payload in build(view):
-                if dst not in members:
-                    raise RoutingViolation(
-                        f"phase {phase}: destination {dst} outside active subset")
-                size = payload.size if isinstance(payload, np.ndarray) else 1
-                if size == 0:
-                    continue
-                if dst != node:  # self-addressed data stays local and is free
-                    units = size * width
-                    sent[node] = sent.get(node, 0) + units
-                    recv[dst] = recv.get(dst, 0) + units
-                if (dst, key) in seen_keys:
-                    raise RoutingViolation(
-                        f"phase {phase}: duplicate delivery key {key!r} at node {dst}")
-                seen_keys.add((dst, key))
-                staged.append((dst, key, payload))
-        total_sent = sum(sent.values())
-        total_recv = sum(recv.values())
-        assert total_sent == total_recv  # conservation, by construction
-        load = max(max(sent.values(), default=0), max(recv.values(), default=0))
-        rounds = self.route_rounds(load, n_act)
-        for dst, key, payload in staged:
+        sends: list[tuple] = []
+        counts = []  # sends of each node
+        for pos, node in enumerate(subset):
+            before = len(sends)
+            sends.extend(build(NodeView(node, pos, self.stores[node], self)))
+            counts.append(len(sends) - before)
+        if not sends:
+            return self.ledger.phase(phase, n_act, 0, 0)
+        dsts, keys, payloads = zip(*sends)
+        blocks = list(map(isinstance, dsts, repeat(np.ndarray)))
+        sizes = [pl.size if isinstance(pl, np.ndarray) else 1 for pl in payloads]
+        # a send to one node is a block of one row
+        rows = np.fromiter((len(dst) if blk else 1 for dst, blk in zip(dsts, blocks)),
+                           np.int64, len(sends))
+        key_ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        key_id = np.fromiter(map(key_ids.__getitem__, keys), np.int64, len(sends))
+        row_units = np.fromiter(sizes, np.int64, len(sends)) // np.maximum(rows, 1) * width
+        nodes, member = self._subset_arrays(subset)
+        # one entry per delivered row: source, key, units, destination
+        src, key_id, units = np.repeat(
+            np.array([np.repeat(nodes, counts), key_id, row_units]), rows, axis=1)
+        dst = np.hstack(dsts).astype(np.int64) if any(blocks) else np.array(dsts, dtype=np.int64)
+        if not member.take(dst, mode="clip").all():
+            raise RoutingViolation(f"phase {phase}: a destination lies outside the active subset")
+        taken = ((key_id * (self.n + 1) + dst)[units > 0]).tolist()
+        if len(set(taken)) < len(taken):
+            again = next(code for code, times in Counter(taken).items() if times > 1)
+            raise RoutingViolation(
+                f"phase {phase}: duplicate delivery key "
+                f"{list(key_ids)[again // (self.n + 1)]!r} at node {again % (self.n + 1)}")
+        units *= dst != src  # self-addressed rows stay local and are free
+        sent = np.bincount(src, weights=units, minlength=self.n + 1)
+        recv = np.bincount(dst, weights=units, minlength=self.n + 1)
+        rounds = self.route_rounds(int(max(sent.max(), recv.max())), n_act)
+        total = int(units.sum())
+        stores = self.stores
+        for to, key, payload, blk, size in zip(dsts, keys, payloads, blocks, sizes):
+            if size == 0:
+                continue
             if isinstance(payload, np.ndarray):
                 payload = payload.copy()
-            self.stores[dst][key] = payload
-        return self.ledger.phase(phase, n_act, rounds, total_sent)
+            if blk:
+                for node, row in zip(to.tolist(), payload):
+                    stores[node][key] = row
+            else:
+                stores[to][key] = payload
+        return self.ledger.phase(phase, n_act, rounds, total)
 
     def parallel_phases(self, name: str,
                         branches: Sequence[tuple[Sequence[int], Callable[[], None]]]) -> None:

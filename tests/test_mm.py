@@ -88,6 +88,15 @@ def test_strassen_kernel_matches_oracle():
             assert np.array_equal(res[s], oracles.mat_mult(a_mats[s], b_mats[s], 101))
 
 
+def test_strassen_exact_at_31_bit_prime():
+    # Strassen's -1 coefficients become p - 1, so each contraction term is
+    # close to p^2 ~ 2^62 and a sum of several overflows int64 unless the
+    # contractions reduce as they go
+    p = (1 << 31) - 1
+    _, a_mats, b_mats, res = run_mm(64, 64, 1, kernel="strassen", p=p, seed=5)
+    assert np.array_equal(res[0], oracles.mat_mult(a_mats[0], b_mats[0], p))
+
+
 def test_zero_inputs_zero_outputs():
     n = 8
     zero = [np.zeros((n, n), dtype=np.int64)]

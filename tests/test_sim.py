@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquealg.sim import (CliqueWorld, DisjointnessError, RoutingViolation,
                            wide_value_units)
@@ -226,3 +228,125 @@ def test_route_width_charging():
     rec = world.route(world.all_nodes(), "wide", build, width=3)
     assert rec.messages == 12
     assert rec.rounds == 2 * -(-12 // 2)
+
+
+# ------------------------------------------------------------- block sends
+
+def test_block_send_delivers_rows_and_charges_like_messages():
+    world = CliqueWorld(4)
+
+    def build(view):
+        if view.node == 1:
+            yield np.array([2, 3, 4]), ("blk",), np.arange(6).reshape(3, 2)
+
+    rec = world.route(world.all_nodes(), "block", build)
+    assert rec.messages == 6 and rec.rounds == 2 * -(-6 // 4)
+    assert [list(world.stores[node][("blk",)]) for node in (2, 3, 4)] == [[0, 1], [2, 3], [4, 5]]
+
+
+def test_block_rows_are_copies():
+    world = CliqueWorld(3)
+    payload = np.zeros((2, 3), dtype=np.int64)
+
+    def build(view):
+        if view.node == 1:
+            yield np.array([2, 3]), "k", payload
+
+    world.route(world.all_nodes(), "copy", build)
+    payload[:] = 7
+    assert not world.stores[2]["k"].any() and not world.stores[3]["k"].any()
+
+
+def test_block_destination_outside_subset_rejected():
+    world = CliqueWorld(4)
+
+    def build(view):
+        if view.node == 1:
+            yield np.array([2, 4]), ("bad",), np.ones((2, 1), dtype=np.int64)
+
+    with pytest.raises(RoutingViolation):
+        world.route((1, 2, 3), "bad", build)
+
+
+def test_block_repeated_destination_rejected():
+    world = CliqueWorld(4)
+
+    def build(view):
+        if view.node == 1:
+            yield np.array([2, 3, 2]), ("rep",), np.ones((3, 2), dtype=np.int64)
+
+    with pytest.raises(RoutingViolation):
+        world.route(world.all_nodes(), "rep", build)
+
+
+def test_block_and_single_send_collision_rejected():
+    world = CliqueWorld(4)
+
+    def build(view):
+        if view.node == 1:
+            yield np.array([2, 3]), ("mix",), np.ones((2, 2), dtype=np.int64)
+        if view.node == 4:
+            yield 3, ("mix",), np.ones(2, dtype=np.int64)
+
+    with pytest.raises(RoutingViolation):
+        world.route(world.all_nodes(), "mix", build)
+
+
+def test_block_self_rows_are_free():
+    world = CliqueWorld(3)
+
+    def build(view):
+        yield np.array([view.node, view.node % 3 + 1]), ("s", view.node), np.ones((2, 5))
+
+    rec = world.route(world.all_nodes(), "self", build)
+    assert rec.messages == 15 and rec.rounds == 2 * -(-5 // 3)
+    assert all(world.stores[node][("s", node)].size == 5 for node in (1, 2, 3))
+
+
+def test_zero_width_blocks_are_skipped():
+    world = CliqueWorld(3)
+
+    def build(view):
+        yield np.array([1, 2, 3]), ("z",), np.zeros((3, 0), dtype=np.int64)
+        yield np.zeros(0, dtype=np.int64), ("e",), np.zeros((0, 4), dtype=np.int64)
+
+    rec = world.route(world.all_nodes(), "empty", build)
+    assert rec.rounds == 0 and rec.messages == 0
+    assert not any(world.stores[node] for node in (1, 2, 3))
+
+
+@st.composite
+def message_sets(draw):
+    n = draw(st.integers(1, 7))
+    width = draw(st.integers(1, 3))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n), st.integers(0, 3)),
+                          unique_by=lambda m: (m[1], m[2]), max_size=40))
+    size = draw(st.integers(0, 3))
+    return n, width, size, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(message_sets())
+def test_blocks_and_single_sends_agree(case):
+    """The same messages sent one by one and grouped into blocks per
+    (source, key) give the same phase record and the same stores."""
+    n, width, size, pairs = case
+    outcomes = []
+    for as_blocks in (False, True):
+        world = CliqueWorld(n)
+
+        def build(view):
+            mine = [(dst, key) for src, dst, key in pairs if src == view.node]
+            if not as_blocks:
+                for dst, key in mine:
+                    yield dst, key, np.full(size, 100 * view.node + dst, dtype=np.int64)
+                return
+            for key in sorted({key for _, key in mine}):
+                dsts = np.array([dst for dst, k in mine if k == key])
+                rows = np.repeat(100 * view.node + dsts[:, None], size, axis=1)
+                yield dsts, key, rows
+
+        rec = world.route(world.all_nodes(), "agree", build, width=width)
+        stores = [{key: list(val) for key, val in store.items()} for store in world.stores]
+        outcomes.append((rec.rounds, rec.messages, stores))
+    assert outcomes[0] == outcomes[1]
