@@ -376,9 +376,11 @@ def _mm_large(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
         if pos < k * g:
             view.pop(("LC", pos // g))
         for s0 in range(k):
-            row = np.zeros(n, dtype=np.int64)
-            col = np.zeros(n, dtype=np.int64)
-            for t0 in range(g):
+            # the first block's rows become the output, so a received block is
+            # not kept alive beside a fresh copy of it
+            row = view.pop(("LCr", s0, 0))
+            col = view.pop(("LCc", s0, 0))
+            for t0 in range(1, g):
                 row = (row + view.pop(("LCr", s0, t0))) % p
                 col = (col + view.pop(("LCc", s0, t0))) % p
             view.put(outs[s0].row_key(pos), row)
