@@ -222,33 +222,28 @@ class FourStepRoutes:
     Output slot s < n (the node at position s) lies in worker column
     u = (s mod X) // c, at row i*c + x' of its column's (d*c)-row block,
     where s = i*X + u*c + x'.  Inner index j < m lies in inner column
-    v = (j mod Z) // r.  Worker (s0, u, v) sits at position (s0*q + u)*q + v
-    and multiply node (s0, mu) at s0*t + mu.
+    v = (j mod Z) // r, at place a*r + r' of its column's (e*r)-long row,
+    where j = a*Z + v*r + r'.  Both orders are increasing, so the real
+    slots and inner indices of a column always come first.  Worker
+    (s0, u, v) sits at position (s0*q + u)*q + v and multiply node (s0, mu)
+    at s0*t + mu.
     """
 
     def __init__(self, plan: MediumPlan):
         n, m, k, q, c, r, t = plan.n, plan.m, plan.k, plan.q, plan.c, plan.r, plan.t
         outer = np.add.outer(np.arange(plan.d) * plan.X, np.arange(c)).ravel()
         inner = np.add.outer(np.arange(plan.e) * plan.Z, np.arange(r)).ravel()
-        self.slots: list[np.ndarray] = []       # real slots of column u, in (i, x') order
-        self.rows: list[np.ndarray] = []        # their rows i*c + x' in the column block
-        self.inner_cols: list[np.ndarray] = []  # real inner indices of column v, within e*r
-        inner_real = []
-        for w0 in range(q):
-            real = outer + w0 * c < n
-            self.slots.append(outer[real] + w0 * c)
-            self.rows.append(np.flatnonzero(real))
-            real = inner + w0 * r < m
-            self.inner_cols.append(np.flatnonzero(real))
-            inner_real.append(inner[real] + w0 * r)
+        # real slots of each worker column, in block-row order
+        self.slots = [outer[outer + u0 * c < n] + u0 * c for u0 in range(q)]
+        inner_real = [inner[inner + v0 * r < m] + v0 * r for v0 in range(q)]
+        self.inner_counts = [sel.size for sel in inner_real]
         self.workers = np.arange(k * q * q).reshape(k, q, q)
         self.mul_nodes = np.arange(k * t).reshape(k, t)
         # form sends: inner columns grouped by how many real indices they hold,
         # so that each group travels as one block of equally long rows
-        widths = [sel.size for sel in inner_real]
         self.inner_groups: list[tuple[np.ndarray, np.ndarray]] = []
-        for size in sorted(set(widths) - {0}):
-            vs = [v0 for v0 in range(q) if widths[v0] == size]
+        for size in sorted(set(self.inner_counts) - {0}):
+            vs = [v0 for v0 in range(q) if self.inner_counts[v0] == size]
             self.inner_groups.append((np.array(vs), np.stack([inner_real[v0] for v0 in vs])))
 
 
@@ -463,10 +458,10 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
         ablk = np.full((d * c, e * r), zero, dtype=np.int64)
         bblk = np.full((d * c, e * r), zero, dtype=np.int64)
         for blk, key, w_out, w_in in ((ablk, "fA", u0, v0), (bblk, "fB", v0, u0)):
-            if routes.slots[w_out].size and routes.inner_cols[w_in].size:
+            width_in = routes.inner_counts[w_in]
+            if routes.slots[w_out].size and width_in:
                 pieces = view.pop_many((key, slot) for slot in routes.slots[w_out].tolist())
-                blk[np.ix_(routes.rows[w_out], routes.inner_cols[w_in])] = \
-                    np.concatenate(pieces).reshape(len(pieces), -1)
+                blk[:len(pieces), :width_in] = np.concatenate(pieces).reshape(len(pieces), -1)
         view.put("fST", algebra.form(ablk.reshape(d, c, e, r), bblk.reshape(d, c, e, r)))
 
     world.run_local(subset, algebra.form_phase, local_form)
@@ -519,7 +514,7 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
         if label is None:
             return
         s0, u0, v0 = label
-        cblk = view.get("fC").reshape(d * c, d * c)[np.ix_(routes.rows[u0], routes.rows[v0])]
+        cblk = view.get("fC").reshape(d * c, d * c)[:len(routes.slots[u0]), :len(routes.slots[v0])]
         # the destination fixes the slot, so one key per sending worker suffices
         yield nodes[routes.slots[u0]], ("fR", s0, v0), cblk
         yield nodes[routes.slots[v0]], ("fK", s0, u0), cblk.T
