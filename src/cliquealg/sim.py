@@ -215,7 +215,7 @@ class CliqueWorld:
         self.stores: list[dict] = [dict() for _ in range(n + 1)]  # 1-based
         self.ledger = CostLedger()
         self._name_counter = 0
-        self._subsets: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._member_masks: dict[tuple, np.ndarray] = {}
 
     def all_nodes(self) -> tuple[int, ...]:
         return tuple(range(1, self.n + 1))
@@ -235,17 +235,15 @@ class CliqueWorld:
             fn(NodeView(node, pos, self.stores[node], self))
         self.ledger.phase(phase, len(subset), 0, 0)
 
-    def _subset_arrays(self, subset: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The subset's nodes as an array, and its membership mask over node
-        ids 0..n+1; both cached per subset."""
+    def _members(self, subset: Sequence[int]) -> np.ndarray:
+        """Membership mask of a subset over node ids 0..n+1, cached per subset."""
         subset = tuple(subset)
-        found = self._subsets.get(subset)
-        if found is None:
-            nodes = np.array(subset, dtype=np.int64)
-            member = np.zeros(self.n + 2, dtype=bool)
-            member[nodes] = True
-            found = self._subsets[subset] = (nodes, member)
-        return found
+        mask = self._member_masks.get(subset)
+        if mask is None:
+            mask = np.zeros(self.n + 2, dtype=bool)
+            mask[list(subset)] = True
+            self._member_masks[subset] = mask
+        return mask
 
     @staticmethod
     def route_rounds(load: int, n_act: int) -> int:
@@ -269,30 +267,31 @@ class CliqueWorld:
         """
         n_act = len(subset)
         sends: list[tuple] = []
-        counts = []  # sends of each node
+        srcs: list[int] = []
         for pos, node in enumerate(subset):
             before = len(sends)
             sends.extend(build(NodeView(node, pos, self.stores[node], self)))
-            counts.append(len(sends) - before)
+            srcs += [node] * (len(sends) - before)
         if not sends:
             return self.ledger.phase(phase, n_act, 0, 0)
         dsts, keys, payloads = zip(*sends)
         blocks = list(map(isinstance, dsts, repeat(np.ndarray)))
-        sizes = [pl.size if isinstance(pl, np.ndarray) else 1 for pl in payloads]
         # a send to one node is a block of one row
-        rows = np.fromiter((len(dst) if blk else 1 for dst, blk in zip(dsts, blocks)),
-                           np.int64, len(sends))
+        rows = [len(dst) if blk else 1 for dst, blk in zip(dsts, blocks)]
+        row_size = [(pl.size // count if count else 0) if blk
+                    else (pl.size if isinstance(pl, np.ndarray) else 1)
+                    for pl, count, blk in zip(payloads, rows, blocks)]
         key_ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-        key_id = np.fromiter(map(key_ids.__getitem__, keys), np.int64, len(sends))
-        row_units = np.fromiter(sizes, np.int64, len(sends)) // np.maximum(rows, 1) * width
-        nodes, member = self._subset_arrays(subset)
-        # one entry per delivered row: source, key, units, destination
+        # one entry per delivered row: source, key, elements, destination
         src, key_id, units = np.repeat(
-            np.array([np.repeat(nodes, counts), key_id, row_units]), rows, axis=1)
+            np.array([srcs, list(map(key_ids.__getitem__, keys)), row_size]), rows, axis=1)
         dst = np.hstack(dsts).astype(np.int64) if any(blocks) else np.array(dsts, dtype=np.int64)
-        if not member.take(dst, mode="clip").all():
+        if not self._members(subset).take(dst, mode="clip").all():
             raise RoutingViolation(f"phase {phase}: a destination lies outside the active subset")
-        taken = ((key_id * (self.n + 1) + dst)[units > 0]).tolist()
+        taken = key_id * (self.n + 1) + dst
+        if 0 in row_size:
+            taken = taken[units > 0]
+        taken = taken.tolist()
         if len(set(taken)) < len(taken):
             again = next(code for code, times in Counter(taken).items() if times > 1)
             raise RoutingViolation(
@@ -301,10 +300,10 @@ class CliqueWorld:
         units *= dst != src  # self-addressed rows stay local and are free
         sent = np.bincount(src, weights=units, minlength=self.n + 1)
         recv = np.bincount(dst, weights=units, minlength=self.n + 1)
-        rounds = self.route_rounds(int(max(sent.max(), recv.max())), n_act)
-        total = int(units.sum())
+        rounds = self.route_rounds(width * int(max(sent.max(), recv.max())), n_act)
+        total = width * int(units.sum())
         stores = self.stores
-        for to, key, payload, blk, size in zip(dsts, keys, payloads, blocks, sizes):
+        for to, key, payload, blk, size in zip(dsts, keys, payloads, blocks, row_size):
             if size == 0:
                 continue
             if isinstance(payload, np.ndarray):
