@@ -10,4 +10,4 @@ decomposition), all verified against centralized oracles.
 __version__ = "0.1.0"
 
 from .sim import CliqueWorld, CostLedger, RoutingViolation  # noqa: F401
-from .ff import PrimeField, FieldElement, Polynomial  # noqa: F401
+from .ff import Polynomial  # noqa: F401

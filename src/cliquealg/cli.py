@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, detinv, distprod, graphs, krylov, mm, oracles, planner
-from .ff import next_prime_at_least
+from .ff import check_prime, next_prime_at_least
 from .minplus import INF, INF_THRESHOLD, format_entry
 from .sim import CliqueWorld
 
@@ -114,9 +114,26 @@ def _rand_graph(rng: random.Random, n: int, prob: float, bound: int,
     return graphs.WeightedGraph(n, directed, bound, adj)
 
 
+def _checked_prime(p: int, where: str) -> int:
+    try:
+        check_prime(p)
+    except ValueError as exc:
+        raise UsageError(f"{where}: {exc}") from None
+    return p
+
+
+def _matrix_prime(algorithm: str, n: int, p: int) -> int:
+    """The deterministic det/inverse divide by 1..n, so they need p > n."""
+    if algorithm in ("det", "inverse") and p <= n:
+        raise UsageError(f"{algorithm} needs a prime above n = {n}, got {p}")
+    return p
+
+
 def build_instance(algorithm: str, gen: Optional[str], input_path: Optional[str],
                    seed: int, field_prime: Optional[int]) -> Instance:
     rng = random.Random(seed ^ 0x5EED)
+    if field_prime is not None:
+        _checked_prime(field_prime, "--field-prime")
     if input_path is not None:
         return _instance_from_file(algorithm, input_path, field_prime)
     spec = parse_gen_spec(gen) if gen else {"kind": "default"}
@@ -138,7 +155,7 @@ def build_instance(algorithm: str, gen: Optional[str], input_path: Optional[str]
         return Instance(algorithm, n, f"gen:minplus:n={n},m={m},M={bound}",
                         {"a": a, "b": b, "M": bound})
     if algorithm in ("det", "inverse", "minpol", "rank", "solve"):
-        p = field_prime or default_prime(algorithm, n)
+        p = _matrix_prime(algorithm, n, field_prime or default_prime(algorithm, n))
         if algorithm == "inverse" or algorithm == "solve":
             mat = _rand_invertible(rng, n, p)
         elif algorithm == "rank" and kind == "lowrank":
@@ -185,7 +202,8 @@ def _instance_from_file(algorithm: str, path: str,
                         {"a": a, "b": b, "M": bound})
     if algorithm in ("det", "inverse", "minpol", "rank", "solve"):
         mat, p, b_vec = load_matrix_file(path)
-        payload = {"mat": mat, "p": field_prime or p}
+        p = _matrix_prime(algorithm, mat.shape[0], field_prime or p)
+        payload = {"mat": mat, "p": p}
         if algorithm == "solve":
             if b_vec is None:
                 raise UsageError("solve input file needs a trailing b row")
@@ -205,6 +223,7 @@ def load_matrix_file(path):
     n, n2, p = (int(x) for x in head)
     if n != n2:
         raise UsageError(f"{path}:1: matrix must be square")
+    _checked_prime(p, f"{path}:1")
     rows = [ln.split() for ln in lines[1:]]
     if len(rows) not in (n, n + 1):
         raise UsageError(f"{path}: expected {n} rows (plus optional b row)")
@@ -511,10 +530,8 @@ def cmd_bench(args) -> int:
 
 
 def _load_curve(token: str) -> planner.OmegaCurve:
-    if token == "trivial":
-        return planner.OmegaCurve.trivial()
-    if token == "strassen":
-        return planner.OmegaCurve.strassen()
+    if token in ("trivial", "strassen"):
+        return planner.OmegaCurve.for_kernel(token)
     if token.startswith("omega:"):
         return planner.OmegaCurve.constant(float(token.split(":", 1)[1]))
     return planner.load_curve_file(token)
@@ -563,7 +580,6 @@ def make_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="compare against oracles over trials")
     verify.add_argument("algorithm")
     verify.add_argument("--trials", type=int, default=20)
-    verify.add_argument("--size", type=int, default=8)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--gen")
     verify.add_argument("--field-prime", type=int)

@@ -41,7 +41,6 @@ def tri_inverse(world: CliqueWorld, subset: Sequence[int], a: DMat,
     n = len(subset)
     if a.rows != n or a.cols != n:
         raise ValueError("triangular inversion needs |subset| = matrix dimension")
-    p = a.p
     phase = phase or world.fresh_name("triinv")
     with world.ledger.group(phase):
         return _tri_inverse_inner(world, subset, a, kernel)

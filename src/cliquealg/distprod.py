@@ -22,10 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ff import (PrimeField, dft_matrix, least_prime_congruent,
-                 primitive_root_of_unity)
-from .mm import (DMat, MediumPlan, four_step, make_medium_plan, mm_multi,
-                 predict_rounds)
+from .ff import dft_matrix, least_prime_congruent, primitive_root_of_unity
+from .mm import (DMat, MediumPlan, RowColMatrix, four_step, make_medium_plan,
+                 mm_multi, predict_rounds)
 from .minplus import INF, INF_THRESHOLD, clamp, entry_bits
 from .sim import CliqueWorld, wide_value_units
 
@@ -35,7 +34,7 @@ class StrategyUnsupportedError(ValueError):
 
 
 @dataclass
-class MinPlusMatrix:
+class MinPlusMatrix(RowColMatrix):
     """Row/column distributed matrix with entries in [-M, M] or infinity."""
 
     name: str
@@ -46,38 +45,18 @@ class MinPlusMatrix:
     has_rows: bool = True
     has_cols: bool = True
 
-    def row_key(self, i0: int) -> str:
-        return f"{self.name}:r{i0}"
-
-    def col_key(self, j0: int) -> str:
-        return f"{self.name}:c{j0}"
-
 
 def scatter_minplus(world: CliqueWorld, subset: Sequence[int], mat: np.ndarray,
                     bound: int, name: Optional[str] = None, has_rows: bool = True,
                     has_cols: bool = True) -> MinPlusMatrix:
     mat = clamp(np.asarray(mat, dtype=np.int64))
-    rows, cols = mat.shape
     name = name or world.fresh_name("MP")
-    dm = MinPlusMatrix(name, rows, cols, bound, tuple(subset), has_rows, has_cols)
-    for i0 in range(rows):
-        if has_rows and i0 < len(subset):
-            world.stores[subset[i0]][dm.row_key(i0)] = mat[i0].copy()
-    for j0 in range(cols):
-        if has_cols and j0 < len(subset):
-            world.stores[subset[j0]][dm.col_key(j0)] = mat[:, j0].copy()
-    return dm
+    return MinPlusMatrix(name, *mat.shape, bound, tuple(subset), has_rows,
+                         has_cols).place(world, mat)
 
 
 def gather_minplus(world: CliqueWorld, dm: MinPlusMatrix) -> np.ndarray:
-    out = np.full((dm.rows, dm.cols), INF, dtype=np.int64)
-    if dm.has_rows:
-        for i0 in range(dm.rows):
-            out[i0] = world.stores[dm.subset[i0]][dm.row_key(i0)]
-    else:
-        for j0 in range(dm.cols):
-            out[:, j0] = world.stores[dm.subset[j0]][dm.col_key(j0)]
-    return out
+    return dm.read(world, INF)
 
 
 # ------------------------------------------------------------- DFT strategy
@@ -100,7 +79,7 @@ def make_dft_plan(m: int, bound: int) -> DftBatchPlan:
     if 2 ** n_bits < (m + 1) ** (2 * bound) + 1:
         n_bits += 1
     p = least_prime_congruent(n_bits, max(2, m * n_bits + 1))
-    omega = int(primitive_root_of_unity(PrimeField(p), 2 * n_bits))
+    omega = primitive_root_of_unity(p, 2 * n_bits)
     return DftBatchPlan(m, bound, n_bits, p, omega)
 
 

@@ -1,8 +1,10 @@
-"""Prime-field arithmetic, prime search, and the discrete Fourier transform mod p.
+"""Arithmetic mod a word-sized prime p, prime search, and the DFT matrix mod p.
 
-Everything here is node-local math: scalar field elements, polynomials with
-coefficients mod p, naive-quadratic DFT/IDFT for small transform lengths, and
-Berlekamp-Massey recovery of the minimal linear recurrence of a sequence.
+Everything here is node-local math.  A field is its modulus, a plain int p,
+and values are int64 arrays reduced mod p.  The module holds the prime checks
+and searches, roots of unity and the transform matrix, overflow-free modular
+matrix products, polynomials with coefficients mod p, and Berlekamp-Massey
+recovery of the minimal linear recurrence of a sequence.
 """
 
 from __future__ import annotations
@@ -70,102 +72,12 @@ def least_prime_congruent(n_param: int, lower_bound: int) -> int:
         p += step
 
 
-class PrimeField:
-    """GF(p) for a word-sized prime p. Immutable; shareable across threads."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if p > WORD_BOUND:
-            raise ValueError(f"{p} exceeds the machine-word bound")
-        self.p = p
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(1 % self.p, self)
-
-    def inv(self, value: int) -> int:
-        if value % self.p == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return pow(value, -1, self.p)
-
-    def reduce(self, arr: np.ndarray) -> np.ndarray:
-        return np.mod(arr, self.p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
-
-
-class FieldElement:
-    """A value in [0, p) attached to its field."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = value % field.p
-        self.field = field
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field.p != self.field.p:
-                raise ValueError("field mismatch")
-            return other.value
-        return int(other) % self.field.p
-
-    def __add__(self, other):
-        return FieldElement(self.value + self._coerce(other), self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.value - self._coerce(other), self.field)
-
-    def __rsub__(self, other):
-        return FieldElement(self._coerce(other) - self.value, self.field)
-
-    def __mul__(self, other):
-        return FieldElement(self.value * self._coerce(other), self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def __truediv__(self, other):
-        return self * FieldElement(self._coerce(other), self.field).inverse()
-
-    def __pow__(self, exponent: int):
-        return FieldElement(pow(self.value, exponent, self.field.p), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field.p == other.field.p and self.value == other.value
-        return self.value == int(other) % self.field.p
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.field.p))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value} mod {self.field.p})"
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime no larger than WORD_BOUND."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p > WORD_BOUND:
+        raise ValueError(f"{p} exceeds the machine-word bound")
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -181,16 +93,16 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def primitive_root_of_unity(field: PrimeField, order: int) -> FieldElement:
+def primitive_root_of_unity(p: int, order: int) -> int:
     """An element of multiplicative order exactly `order` in GF(p).
 
     Requires order | p - 1; search is deterministic (smallest base first).
     """
-    p = field.p
+    check_prime(p)
     if order < 1:
         raise InvalidOrderError("order must be positive")
     if order == 1:
-        return field.one()
+        return 1
     if (p - 1) % order != 0:
         raise InvalidOrderError(f"{order} does not divide p-1 = {p - 1}")
     factors = _prime_factors(order)
@@ -199,40 +111,8 @@ def primitive_root_of_unity(field: PrimeField, order: int) -> FieldElement:
         if cand == 1:
             continue
         if all(pow(cand, order // q, p) != 1 for q in factors):
-            return FieldElement(cand, field)
+            return cand
     raise InvalidOrderError(f"no element of order {order} found in GF({p})")
-
-
-def _as_int_array(values: Sequence, p: int) -> np.ndarray:
-    return np.array([int(v) % p for v in values], dtype=np.int64)
-
-
-def _omega_value(omega, p: int) -> int:
-    return int(omega) % p
-
-
-def dft(values: Sequence, omega, field: PrimeField) -> np.ndarray:
-    """Naive transform: out[j] = sum_i v[i] * omega^(i*j).  Length = order of omega."""
-    p = field.p
-    v = _as_int_array(values, p)
-    length = len(v)
-    w = _omega_value(omega, p)
-    if pow(w, length, p) != 1:
-        raise InvalidOrderError("omega is not a root of unity of the transform length")
-    powers = _power_table(w, length, p)
-    mat = powers[np.outer(np.arange(length), np.arange(length)) % length]
-    return matmul_mod(mat, v.reshape(-1, 1), p).ravel()
-
-
-def idft(values: Sequence, omega, field: PrimeField) -> np.ndarray:
-    p = field.p
-    v = _as_int_array(values, p)
-    length = len(v)
-    w_inv = field.inv(_omega_value(omega, p))
-    powers = _power_table(w_inv, length, p)
-    mat = powers[np.outer(np.arange(length), np.arange(length)) % length]
-    scale = field.inv(length % p)
-    return (matmul_mod(mat, v.reshape(-1, 1), p).ravel() * scale) % p
 
 
 def _power_table(base: int, count: int, p: int) -> np.ndarray:
@@ -372,8 +252,9 @@ def berlekamp_massey(seq: Sequence[int], p: int) -> Polynomial:
     return Polynomial(g, p)
 
 
-def generating_polynomial(seq: Sequence, field: PrimeField) -> Polynomial:
+def generating_polynomial(seq: Sequence, p: int) -> Polynomial:
     """Minimal-degree monic annihilator of a linearly generated sequence."""
+    check_prime(p)
     if len(seq) == 0:
         raise ValueError("empty sequence")
-    return berlekamp_massey([int(v) for v in seq], field.p)
+    return berlekamp_massey([int(v) for v in seq], p)

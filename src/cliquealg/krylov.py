@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .collective import allgather_scalars, broadcast_scalar, broadcast_vector
-from .ff import Polynomial, generating_polynomial, PrimeField
+from .ff import Polynomial, generating_polynomial
 from .mm import DMat, WideMat, mm_multi, mm_square_times_wide
 from .sim import CliqueWorld
 
@@ -146,7 +146,7 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
             if view.node != subset[0]:
                 return
             seq = [view.pop(("mp_term", j0)) for j0 in range(2 * n)]
-            poly = generating_polynomial(seq, PrimeField(p))
+            poly = generating_polynomial(seq, p)
             view.put("mp_poly", poly)
             poly_box["poly"] = poly
 

@@ -29,9 +29,45 @@ from .planner import OmegaCurve, solve_maincond
 from .sim import CliqueWorld
 
 
+class RowColMatrix:
+    """Row i0 lives at node subset[i0], column j0 at node subset[j0].
+
+    Subclasses are dataclasses with `name`, `rows`, `cols`, `subset`,
+    `has_rows` and `has_cols`; they differ only in what an entry is.
+    """
+
+    def row_key(self, i0: int) -> str:
+        return f"{self.name}:r{i0}"
+
+    def col_key(self, j0: int) -> str:
+        return f"{self.name}:c{j0}"
+
+    def place(self, world: CliqueWorld, mat: np.ndarray):
+        """Driver-side initial placement of the rows and columns this matrix holds."""
+        subset = self.subset
+        if self.has_rows:
+            for i0 in range(min(self.rows, len(subset))):
+                world.stores[subset[i0]][self.row_key(i0)] = mat[i0].copy()
+        if self.has_cols:
+            for j0 in range(min(self.cols, len(subset))):
+                world.stores[subset[j0]][self.col_key(j0)] = mat[:, j0].copy()
+        return self
+
+    def read(self, world: CliqueWorld, fill: int) -> np.ndarray:
+        """Driver-side readout, from the rows if held, else from the columns."""
+        out = np.full((self.rows, self.cols), fill, dtype=np.int64)
+        if self.has_rows:
+            for i0 in range(self.rows):
+                out[i0] = world.stores[self.subset[i0]][self.row_key(i0)]
+        else:
+            for j0 in range(self.cols):
+                out[:, j0] = world.stores[self.subset[j0]][self.col_key(j0)]
+        return out
+
+
 @dataclass
-class DMat:
-    """Descriptor of a matrix distributed over a node subset."""
+class DMat(RowColMatrix):
+    """Descriptor of a matrix over GF(p) distributed over a node subset."""
 
     name: str
     rows: int
@@ -40,12 +76,6 @@ class DMat:
     subset: tuple[int, ...]
     has_rows: bool = True
     has_cols: bool = True
-
-    def row_key(self, i0: int) -> str:
-        return f"{self.name}:r{i0}"
-
-    def col_key(self, j0: int) -> str:
-        return f"{self.name}:c{j0}"
 
 
 @dataclass
@@ -61,37 +91,19 @@ class WideMat:
     def col_key(self, j0: int) -> str:
         return f"{self.name}:c{j0}"
 
-    def owner_pos(self, j0: int) -> int:
-        return j0 % len(self.subset)
-
 
 def scatter_matrix(world: CliqueWorld, subset: Sequence[int], mat: np.ndarray, p: int,
                    name: Optional[str] = None, has_rows: bool = True,
                    has_cols: bool = True) -> DMat:
     """Driver-side initial placement (problem inputs start distributed; free)."""
     mat = np.asarray(mat, dtype=np.int64) % p
-    rows, cols = mat.shape
     name = name or world.fresh_name("M")
-    dm = DMat(name, rows, cols, p, tuple(subset), has_rows, has_cols)
-    for i0 in range(rows):
-        if has_rows and i0 < len(subset):
-            world.stores[subset[i0]][dm.row_key(i0)] = mat[i0].copy()
-    for j0 in range(cols):
-        if has_cols and j0 < len(subset):
-            world.stores[subset[j0]][dm.col_key(j0)] = mat[:, j0].copy()
-    return dm
+    return DMat(name, *mat.shape, p, tuple(subset), has_rows, has_cols).place(world, mat)
 
 
 def gather_matrix(world: CliqueWorld, dm: DMat) -> np.ndarray:
     """Driver-side readout for verification; not part of the protocol."""
-    out = np.zeros((dm.rows, dm.cols), dtype=np.int64)
-    if dm.has_rows:
-        for i0 in range(dm.rows):
-            out[i0] = world.stores[dm.subset[i0]][dm.row_key(i0)]
-    else:
-        for j0 in range(dm.cols):
-            out[:, j0] = world.stores[dm.subset[j0]][dm.col_key(j0)]
-    return out
+    return dm.read(world, 0)
 
 
 def identity_dmat(world: CliqueWorld, subset: Sequence[int], size: int, p: int) -> DMat:

@@ -63,14 +63,9 @@ class OmegaCurve:
                 raise ValueError(f"omega({g}) = {w} below the max(2, 1+gamma) floor")
 
         def fn(gamma: float) -> float:
-            if gamma <= gs[0]:
-                return ws[0]
-            if gamma >= gs[-1]:
-                return max(ws[-1] + (gamma - gs[-1]), 1.0 + gamma)
-            hi = bisect.bisect_right(gs, gamma)
-            lo = hi - 1
-            frac = (gamma - gs[lo]) / (gs[hi] - gs[lo])
-            return ws[lo] + frac * (ws[hi] - ws[lo])
+            if gamma <= gs[0] or gamma < gs[-1]:
+                return _interpolate(gs, ws, gamma)
+            return max(ws[-1] + (gamma - gs[-1]), 1.0 + gamma)
 
         return OmegaCurve(fn, "sampled")
 
@@ -170,15 +165,19 @@ class SampledCost:
         self.ys = [v for _, v in pts]
 
     def __call__(self, sigma: float) -> float:
-        xs, ys = self.xs, self.ys
-        if sigma <= xs[0]:
-            return ys[0]
-        if sigma >= xs[-1]:
-            return ys[-1]
-        hi = bisect.bisect_right(xs, sigma)
-        lo = hi - 1
-        frac = (sigma - xs[lo]) / (xs[hi] - xs[lo])
-        return ys[lo] + frac * (ys[hi] - ys[lo])
+        return _interpolate(self.xs, self.ys, sigma)
+
+
+def _interpolate(xs: Sequence[float], ys: Sequence[float], x: float) -> float:
+    """Piecewise-linear through the samples (xs ascending), flat outside them."""
+    if x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    hi = bisect.bisect_right(xs, x)
+    lo = hi - 1
+    frac = (x - xs[lo]) / (xs[hi] - xs[lo])
+    return ys[lo] + frac * (ys[hi] - ys[lo])
 
 
 def zwick_exponent(curve_or_pair, tol: float = 1e-4) -> tuple[float, float]:
@@ -248,18 +247,10 @@ def _read_pairs(path) -> list[tuple[float, float]]:
 
 def bundled_zwick_curves() -> tuple[SampledCost, SampledCost]:
     """The two strategy cost curves sampled from the published optimization plot."""
-    ref = importlib.resources.files("cliquealg").joinpath("data")
-    left = SampledCost(_parse_pairs_text(ref.joinpath("zwick_semiring_cost.txt").read_text()))
-    right = SampledCost(_parse_pairs_text(ref.joinpath("zwick_algebraic_cost.txt").read_text()))
-    return left, right
+    data = importlib.resources.files("cliquealg").joinpath("data")
 
+    def load(name: str) -> SampledCost:
+        with importlib.resources.as_file(data.joinpath(name)) as path:
+            return load_cost_file(path)
 
-def _parse_pairs_text(text: str) -> list[tuple[float, float]]:
-    pairs = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        a, b = line.split()
-        pairs.append((float(a), float(b)))
-    return pairs
+    return load("zwick_semiring_cost.txt"), load("zwick_algebraic_cost.txt")

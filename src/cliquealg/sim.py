@@ -30,11 +30,9 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from itertools import repeat
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-from .ff import PrimeField
 
 
 class RoutingViolation(Exception):
@@ -206,12 +204,11 @@ class CliqueWorld:
     because computes only touch their own store.
     """
 
-    def __init__(self, n: int, seed: int = 0, field: Optional[PrimeField] = None):
+    def __init__(self, n: int, seed: int = 0):
         if n < 1:
             raise ValueError("need at least one node")
         self.n = n
         self.seed = seed
-        self.field = field
         self.stores: list[dict] = [dict() for _ in range(n + 1)]  # 1-based
         self.ledger = CostLedger()
         self._name_counter = 0

@@ -53,8 +53,7 @@ def test_run_different_seeds_differ(tmp_path, capsys):
 
 
 def test_verify_mm(capsys):
-    code = run_cli(["verify", "mm", "--trials", "5", "--size", "8",
-                    "--gen", "mm:n=8,m=8,k=2"])
+    code = run_cli(["verify", "mm", "--trials", "5", "--gen", "mm:n=8,m=8,k=2"])
     out = capsys.readouterr().out
     assert code == 0
     assert "5/5 passed" in out
@@ -135,3 +134,31 @@ def test_run_gallai_edmonds(capsys):
     out = capsys.readouterr().out
     assert code == 0 and "verdict: pass" in out
     assert "D: 1 3" in out and "K: 2" in out
+
+
+def _assert_usage_error(argv, capsys, message):
+    code = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_field_prime_must_be_prime(capsys):
+    for algorithm in ("det", "mm"):
+        _assert_usage_error(["run", algorithm, "--gen", "default:n=4", "--field-prime", "100"],
+                            capsys, "100 is not prime")
+
+
+def test_det_and_inverse_need_prime_above_n(capsys):
+    for algorithm in ("det", "inverse"):
+        _assert_usage_error(["run", algorithm, "--gen", "default:n=8", "--field-prime", "5"],
+                            capsys, "prime above n = 8")
+    _assert_usage_error(["verify", "det", "--trials", "1", "--field-prime", "5"],
+                        capsys, "prime above n = 8")
+
+
+def test_matrix_file_modulus_must_be_prime(tmp_path, capsys):
+    path = tmp_path / "zero.mat"
+    path.write_text("4 4 0\n" + "\n".join(
+        " ".join("1" if i == j else "0" for j in range(4)) for i in range(4)) + "\n")
+    _assert_usage_error(["run", "det", "--input", str(path)], capsys, "0 is not prime")
