@@ -114,12 +114,11 @@ def _rand_graph(rng: random.Random, n: int, prob: float, bound: int,
     return graphs.WeightedGraph(n, directed, bound, adj)
 
 
-def _checked_prime(p: int, where: str) -> int:
+def _check_input_prime(p: int, where: str) -> None:
     try:
         check_prime(p)
     except ValueError as exc:
         raise UsageError(f"{where}: {exc}") from None
-    return p
 
 
 def _matrix_prime(algorithm: str, n: int, p: int) -> int:
@@ -133,7 +132,7 @@ def build_instance(algorithm: str, gen: Optional[str], input_path: Optional[str]
                    seed: int, field_prime: Optional[int]) -> Instance:
     rng = random.Random(seed ^ 0x5EED)
     if field_prime is not None:
-        _checked_prime(field_prime, "--field-prime")
+        _check_input_prime(field_prime, "--field-prime")
     if input_path is not None:
         return _instance_from_file(algorithm, input_path, field_prime)
     spec = parse_gen_spec(gen) if gen else {"kind": "default"}
@@ -223,7 +222,7 @@ def load_matrix_file(path):
     n, n2, p = (int(x) for x in head)
     if n != n2:
         raise UsageError(f"{path}:1: matrix must be square")
-    _checked_prime(p, f"{path}:1")
+    _check_input_prime(p, f"{path}:1")
     rows = [ln.split() for ln in lines[1:]]
     if len(rows) not in (n, n + 1):
         raise UsageError(f"{path}: expected {n} rows (plus optional b row)")
