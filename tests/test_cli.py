@@ -145,14 +145,14 @@ def _assert_usage_error(argv, capsys, message):
 
 def test_field_prime_must_be_prime(capsys):
     for algorithm in ("det", "mm"):
-        _assert_usage_error(["run", algorithm, "--gen", "default:n=4", "--field-prime", "100"],
-                            capsys, "100 is not prime")
+        argv = ["run", algorithm, "--gen", "default:n=4", "--field-prime", "100"]
+        _assert_usage_error(argv, capsys, "100 is not prime")
 
 
 def test_det_and_inverse_need_prime_above_n(capsys):
     for algorithm in ("det", "inverse"):
-        _assert_usage_error(["run", algorithm, "--gen", "default:n=8", "--field-prime", "5"],
-                            capsys, "prime above n = 8")
+        argv = ["run", algorithm, "--gen", "default:n=8", "--field-prime", "5"]
+        _assert_usage_error(argv, capsys, "prime above n = 8")
     _assert_usage_error(["verify", "det", "--trials", "1", "--field-prime", "5"],
                         capsys, "prime above n = 8")
 

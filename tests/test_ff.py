@@ -59,8 +59,8 @@ def test_modulus_must_be_a_word_sized_prime():
 
 def _transform(vec, omega, p):
     """Forward DFT of one sequence through the transform matrix dist_prod_dft uses."""
-    return ff.matmul_mod(ff.dft_matrix(omega, len(vec), p), np.array(vec).reshape(-1, 1),
-                         p).ravel()
+    column = np.array(vec).reshape(-1, 1)
+    return ff.matmul_mod(ff.dft_matrix(omega, len(vec), p), column, p).ravel()
 
 
 def _inverse_transform(vec, omega, p):
