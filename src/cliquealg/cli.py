@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, detinv, distprod, graphs, krylov, mm, oracles, planner
-from .ff import check_prime, next_prime_at_least
+from .ff import check_prime, matmul_mod, next_prime_at_least
 from .minplus import INF, INF_THRESHOLD, format_entry
 from .sim import CliqueWorld
 
@@ -159,7 +159,7 @@ def build_instance(algorithm: str, gen: Optional[str], input_path: Optional[str]
             mat = _rand_invertible(rng, n, p)
         elif algorithm == "rank" and kind == "lowrank":
             r = int(spec.get("r", n // 2))
-            mat = (_rand_matrix(rng, n, r, p) @ _rand_matrix(rng, r, n, p)) % p
+            mat = matmul_mod(_rand_matrix(rng, n, r, p), _rand_matrix(rng, r, n, p), p)
         else:
             mat = _rand_matrix(rng, n, n, p)
         payload = {"mat": mat, "p": p}
@@ -200,39 +200,51 @@ def _instance_from_file(algorithm: str, path: str,
         return Instance(algorithm, a.shape[0], f"file:{path}",
                         {"a": a, "b": b, "M": bound})
     if algorithm in ("det", "inverse", "minpol", "rank", "solve"):
-        mat, p, b_vec = load_matrix_file(path)
-        p = _matrix_prime(algorithm, mat.shape[0], field_prime or p)
-        payload = {"mat": mat, "p": p}
+        rows, p, b_row = load_matrix_file(path)
+        n = len(rows)
+        p = _matrix_prime(algorithm, n, field_prime or p)
+        payload = {"mat": np.array([[x % p for x in row] for row in rows], dtype=np.int64),
+                   "p": p}
         if algorithm == "solve":
-            if b_vec is None:
+            if b_row is None:
                 raise UsageError("solve input file needs a trailing b row")
-            payload["b"] = b_vec
-        return Instance(algorithm, mat.shape[0], f"file:{path}", payload)
+            payload["b"] = np.array([x % p for x in b_row], dtype=np.int64)
+        return Instance(algorithm, n, f"file:{path}", payload)
     graph = graphs.WeightedGraph.load(path)
     return Instance(algorithm, graph.n, f"file:{path}", {"graph": graph})
 
 
 def load_matrix_file(path):
-    """'n n p' header, n integer rows, optional extra row holding b."""
+    """'n n p' header, n integer rows, optional extra row holding b.
+
+    Returns (rows, p, b row or None) with the entries as unreduced ints, so
+    the caller reduces them mod the prime it actually runs with.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 3:
-        raise UsageError(f"{path}:1: expected header 'n n p'")
-    n, n2, p = (int(x) for x in head)
+        lines = [(num, ln.split()) for num, ln in enumerate(fh, 1) if ln.strip()]
+
+    def ints(num, fields):
+        try:
+            return [int(x) for x in fields]
+        except ValueError:
+            raise UsageError(f"{path}:{num}: expected integers, got {' '.join(fields)!r}") from None
+
+    head = lines[0][0] if lines else 1
+    if not lines or len(lines[0][1]) != 3:
+        raise UsageError(f"{path}:{head}: expected header 'n n p'")
+    n, n2, p = ints(*lines[0])
     if n != n2:
-        raise UsageError(f"{path}:1: matrix must be square")
-    _check_input_prime(p, f"{path}:1")
-    rows = [ln.split() for ln in lines[1:]]
-    if len(rows) not in (n, n + 1):
+        raise UsageError(f"{path}:{head}: matrix must be square")
+    _check_input_prime(p, f"{path}:{head}")
+    body = lines[1:]
+    if len(body) not in (n, n + 1):
         raise UsageError(f"{path}: expected {n} rows (plus optional b row)")
-    for idx, row in enumerate(rows):
-        if len(row) != n:
-            raise UsageError(f"{path}:{idx + 2}: expected {n} entries")
-    mat = np.array([[int(x) % p for x in row] for row in rows[:n]], dtype=np.int64)
-    b_vec = (np.array([int(x) % p for x in rows[n]], dtype=np.int64)
-             if len(rows) == n + 1 else None)
-    return mat, p, b_vec
+    rows = []
+    for num, fields in body:
+        if len(fields) != n:
+            raise UsageError(f"{path}:{num}: expected {n} entries")
+        rows.append(ints(num, fields))
+    return rows[:n], p, (rows[n] if len(rows) == n + 1 else None)
 
 
 # --------------------------------------------------------------- execution

@@ -273,7 +273,7 @@ def char_poly(world: CliqueWorld, subset: Sequence[int], a: DMat,
         def coeff(view):
             pos = view.pos
             s = view.get("s_all")
-            value = int(np.dot(view.get(s_inv.row_key(pos)) % p, s % p) % p)
+            value = int(matmul_mod(view.get(s_inv.row_key(pos)) % p, s % p, p))
             view.put("c_own", (-value) % p)
 
         world.run_local(subset, "coeff", coeff)
@@ -316,15 +316,16 @@ def inverse(world: CliqueWorld, subset: Sequence[int], a: DMat,
         e_mats = [DMat(world.fresh_name("E"), n, n, p, subset, has_cols=False)
                   for _ in range(pc)]
 
+        # weights[a2, a1] multiplies A^(a1*pc) in the row of E_a2
+        weights = np.array([[chat(n - 1 - (a1 * pc + a2)) for a1 in range(pc)]
+                            for a2 in range(pc)], dtype=np.int64)
+
         def build_e(view):
             pos = view.pos
             rows = np.stack([view.get(dm.row_key(pos)) for dm in stride_mats])
+            e_rows = matmul_mod(weights, rows, p)
             for a2 in range(pc):
-                weights = np.array(
-                    [chat(n - 1 - (a1 * pc + a2)) for a1 in range(pc)],
-                    dtype=np.int64)
-                view.put(e_mats[a2].row_key(pos),
-                         (weights @ rows) % p)
+                view.put(e_mats[a2].row_key(pos), e_rows[a2])
 
         world.run_local(subset, "weights", build_e)
         rhs = [state.identity] + state.lows[:pc - 1]  # A^0 .. A^(pc-1)

@@ -144,29 +144,20 @@ def dist_prod_dft(world: CliqueWorld, subset: Sequence[int], a: MinPlusMatrix,
         world.run_local(subset, "encode", encode)
         prods = mm_multi(world, subset, a_parts, b_parts, kernel, phase="batch")
         out = MinPlusMatrix(world.fresh_name("MP"), n, n, 2 * bound, subset)
-        base = plan.m + 1
-        log_table = [base ** e for e in range(4 * bound + 2)]
+        # exact Python ints: the powers of two of the bit-polynomial and the
+        # powers of the base that bracket a decoded value
+        bit_weights = np.array([1 << i for i in range(plan.batch)], dtype=object)
+        log_table = np.array([(plan.m + 1) ** e for e in range(4 * bound + 2)], dtype=object)
 
         def decode_vector(stack: np.ndarray) -> np.ndarray:
             # stack: (batch, n) transform coordinates of each entry
             coeffs = (w_inv @ (stack % plan.p)) % plan.p * scale % plan.p
-            out_vec = np.empty(stack.shape[1], dtype=np.int64)
-            for idx in range(stack.shape[1]):
-                cs = coeffs[:, idx]
-                assert int(cs.max(initial=0)) <= plan.m * plan.n_bits, \
-                    "convolution coefficient exceeded the exactness bound"
-                value = 0
-                for i0 in range(plan.batch - 1, -1, -1):
-                    value = (value << 1) + int(cs[i0])
-                if value == 0:
-                    out_vec[idx] = INF
-                    continue
-                # floor(log_base(value)) by table scan, no floating point
-                e = 0
-                while e + 1 < len(log_table) and log_table[e + 1] <= value:
-                    e += 1
-                out_vec[idx] = 2 * bound - e
-            return out_vec
+            assert int(coeffs.max(initial=0)) <= plan.m * plan.n_bits, \
+                "convolution coefficient exceeded the exactness bound"
+            values = coeffs.T.astype(object) @ bit_weights
+            # floor(log_base(value)) by binary search, no floating point
+            exps = np.searchsorted(log_table, values, side="right") - 1
+            return np.where(values == 0, INF, 2 * bound - exps).astype(np.int64)
 
         def decode(view):
             pos = view.pos

@@ -2,9 +2,16 @@
 
 Everything here is node-local math.  A field is its modulus, a plain int p,
 and values are int64 arrays reduced mod p.  The module holds the prime checks
-and searches, roots of unity and the transform matrix, overflow-free modular
-matrix products, polynomials with coefficients mod p, and Berlekamp-Massey
-recovery of the minimal linear recurrence of a sequence.
+and searches, roots of unity and the transform matrix, modular matrix
+products, polynomials with coefficients mod p, and Berlekamp-Massey recovery
+of the minimal linear recurrence of a sequence.
+
+Every modular matrix product goes through `matmul_mod`, which is exact for
+all p <= FLOAT_PRIME_MAX, the largest prime with (p - 1)^2 < 2^63.  Small
+shapes use numpy's int64 product; the rest runs on float64 BLAS, with the
+right operand split into limbs so that no partial sum reaches 2^53, where
+float64 stops representing every integer.  Sums of integers below 2^53 are
+exact, so the order BLAS adds them in cannot change the result.
 """
 
 from __future__ import annotations
@@ -17,6 +24,17 @@ import numpy as np
 WORD_BOUND = 1 << 62
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Largest prime with (p - 1)^2 < 2^63: every product of two entries in
+# (-p, p) fits int64, and matmul_mod is exact up to here.
+FLOAT_PRIME_MAX = 3037000493
+# Below this many multiply-adds (rows * inner * cols) per product squared,
+# numpy's int64 product is faster than matmul_mod's float64 path, which does
+# one BLAS product per limb of b: measured crossovers on one core were about
+# 16^3-24^3 with one limb and 40^3 with two.
+INT64_MAX_OPS = 24 ** 3
+# Every integer of magnitude below 2^53 is exact in float64.
+_FLOAT_EXACT = 1 << 53
 
 
 class InvalidOrderError(ValueError):
@@ -131,18 +149,58 @@ def dft_matrix(omega: int, length: int, p: int) -> np.ndarray:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p without int64 overflow; chunks the inner dimension if needed."""
+    """a @ b mod p, exact for entries in (-p, p) and every p <= FLOAT_PRIME_MAX.
+
+    Two paths, chosen by p and shape:
+
+    - int64: numpy's one-shot integer product, for fewer than
+      INT64_MAX_OPS * limbs^2 multiply-adds when inner * (p - 1)^2 fits the
+      int64 headroom (limbs: the float path's products, below).
+    - float64 BLAS (delayed reduction, as in FFLAS-FFPACK): if
+      inner * (p - 1)^2 < 2^53 it is one product; otherwise b is lifted
+      into [0, p) and split into L-bit limbs, L the largest width with
+      inner * (p - 1) * (2^L - 1) < 2^53, each limb is one product, and the
+      reduced parts are recombined with the factors 2^shift mod p.  Every
+      partial sum of every product is an integer below 2^53 in magnitude,
+      so it is exact in float64 whatever order BLAS sums in, FMA included.
+
+    Primes above FLOAT_PRIME_MAX keep the int64 product in inner-dimension
+    chunks, which overflows there.
+    """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     inner = a.shape[-1]
-    bound = (p - 1) * (p - 1)
-    step = max(1, (1 << 62) // max(1, bound))
+    step = max(1, (1 << 62) // max(1, (p - 1) * (p - 1)))
+    if p <= FLOAT_PRIME_MAX and inner * (p - 1) < _FLOAT_EXACT:  # limbs of >= 1 bit
+        bits = (p - 1).bit_length()
+        if inner * (p - 1) * (p - 1) < _FLOAT_EXACT:
+            width = bits
+        else:
+            width = ((_FLOAT_EXACT - 1) // (inner * (p - 1)) + 1).bit_length() - 1
+        limbs = -(-bits // width)
+        if inner > step or a.size * b.size >= INT64_MAX_OPS * limbs * limbs * inner:
+            return _matmul_float(a, b, p, width)
     if inner <= step:
         return (a @ b) % p
     out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
     for start in range(0, inner, step):
         stop = min(inner, start + step)
         out = (out + a[..., start:stop] @ b[start:stop, ...]) % p
+    return out
+
+
+def _matmul_float(a: np.ndarray, b: np.ndarray, p: int, width: int) -> np.ndarray:
+    """matmul_mod's float64 path with b split into limbs of `width` bits."""
+    af = a.astype(np.float64)
+    bits = (p - 1).bit_length()
+    if width >= bits:
+        return (af @ b.astype(np.float64)).astype(np.int64) % p
+    mask = (1 << width) - 1
+    b = b + ((b >> 63) & p)  # (-p, p) -> [0, p) without a division
+    out = (af @ (b & mask).astype(np.float64)).astype(np.int64) % p
+    for shift in range(width, bits, width):
+        part = (af @ ((b >> shift) & mask).astype(np.float64)).astype(np.int64) % p
+        out = (out + part * pow(2, shift, p)) % p  # < p^2 < 2^63
     return out
 
 

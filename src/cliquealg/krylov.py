@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .collective import allgather_scalars, broadcast_scalar, broadcast_vector
-from .ff import Polynomial, generating_polynomial
+from .ff import Polynomial, generating_polynomial, matmul_mod
 from .mm import DMat, WideMat, mm_multi, mm_square_times_wide
 from .sim import CliqueWorld
 
@@ -136,7 +136,7 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
             w = view.get("mp_w")
             for j0 in range(pos, 2 * n, len(subset)):
                 col = view.get(wide.col_key(j0))
-                yield subset[0], ("mp_term", j0), int(np.dot(w, col) % p)
+                yield subset[0], ("mp_term", j0), int(matmul_mod(w, col, p))
 
         world.route(subset, "project", project)
 
@@ -282,7 +282,7 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
             def check(view):
                 pos = view.pos
                 x_all = view.get("sv_x_all")
-                lhs = int(np.dot(view.get(a.row_key(pos)) % p, x_all) % p)
+                lhs = int(matmul_mod(view.get(a.row_key(pos)) % p, x_all, p))
                 view.put("sv_ok", 1 if lhs == int(b[pos]) else 0)
 
             world.run_local(subset, "verify", check)

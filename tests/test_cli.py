@@ -162,3 +162,20 @@ def test_matrix_file_modulus_must_be_prime(tmp_path, capsys):
     path.write_text("4 4 0\n" + "\n".join(
         " ".join("1" if i == j else "0" for j in range(4)) for i in range(4)) + "\n")
     _assert_usage_error(["run", "det", "--input", str(path)], capsys, "0 is not prime")
+
+
+def test_matrix_file_entries_reduced_mod_the_prime_used(tmp_path, capsys):
+    path = tmp_path / "diag.mat"
+    path.write_text("2 2 101\n200 0\n0 1\n")
+    code = run_cli(["run", "det", "--input", str(path), "--field-prime", "103"])
+    out = capsys.readouterr().out
+    assert code == 0 and "verdict: pass" in out
+    assert out.split("output:\n")[1].splitlines()[0] == "97"  # 200 mod 103
+
+
+def test_matrix_file_non_numeric_is_usage_error(tmp_path, capsys):
+    for text, line in (("2 2 x\n1 0\n0 1\n", 1), ("2 2 101\n1 0\n\n0 y\n", 4)):
+        path = tmp_path / "bad.mat"
+        path.write_text(text)
+        _assert_usage_error(["run", "det", "--input", str(path)], capsys,
+                            f"{path}:{line}: expected integers")

@@ -223,3 +223,17 @@ def test_detinv_oblivious_ledger():
         detinv.inverse(world, sub, dm)
         texts.add(world.ledger.to_text())
     assert len(texts) == 1
+
+
+def test_det_and_inverse_exact_at_31_bit_prime():
+    # the coefficient dot product and the weighted power sums overflowed int64
+    p = (1 << 31) - 1
+    rng = random.Random(3)
+    n = 8
+    for trial in range(3):
+        mat = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        world, sub, dm = world_with(mat, p=p, seed=trial)
+        assert detinv.det(world, sub, dm) == oracles.det_mod(mat, p)
+        world, sub, dm = world_with(mat, p=p, seed=trial)
+        inv = mm.gather_matrix(world, detinv.inverse(world, sub, dm))
+        assert np.array_equal(inv, oracles.inverse_mod(mat, p))

@@ -1,7 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cliquealg import ff
 
@@ -152,3 +155,56 @@ def test_matmul_mod_chunking():
     want = np.array([[sum(int(a[i, s]) * int(b[s, j]) for s in range(20)) % p
                       for j in range(4)] for i in range(4)])
     assert np.array_equal(got, want)
+
+
+def _prime_at_most(x):
+    while not ff.is_prime(x):
+        x -= 1
+    return x
+
+
+@st.composite
+def matmul_cases(draw):
+    """(a, b, p) with entries in (-p, p); p or inner is often drawn from a
+    band around where inner * (p - 1)^2 or inner * (p - 1) * (2^L - 1)
+    crosses 2^53."""
+    edge = draw(st.sampled_from(["any", "one-product", "limb-width"]))
+    if edge == "any":
+        p = _prime_at_most(draw(st.integers(2, ff.FLOAT_PRIME_MAX)))
+        inner = draw(st.integers(0, 48))
+    elif edge == "one-product":
+        inner = draw(st.integers(1, 64))
+        q = math.isqrt(((1 << 53) - 1) // inner) + 1  # least q with inner*(q-1)^2 >= 2^53
+        p = _prime_at_most(draw(st.integers(q // 2, 2 * q)))
+    else:
+        p = _prime_at_most(draw(st.integers(1 << 27, ff.FLOAT_PRIME_MAX)))
+        width = draw(st.integers(14, 26))
+        top = ((1 << 53) - 1) // ((p - 1) * ((1 << width) - 1))  # largest inner for width
+        assume(1 <= top <= 64)
+        inner = draw(st.integers(max(1, top // 2), 2 * top))
+    rows = draw(st.integers(1, 24))
+    cols = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # the largest sums: a near p - 1 (odd and even) and b one value of
+        # one sign, either near p - 1 or all ones below its top bit
+        a = draw(st.sampled_from([-1, 1])) * rng.choice([p - 1, max(p - 2, 1)], size=(rows, inner))
+        value = draw(st.sampled_from([p - 1, max(p - 2, 1),
+                                      max((1 << ((p - 1).bit_length() - 1)) - 1, 1)]))
+        b = np.full((inner, cols), draw(st.sampled_from([-1, 1])) * value, dtype=np.int64)
+    else:
+        a = rng.integers(-p + 1, p, size=(rows, inner))
+        b = rng.integers(-p + 1, p, size=(inner, cols))
+    return a, b, p
+
+
+@settings(max_examples=1000, deadline=None)
+@given(matmul_cases())
+@example((np.full((24, 24), 3037000492), np.full((24, 24), -3037000492), 3037000493))
+@example((np.ones((3, 5), dtype=np.int64), np.ones((5, 2), dtype=np.int64), 2))
+def test_matmul_mod_matches_python_ints(case):
+    a, b, p = case
+    want = (a.astype(object) @ b.astype(object)) % p
+    got = ff.matmul_mod(a, b, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want.astype(np.int64))

@@ -261,3 +261,17 @@ def test_toeplitz_builder_shapes():
     for off in range(1, n):
         vals = {u_mat[i, i + off] for i in range(n - off)}
         assert len(vals) == 1
+
+
+def test_rank_exact_at_30_bit_prime():
+    # the probe projections overflowed int64 and made the rank come out as n
+    n, r = 32, 12
+    p = next_prime_at_least(2**30)
+    rng = random.Random(12)
+    u = [[rng.randrange(p) for _ in range(r)] for _ in range(n)]
+    v = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+    mat = np.array([[sum(u[i][s] * v[s][j] for s in range(r)) % p for j in range(n)]
+                    for i in range(n)], dtype=np.int64)
+    assert oracles.rank_mod(mat, p) == r
+    world, sub, dm = world_with(mat, p, seed=1)
+    assert krylov.rank_rand(world, sub, dm) == r
