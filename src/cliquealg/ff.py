@@ -171,6 +171,9 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     b = np.asarray(b, dtype=np.int64)
     inner = a.shape[-1]
     step = max(1, (1 << 62) // max(1, (p - 1) * (p - 1)))
+    one_shot = inner <= step
+    if one_shot and a.size * b.size < INT64_MAX_OPS * inner:  # the common small case first
+        return (a @ b) % p
     if p <= FLOAT_PRIME_MAX and inner * (p - 1) < _FLOAT_EXACT:  # limbs of >= 1 bit
         bits = (p - 1).bit_length()
         if inner * (p - 1) * (p - 1) < _FLOAT_EXACT:
@@ -178,9 +181,9 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         else:
             width = ((_FLOAT_EXACT - 1) // (inner * (p - 1)) + 1).bit_length() - 1
         limbs = -(-bits // width)
-        if inner > step or a.size * b.size >= INT64_MAX_OPS * limbs * limbs * inner:
+        if not one_shot or a.size * b.size >= INT64_MAX_OPS * limbs * limbs * inner:
             return _matmul_float(a, b, p, width)
-    if inner <= step:
+    if one_shot:
         return (a @ b) % p
     out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
     for start in range(0, inner, step):
