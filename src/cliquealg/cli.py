@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, detinv, distprod, graphs, krylov, mm, oracles, planner
 from .ff import check_prime, matmul_mod, next_prime_at_least
-from .minplus import INF, INF_THRESHOLD, format_entry
+from .minplus import INF, INF_THRESHOLD, format_entry, parse_fields, read_pair_file, read_records
 from .sim import CliqueWorld
 
 ALGORITHMS = (
@@ -43,8 +43,7 @@ def default_prime(algorithm: str, n: int) -> int:
     if algorithm in ("matching-size", "allowed-edges", "gallai-edmonds"):
         return graphs.matching_prime(n)
     if algorithm in ("minpol", "solve", "rank"):
-        return next_prime_at_least(
-            max(4 * n * n * max(1, math.ceil(math.log2(max(2, n)))), n + 1))
+        return next_prime_at_least(max(krylov.field_size_bound(n), n + 1))
     return next_prime_at_least(max(101, n + 1))
 
 
@@ -69,6 +68,17 @@ def parse_gen_spec(spec: str) -> dict:
             key, _, value = item.partition("=")
             params[key] = value
     return {"kind": kind, **params}
+
+
+def _number(raw, what: str, low, parse=int):
+    """parse(raw) if it is at least `low`; otherwise a UsageError naming `what`."""
+    try:
+        value = parse(raw)
+    except ValueError:
+        raise UsageError(f"{what}: expected {parse.__name__}, got {raw!r}") from None
+    if not value >= low:
+        raise UsageError(f"{what}: must be at least {low}, got {raw}")
+    return value
 
 
 def _rand_matrix(rng: random.Random, rows: int, cols: int, p: int) -> np.ndarray:
@@ -137,18 +147,22 @@ def build_instance(algorithm: str, gen: Optional[str], input_path: Optional[str]
         return _instance_from_file(algorithm, input_path, field_prime)
     spec = parse_gen_spec(gen) if gen else {"kind": "default"}
     kind = spec.get("kind", "default")
-    n = int(spec.get("n", 8))
+
+    def field(key, default, low=1, parse=int):
+        return _number(spec.get(key, default), f"--gen field {key}", low, parse)
+
+    n = field("n", 8)
     if algorithm == "mm":
-        m = int(spec.get("m", n))
-        k = int(spec.get("k", 1))
+        m = field("m", n)
+        k = field("k", 1)
         p = field_prime or default_prime(algorithm, n)
         mats_a = [_rand_matrix(rng, n, m, p) for _ in range(k)]
         mats_b = [_rand_matrix(rng, m, n, p) for _ in range(k)]
         return Instance(algorithm, n, f"gen:mm:n={n},m={m},k={k},p={p}",
                         {"a": mats_a, "b": mats_b, "p": p})
     if algorithm == "distprod":
-        m = int(spec.get("m", n))
-        bound = int(spec.get("M", 3))
+        m = field("m", n)
+        bound = field("M", 3, low=0)
         a = _rand_minplus(rng, n, m, bound)
         b = _rand_minplus(rng, m, n, bound)
         return Instance(algorithm, n, f"gen:minplus:n={n},m={m},M={bound}",
@@ -158,7 +172,7 @@ def build_instance(algorithm: str, gen: Optional[str], input_path: Optional[str]
         if algorithm == "inverse" or algorithm == "solve":
             mat = _rand_invertible(rng, n, p)
         elif algorithm == "rank" and kind == "lowrank":
-            r = int(spec.get("r", n // 2))
+            r = field("r", n // 2, low=0)
             mat = matmul_mod(_rand_matrix(rng, n, r, p), _rand_matrix(rng, r, n, p), p)
         else:
             mat = _rand_matrix(rng, n, n, p)
@@ -167,7 +181,7 @@ def build_instance(algorithm: str, gen: Optional[str], input_path: Optional[str]
             payload["b"] = np.array([rng.randrange(p) for _ in range(n)])
         return Instance(algorithm, n, f"gen:{kind}:n={n},p={p}", payload)
     # graph algorithms
-    bound = int(spec.get("M", 1))
+    bound = field("M", 1, low=0)
     directed = spec.get("directed", "0") not in ("0", "false", "no")
     if algorithm in ("apsp", "apsp-zwick", "diameter"):
         directed = directed or algorithm == "apsp-zwick"
@@ -184,7 +198,7 @@ def build_instance(algorithm: str, gen: Optional[str], input_path: Optional[str]
         graph = graphs.WeightedGraph.from_edges(n, edges, directed=False, bound=1)
         desc = f"gen:complete:n={n}"
     else:
-        prob = float(spec.get("p", 0.5))
+        prob = field("p", 0.5, low=0, parse=float)
         graph = _rand_graph(rng, n, prob, bound, directed)
         desc = f"gen:gnp:n={n},p={prob},M={bound},directed={int(directed)}"
     return Instance(algorithm, n, desc, {"graph": graph})
@@ -195,12 +209,11 @@ def _instance_from_file(algorithm: str, path: str,
     if algorithm in ("mm",):
         raise UsageError("mm accepts generated instances only")
     if algorithm == "distprod":
-        from .minplus import read_pair_file
-        a, b, bound = read_pair_file(path)
+        a, b, bound = _load(read_pair_file, path)
         return Instance(algorithm, a.shape[0], f"file:{path}",
                         {"a": a, "b": b, "M": bound})
     if algorithm in ("det", "inverse", "minpol", "rank", "solve"):
-        rows, p, b_row = load_matrix_file(path)
+        rows, p, b_row = _load(load_matrix_file, path)
         n = len(rows)
         p = _matrix_prime(algorithm, n, field_prime or p)
         payload = {"mat": np.array([[x % p for x in row] for row in rows], dtype=np.int64),
@@ -210,8 +223,16 @@ def _instance_from_file(algorithm: str, path: str,
                 raise UsageError("solve input file needs a trailing b row")
             payload["b"] = np.array([x % p for x in b_row], dtype=np.int64)
         return Instance(algorithm, n, f"file:{path}", payload)
-    graph = graphs.WeightedGraph.load(path)
+    graph = _load(graphs.WeightedGraph.load, path)
     return Instance(algorithm, graph.n, f"file:{path}", {"graph": graph})
+
+
+def _load(loader, path):
+    """loader(path), with a malformed file reported as a usage error."""
+    try:
+        return loader(path)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def load_matrix_file(path):
@@ -220,30 +241,18 @@ def load_matrix_file(path):
     Returns (rows, p, b row or None) with the entries as unreduced ints, so
     the caller reduces them mod the prime it actually runs with.
     """
-    with open(path) as fh:
-        lines = [(num, ln.split()) for num, ln in enumerate(fh, 1) if ln.strip()]
-
-    def ints(num, fields):
-        try:
-            return [int(x) for x in fields]
-        except ValueError:
-            raise UsageError(f"{path}:{num}: expected integers, got {' '.join(fields)!r}") from None
-
-    head = lines[0][0] if lines else 1
-    if not lines or len(lines[0][1]) != 3:
-        raise UsageError(f"{path}:{head}: expected header 'n n p'")
-    n, n2, p = ints(*lines[0])
-    if n != n2:
-        raise UsageError(f"{path}:{head}: matrix must be square")
+    (head, fields), body = read_records(path, "n n p")
+    n, n2, p = parse_fields(path, head, fields)
+    if n != n2 or n < 1:
+        raise UsageError(f"{path}:{head}: expected a square matrix with n >= 1")
     _check_input_prime(p, f"{path}:{head}")
-    body = lines[1:]
     if len(body) not in (n, n + 1):
         raise UsageError(f"{path}: expected {n} rows (plus optional b row)")
     rows = []
     for num, fields in body:
         if len(fields) != n:
             raise UsageError(f"{path}:{num}: expected {n} entries")
-        rows.append(ints(num, fields))
+        rows.append(parse_fields(path, num, fields))
     return rows[:n], p, (rows[n] if len(rows) == n + 1 else None)
 
 
@@ -433,6 +442,8 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     if args.algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {args.algorithm!r}")
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     passes = 0
     for trial in range(args.trials):
         seed = args.seed + trial
@@ -458,7 +469,7 @@ def _bench_once(name: str, n: int, k: int, seed: int, kernel: str) -> CliqueWorl
     rng = random.Random(seed)
     world = CliqueWorld(n, seed=seed)
     sub = world.all_nodes()
-    p = next_prime_at_least(max(101, 4 * n * n * max(1, math.ceil(math.log2(max(2, n))))))
+    p = next_prime_at_least(max(101, krylov.field_size_bound(n)))
     if name in ("mm", "mm-k"):
         a_dms = [mm.scatter_matrix(world, sub, _rand_matrix(rng, n, n, 101), 101,
                                    has_cols=False) for _ in range(k)]
@@ -510,15 +521,14 @@ def cmd_bench(args) -> int:
         raise UsageError(f"unknown bench target {args.algorithm!r}; "
                          f"choose from {', '.join(BENCH_ALGOS)}")
     if args.algorithm == "mm-k":
-        sweep = [int(x) for x in args.k_list.split(",")]
-        shapes = [(args.size, k) for k in sweep]
-        xs = sweep
+        size = _number(args.size, "--size", 2)
+        xs = [_number(x, "--k-list", 1) for x in args.k_list.split(",")]
+        shapes = [(size, k) for k in xs]
     else:
-        sizes = sorted(int(x) for x in args.sizes.split(","))
-        shapes = [(n, 1) for n in sizes]
-        xs = sizes
-    if len(shapes) < 4:
-        raise UsageError("need at least 4 sweep points for a slope fit")
+        xs = sorted(_number(x, "--sizes", 2) for x in args.sizes.split(","))
+        shapes = [(n, 1) for n in xs]
+    if len(shapes) < 4 or len(set(xs)) < 2:
+        raise UsageError("need at least 4 sweep points, 2 of them distinct, for a slope fit")
     rows = ["n,k,m,kernel,phase,rounds,messages"]
     totals = []
     for n, k in shapes:

@@ -6,8 +6,9 @@ and searches, roots of unity and the transform matrix, modular matrix
 products, polynomials with coefficients mod p, and Berlekamp-Massey recovery
 of the minimal linear recurrence of a sequence.
 
-Every modular matrix product goes through `matmul_mod`, which is exact for
-all p <= FLOAT_PRIME_MAX, the largest prime with (p - 1)^2 < 2^63.  Small
+FLOAT_PRIME_MAX, the largest prime with (p - 1)^2 < 2^63, bounds the modulus:
+`check_prime` admits no larger prime, and `matmul_mod`, which every modular
+matrix product goes through, is exact up to it and refuses larger ones.  Small
 shapes use numpy's int64 product; the rest runs on float64 BLAS, with the
 right operand split into limbs so that no partial sum reaches 2^53, where
 float64 stops representing every integer.  Sums of integers below 2^53 are
@@ -20,13 +21,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Search limit for prime hunting; one machine word with headroom for squaring.
+# Search limit for prime hunting; a search may pass FLOAT_PRIME_MAX, arithmetic may not.
 WORD_BOUND = 1 << 62
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Largest prime with (p - 1)^2 < 2^63: every product of two entries in
-# (-p, p) fits int64, and matmul_mod is exact up to here.
+# (-p, p) fits int64.  check_prime and matmul_mod admit no larger p.
 FLOAT_PRIME_MAX = 3037000493
 # Below this many multiply-adds (rows * inner * cols) per product squared,
 # numpy's int64 product is faster than matmul_mod's float64 path, which does
@@ -91,11 +92,11 @@ def least_prime_congruent(n_param: int, lower_bound: int) -> int:
 
 
 def check_prime(p: int) -> None:
-    """Raise ValueError unless p is a prime no larger than WORD_BOUND."""
+    """Raise ValueError unless p is a prime no larger than FLOAT_PRIME_MAX."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p > WORD_BOUND:
-        raise ValueError(f"{p} exceeds the machine-word bound")
+    if p > FLOAT_PRIME_MAX:
+        raise ValueError(f"{p} exceeds {FLOAT_PRIME_MAX}, the largest prime with exact arithmetic")
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -164,17 +165,18 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
       partial sum of every product is an integer below 2^53 in magnitude,
       so it is exact in float64 whatever order BLAS sums in, FMA included.
 
-    Primes above FLOAT_PRIME_MAX keep the int64 product in inner-dimension
-    chunks, which overflows there.
+    Where neither is exact, p > FLOAT_PRIME_MAX or inner * (p - 1) >= 2^53
+    (about 3 * 10^6 terms at the largest prime), it raises ValueError.
     """
+    if p > FLOAT_PRIME_MAX:
+        raise ValueError(f"matmul_mod is exact only for p <= {FLOAT_PRIME_MAX}, got {p}")
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     inner = a.shape[-1]
-    step = max(1, (1 << 62) // max(1, (p - 1) * (p - 1)))
-    one_shot = inner <= step
+    one_shot = inner <= max(1, (1 << 62) // max(1, (p - 1) * (p - 1)))
     if one_shot and a.size * b.size < INT64_MAX_OPS * inner:  # the common small case first
         return (a @ b) % p
-    if p <= FLOAT_PRIME_MAX and inner * (p - 1) < _FLOAT_EXACT:  # limbs of >= 1 bit
+    if inner * (p - 1) < _FLOAT_EXACT:  # limbs of >= 1 bit
         bits = (p - 1).bit_length()
         if inner * (p - 1) * (p - 1) < _FLOAT_EXACT:
             width = bits
@@ -183,13 +185,9 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         limbs = -(-bits // width)
         if not one_shot or a.size * b.size >= INT64_MAX_OPS * limbs * limbs * inner:
             return _matmul_float(a, b, p, width)
-    if one_shot:
-        return (a @ b) % p
-    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-    for start in range(0, inner, step):
-        stop = min(inner, start + step)
-        out = (out + a[..., start:stop] @ b[start:stop, ...]) % p
-    return out
+    elif not one_shot:
+        raise ValueError(f"matmul_mod: inner dimension {inner} too long for exact products mod {p}")
+    return (a @ b) % p
 
 
 def _matmul_float(a: np.ndarray, b: np.ndarray, p: int, width: int) -> np.ndarray:

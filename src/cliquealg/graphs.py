@@ -8,6 +8,7 @@ knowing row ell and column ell of the (min-plus) adjacency matrix.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -16,10 +17,10 @@ import numpy as np
 from . import detinv, krylov
 from .collective import allgather_scalars, broadcast_vector
 from .distprod import MinPlusMatrix, dist_prod, scatter_minplus
-from .ff import next_prime_at_least
+from .ff import FLOAT_PRIME_MAX, next_prime_at_least
 from .krylov import build_unit_toeplitz
 from .mm import DMat, mm_multi
-from .minplus import INF, INF_THRESHOLD
+from .minplus import INF, INF_THRESHOLD, parse_fields, read_records
 from .sim import CliqueWorld
 
 
@@ -73,18 +74,22 @@ class WeightedGraph:
 
     @staticmethod
     def load(path) -> "WeightedGraph":
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        head = lines[0].split()
-        if len(head) != 3 or head[1] not in ("directed", "undirected"):
-            raise ValueError(f"{path}: expected header 'n directed|undirected M'")
-        n, bound = int(head[0]), int(head[2])
-        directed = head[1] == "directed"
+        """'n directed|undirected M' header, then edge lines 'u v w' with u != v
+        in 1..n; malformed input raises ValueError naming path:line."""
+        header = "n directed|undirected M"
+        (head, fields), body = read_records(path, header)
+        n, bound = parse_fields(path, head, fields[::2])
+        if n < 1 or fields[1] not in ("directed", "undirected"):
+            raise ValueError(f"{path}:{head}: expected header {header!r} with n >= 1")
         edges = []
-        for ln in lines[1:]:
-            u, v, w = ln.split()
-            edges.append((int(u), int(v), int(w)))
-        return WeightedGraph.from_edges(n, edges, directed, bound)
+        for num, line in body:
+            if len(line) != 3:
+                raise ValueError(f"{path}:{num}: expected an edge 'u v w'")
+            u, v, w = parse_fields(path, num, line)
+            if not (1 <= u <= n and 1 <= v <= n) or u == v:
+                raise ValueError(f"{path}:{num}: need distinct vertices in 1..{n}, got {u} {v}")
+            edges.append((u, v, w))
+        return WeightedGraph.from_edges(n, edges, fields[1] == "directed", bound)
 
 
 def distribute_graph(world: CliqueWorld, graph: WeightedGraph) -> MinPlusMatrix:
@@ -203,7 +208,14 @@ def diameter(world: CliqueWorld, graph: WeightedGraph,
 # -------------------------------------------------------------- matchings
 
 def matching_prime(n: int) -> int:
-    return next_prime_at_least(max(4 * n ** 4, n + 1))
+    """Least prime >= 4 n^4, the field size the matching algorithms' failure
+    bounds assume, capped at FLOAT_PRIME_MAX with a warning (n >= 166)."""
+    bound = max(4 * n ** 4, n + 1)
+    if bound > FLOAT_PRIME_MAX:
+        warnings.warn(f"matching: field size {FLOAT_PRIME_MAX} below {bound}; "
+                      "failure bounds do not apply", stacklevel=2)
+        return FLOAT_PRIME_MAX
+    return next_prime_at_least(bound)
 
 
 def build_tutte_instance(world: CliqueWorld, graph: WeightedGraph, p: int,

@@ -29,8 +29,13 @@ class SolveFailedError(RuntimeError):
     pass
 
 
+def field_size_bound(n: int) -> int:
+    """4 n^2 ceil(log2 n), the field size the failure bounds here assume."""
+    return 4 * n * n * max(1, math.ceil(math.log2(max(2, n))))
+
+
 def _check_field_size(p: int, n: int, what: str) -> None:
-    bound = 4 * n * n * max(1, math.ceil(math.log2(max(2, n))))
+    bound = field_size_bound(n)
     if p < bound:
         warnings.warn(
             f"{what}: field size {p} below {bound}; failure bounds do not apply",

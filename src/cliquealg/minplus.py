@@ -1,4 +1,5 @@
-"""Shared min-plus value conventions: the infinity sentinel and file formats."""
+"""Shared min-plus value conventions: the infinity sentinel and file formats,
+and the line reader behind every text input file (pair, graph, matrix)."""
 
 from __future__ import annotations
 
@@ -44,18 +45,37 @@ def write_pair_file(path, a: np.ndarray, b: np.ndarray, bound_m: int) -> None:
             fh.write(" ".join(format_entry(v) for v in row) + "\n")
 
 
-def read_pair_file(path) -> tuple[np.ndarray, np.ndarray, int]:
+def read_records(path, header: str):
+    """The header line and the later lines of a text file as (line number,
+    fields) pairs, blank lines skipped.  A missing header, or one with another
+    number of fields than `header` names, raises ValueError naming path:line."""
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    header = tokens[0].split()
-    if len(header) != 3:
-        raise ValueError(f"{path}: expected 'n m M' header")
-    n, m, bound_m = (int(x) for x in header)
-    rows = [line.split() for line in tokens[1:] if line.strip()]
-    if len(rows) != n + m:
-        raise ValueError(f"{path}: expected {n + m} matrix rows, found {len(rows)}")
-    a = np.array([[parse_entry(t) for t in rows[i]] for i in range(n)], dtype=np.int64)
-    b = np.array([[parse_entry(t) for t in rows[n + i]] for i in range(m)], dtype=np.int64)
-    if a.shape != (n, m) or b.shape != (m, n):
-        raise ValueError(f"{path}: row lengths do not match the header")
-    return a, b, bound_m
+        lines = [(num, ln.split()) for num, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or len(lines[0][1]) != len(header.split()):
+        raise ValueError(f"{path}:{lines[0][0] if lines else 1}: expected header {header!r}")
+    return lines[0], lines[1:]
+
+
+def parse_fields(path, num: int, fields: list[str], parse=int) -> list[int]:
+    """The fields of line `num` through `parse`; ValueError naming path:num if one fails."""
+    try:
+        return [parse(x) for x in fields]
+    except ValueError:
+        raise ValueError(f"{path}:{num}: expected integers, got {' '.join(fields)!r}") from None
+
+
+def read_pair_file(path) -> tuple[np.ndarray, np.ndarray, int]:
+    """'n m M' header, the n rows of A, then the m rows of B ('inf' allowed)."""
+    (head, fields), body = read_records(path, "n m M")
+    n, m, bound_m = parse_fields(path, head, fields)
+    if n < 1 or m < 1:
+        raise ValueError(f"{path}:{head}: need n, m >= 1")
+    if len(body) != n + m:
+        raise ValueError(f"{path}: expected {n + m} matrix rows, found {len(body)}")
+    rows = []
+    for i, (num, fields) in enumerate(body):
+        width = m if i < n else n
+        if len(fields) != width:
+            raise ValueError(f"{path}:{num}: expected {width} entries")
+        rows.append(parse_fields(path, num, fields, parse_entry))
+    return np.array(rows[:n], dtype=np.int64), np.array(rows[n:], dtype=np.int64), bound_m

@@ -179,3 +179,43 @@ def test_matrix_file_non_numeric_is_usage_error(tmp_path, capsys):
         path.write_text(text)
         _assert_usage_error(["run", "det", "--input", str(path)], capsys,
                             f"{path}:{line}: expected integers")
+
+
+def test_prime_above_float_prime_max_is_usage_error(tmp_path, capsys):
+    big = "3037000507"  # the least prime above FLOAT_PRIME_MAX
+    _assert_usage_error(["run", "det", "--gen", "matrix:n=4", "--field-prime", big],
+                        capsys, f"{big} exceeds")
+    path = tmp_path / "big.mat"
+    path.write_text(f"4 4 {big}\n" + "\n".join(
+        " ".join("1" if i == j else "0" for j in range(4)) for i in range(4)) + "\n")
+    _assert_usage_error(["run", "det", "--input", str(path)], capsys,
+                        f"{path}:1: {big} exceeds")
+
+
+def test_malformed_graph_and_pair_files(tmp_path, capsys):
+    cases = (
+        ("apsp", "3 sideways 1\n1 2 1\n", 1),
+        ("apsp", "3 undirected 1\n1 2\n", 2),
+        ("apsp", "3 undirected 1\n0 2 1\n", 2),
+        ("apsp", "3 undirected 1\n1 2 1\n7 2 1\n", 3),
+        ("apsp", "", 1),
+        ("distprod", "2 2 x\n1 1\n1 1\n1 1\n1 1\n", 1),
+    )
+    for algorithm, text, line in cases:
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        _assert_usage_error(["run", algorithm, "--input", str(path)], capsys,
+                            f"{path}:{line}: ")
+
+
+def test_generator_fields_are_checked(capsys):
+    for algorithm, spec, field in (("det", "matrix:n=x", "n"), ("det", "matrix:n=0", "n"),
+                                   ("apsp", "gnp:n=4,p=abc", "p"), ("mm", "mm:n=4,k=0", "k")):
+        _assert_usage_error(["run", algorithm, "--gen", spec], capsys, f"--gen field {field}")
+
+
+def test_verify_and_bench_arguments_are_checked(capsys):
+    _assert_usage_error(["verify", "mm", "--trials", "0"], capsys, "--trials")
+    _assert_usage_error(["bench", "minpol", "--sizes", "1,2,4,8"], capsys, "--sizes")
+    _assert_usage_error(["bench", "mm-k", "--k-list", "0,1,2,4"], capsys, "--k-list")
+    _assert_usage_error(["bench", "mm", "--sizes", "16,16,16,16"], capsys, "distinct")

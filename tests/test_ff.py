@@ -53,7 +53,9 @@ def test_primitive_root_invalid_order():
 def test_modulus_must_be_a_word_sized_prime():
     big = (1 << 64) - 59
     assert ff.is_prime(big) and big > ff.WORD_BOUND
-    for p in (10, big):
+    for p in (10, 3037000507, big):  # 3037000507: the least prime above FLOAT_PRIME_MAX
+        with pytest.raises(ValueError):
+            ff.check_prime(p)
         with pytest.raises(ValueError):
             ff.primitive_root_of_unity(p, 1)
         with pytest.raises(ValueError):
@@ -147,7 +149,7 @@ def test_polynomial_normalization_and_ops():
 
 
 def test_matmul_mod_chunking():
-    p = (1 << 31) - 1  # large prime forces chunked accumulation
+    p = (1 << 31) - 1  # int64 holds one product at a time: the float path, in limbs
     rng = random.Random(2)
     a = np.array([[rng.randrange(p) for _ in range(20)] for _ in range(4)])
     b = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(20)])
@@ -155,6 +157,18 @@ def test_matmul_mod_chunking():
     want = np.array([[sum(int(a[i, s]) * int(b[s, j]) for s in range(20)) % p
                       for j in range(4)] for i in range(4)])
     assert np.array_equal(got, want)
+
+
+def test_matmul_mod_refuses_what_it_cannot_compute_exactly():
+    ones = np.ones((2, 2), dtype=np.int64)
+    with pytest.raises(ValueError):
+        ff.matmul_mod(ones, ones, 3037000507)  # the least prime above FLOAT_PRIME_MAX
+    p = ff.FLOAT_PRIME_MAX
+    inner = -(-(1 << 53) // (p - 1))  # least inner with inner * (p - 1) >= 2^53
+    with pytest.raises(ValueError):
+        ff.matmul_mod(np.ones((1, inner), dtype=np.int64), np.ones((inner, 1), dtype=np.int64), p)
+    row = np.ones((1, inner - 1), dtype=np.int64)
+    assert ff.matmul_mod(row, row.T, p)[0, 0] == inner - 1
 
 
 def _prime_at_most(x):

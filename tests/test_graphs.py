@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cliquealg import distprod, graphs, mm, oracles
+from cliquealg import distprod, ff, graphs, mm, oracles
 from cliquealg.minplus import INF, INF_THRESHOLD
 from cliquealg.sim import CliqueWorld
 
@@ -245,6 +245,12 @@ def test_rank_evenness_enforced():
     g = unweighted(n, pairs)
     nu = graphs.matching_size(CliqueWorld(n, seed=2), g)
     assert nu == oracles.max_matching_size(oracles.graph_adj_sets(n, pairs))
+
+
+def test_matching_prime_is_capped_at_float_prime_max():
+    assert graphs.matching_prime(165) == 2964802513  # least prime >= 4 * 165^4
+    with pytest.warns(UserWarning, match="field size"):
+        assert graphs.matching_prime(200) == ff.FLOAT_PRIME_MAX
 
 
 def test_graph_file_roundtrip(tmp_path):
