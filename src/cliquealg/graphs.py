@@ -75,12 +75,12 @@ class WeightedGraph:
     @staticmethod
     def load(path) -> "WeightedGraph":
         """'n directed|undirected M' header, then edge lines 'u v w' with u != v
-        in 1..n; malformed input raises ValueError naming path:line."""
+        in 1..n and |w| <= M; malformed input raises ValueError naming path:line."""
         header = "n directed|undirected M"
         (head, fields), body = read_records(path, header)
         n, bound = parse_fields(path, head, fields[::2])
-        if n < 1 or fields[1] not in ("directed", "undirected"):
-            raise ValueError(f"{path}:{head}: expected header {header!r} with n >= 1")
+        if n < 1 or bound < 0 or fields[1] not in ("directed", "undirected"):
+            raise ValueError(f"{path}:{head}: expected header {header!r}, n >= 1, M >= 0")
         edges = []
         for num, line in body:
             if len(line) != 3:
@@ -88,6 +88,8 @@ class WeightedGraph:
             u, v, w = parse_fields(path, num, line)
             if not (1 <= u <= n and 1 <= v <= n) or u == v:
                 raise ValueError(f"{path}:{num}: need distinct vertices in 1..{n}, got {u} {v}")
+            if abs(w) > bound:
+                raise ValueError(f"{path}:{num}: weight {w} exceeds the bound M = {bound}")
             edges.append((u, v, w))
         return WeightedGraph.from_edges(n, edges, fields[1] == "directed", bound)
 

@@ -65,11 +65,12 @@ def parse_fields(path, num: int, fields: list[str], parse=int) -> list[int]:
 
 
 def read_pair_file(path) -> tuple[np.ndarray, np.ndarray, int]:
-    """'n m M' header, the n rows of A, then the m rows of B ('inf' allowed)."""
+    """'n m M' header, the n rows of A, then the m rows of B: entries in
+    [-M, M] or 'inf'."""
     (head, fields), body = read_records(path, "n m M")
     n, m, bound_m = parse_fields(path, head, fields)
-    if n < 1 or m < 1:
-        raise ValueError(f"{path}:{head}: need n, m >= 1")
+    if n < 1 or m < 1 or bound_m < 0:
+        raise ValueError(f"{path}:{head}: need n, m >= 1 and M >= 0")
     if len(body) != n + m:
         raise ValueError(f"{path}: expected {n + m} matrix rows, found {len(body)}")
     rows = []
@@ -77,5 +78,8 @@ def read_pair_file(path) -> tuple[np.ndarray, np.ndarray, int]:
         width = m if i < n else n
         if len(fields) != width:
             raise ValueError(f"{path}:{num}: expected {width} entries")
-        rows.append(parse_fields(path, num, fields, parse_entry))
+        row = parse_fields(path, num, fields, parse_entry)
+        if any(abs(x) > bound_m for x in row if x != INF):
+            raise ValueError(f"{path}:{num}: entries must be inf or lie in [-{bound_m}, {bound_m}]")
+        rows.append(row)
     return np.array(rows[:n], dtype=np.int64), np.array(rows[n:], dtype=np.int64), bound_m

@@ -198,8 +198,10 @@ def test_malformed_graph_and_pair_files(tmp_path, capsys):
         ("apsp", "3 undirected 1\n1 2\n", 2),
         ("apsp", "3 undirected 1\n0 2 1\n", 2),
         ("apsp", "3 undirected 1\n1 2 1\n7 2 1\n", 3),
+        ("apsp", "3 undirected 1\n1 2 5\n", 2),
         ("apsp", "", 1),
         ("distprod", "2 2 x\n1 1\n1 1\n1 1\n1 1\n", 1),
+        ("distprod", "2 2 1\n1 9\n0 1\n1 1\n1 inf\n", 2),
     )
     for algorithm, text, line in cases:
         path = tmp_path / "bad.txt"
