@@ -442,8 +442,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     if args.algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {args.algorithm!r}")
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
+    _number(args.trials, "--trials", 1)
     passes = 0
     for trial in range(args.trials):
         seed = args.seed + trial
@@ -639,7 +638,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing or unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -203,6 +203,7 @@ def test_malformed_graph_and_pair_files(tmp_path, capsys):
         ("distprod", "2 2 x\n1 1\n1 1\n1 1\n1 1\n", 1),
         ("distprod", "2 2 1\n1 9\n0 1\n1 1\n1 inf\n", 2),
     )
+    _assert_usage_error(["run", "apsp", "--input", str(tmp_path)], capsys, "directory")
     for algorithm, text, line in cases:
         path = tmp_path / "bad.txt"
         path.write_text(text)
