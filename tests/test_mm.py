@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -171,15 +172,38 @@ def test_predict_rounds_equals_ledger_every_size(kernel):
                 (n, m, k, kernel)
 
 
-def test_phase_loads_match_router():
-    # per-step loads, read back from the charged rounds where they are exact
-    n = m = 32
-    world, _, _, _ = run_mm(n, m, 1)
-    plan = mm.make_medium_plan(n, m, 1, "trivial", 1.0)
-    loads = plan.phase_loads()
-    phases = {path.split("/")[-1]: rec for path, rec in world.ledger.leaves()}
-    for step, load in loads.items():
-        assert phases[step].rounds == CliqueWorld.route_rounds(load, n), step
+def test_phase_loads_match_router(monkeypatch):
+    # the load `CliqueWorld.route` charges in each routed step, recorded as it
+    # is charged, equals the plan's load of that step exactly
+    route, route_rounds = CliqueWorld.route, CliqueWorld.route_rounds
+    charged, steps = {}, []
+
+    def recording_route(world, subset, phase, build, width=1):
+        charged[phase] = 0  # a step with no sends charges nothing
+        steps.append(phase)
+        return route(world, subset, phase, build, width)
+
+    def recording_rounds(load, n_act):
+        charged[steps[-1]] = load
+        return route_rounds(load, n_act)
+
+    monkeypatch.setattr(CliqueWorld, "route", recording_route)
+    monkeypatch.setattr(CliqueWorld, "route_rounds", staticmethod(recording_rounds))
+    plans = []
+    for n in range(2, 41):
+        shapes = {(n, 1), (math.isqrt(n), 1), (n // 2 + 1, 2) if n % 2 else (n - 1, min(n, 4))}
+        for m, k in shapes:
+            for kernel in ("trivial", "strassen") if n % 8 == 0 else ("trivial",):
+                plan = mm._plan_for(n, m, k, kernel)
+                if plan is None:
+                    continue
+                zero = np.zeros((n, m), dtype=np.int64)
+                charged.clear()
+                run_mm(n, m, k, kernel, mats=([zero] * k, [zero.T] * k))
+                assert charged == plan.phase_loads(), (n, m, k, kernel)
+                plans.append(plan)
+    assert len(plans) > 80
+    assert any(plan.c == 1 for plan in plans) and any(plan.k > 1 for plan in plans)
 
 
 def test_shape_only_plan_builds_no_tensors():
