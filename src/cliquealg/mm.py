@@ -11,7 +11,8 @@ Three routes, picked by shape:
                       dimension padded up to ceil(sqrt(k*n)) when m is small).
 
 `predict_rounds` gives the rounds a call charges from its shape alone, by
-closed-form per-node loads read from the plan of the route that runs.
+per-node loads read from the plan of the route that runs: each worker of a
+four-step plan is counted as the router counts it, in O(kq^2) <= O(n) time.
 """
 
 from __future__ import annotations
@@ -170,7 +171,8 @@ class MediumPlan:
 
         A step's load is the most any node sends or receives in it, counted as
         `CliqueWorld.route` counts it: masked padding never travels and data a
-        node addresses to itself is free.  Closed forms in O(kq) time.
+        node addresses to itself is free.  Counted worker by worker, in
+        O(kq^2) <= O(n) time.
 
         Write N_u for the real slots in worker column u (of n) and a_v for the
         real inner positions in column v (of m).  In `form`, every node sends
@@ -180,50 +182,23 @@ class MediumPlan:
         piece, and in column v its a_u or N_u piece; `gather` and `combine`
         keep one block when a worker is also one of its multiply nodes.
         """
-        n, m, k, t = self.n, self.m, self.k, self.t
-        q, c, r, X = self.q, self.c, self.r, self.X
+        n, m, k, t, q, c, r = self.n, self.m, self.k, self.t, self.q, self.c, self.r
         N = _real_counts(n, c, q)
         a = _real_counts(m, r, q)
-        cuts = (np.flatnonzero((np.diff(N) != 0) | (np.diff(a) != 0)) + 1).tolist()
-        runs = list(zip([0] + cuts, cuts + [q]))  # v-runs on which N_v and a_v are constant
-        u = np.tile(np.arange(q), k)
-        base = (np.repeat(np.arange(k), q) * q + u) * q  # worker w = base + v
-        off = base % X
-        # own slot in column v: needs off + v < X (no wrap) and v(c-1) <= off < v(c-1) + c
-        if c == 1:
-            fix = (np.zeros_like(off), np.where(off == 0, q, 0))
-        else:
-            fix = ((off - c) // (c - 1) + 1, np.minimum(off // (c - 1) + 1, X - off))
-        never = np.iinfo(np.int64).max // 4
-
-        def worst(value, alpha) -> int:
-            """max over workers of value(u, v) - [own slot in u] alpha[v] - [in v] alpha[u]."""
-            best = 0
-            for lo, hi in runs:
-                # own slot in column u: w mod X in [uc, uc + c); [lo, hi) meets two such windows
-                first = (base + lo - u * c) // X * X + u * c - base
-                in_u = [(first, first + c), (first + X, first + X + c)]
-                n_u = sum(_overlap((lo, hi), win) for win in in_u)
-                n_v = _overlap((lo, hi), fix)
-                n_uv = sum(_overlap((lo, hi), win, fix) for win in in_u)
-                n_none = (hi - lo) - n_u - n_v + n_uv
-                kept = np.where(n_none > 0, 0, np.minimum.reduce([
-                    np.where(n_u > n_uv, alpha[lo], never),
-                    np.where(n_v > n_uv, alpha[u], never),
-                    np.where(n_uv > 0, alpha[lo] + alpha[u], never)]))
-                best = max(best, int((value(u, lo) - kept).max()))
-            return best
-
+        w = np.arange(k * q * q)  # worker (s, u, v) at position w = (s*q + u)*q + v
+        u, v = w // q % q, w % q
+        own = w % self.X // c  # worker column of the worker's own output slot
+        in_u, in_v = own == u, own == v
+        form = np.maximum(2 * k * m, N[u] * a[v] + N[v] * a[u]) - in_u * a[v] - in_v * a[u]
+        deliver = np.maximum(2 * k * n, 2 * N[u] * N[v]) - in_u * N[v] - in_v * N[u]
         spare = k * q * q < n  # some node is no worker
-        form = worst(lambda uu, v: np.maximum(2 * k * m, N[uu] * a[v] + N[v] * a[uu]), a)
-        deliver = worst(lambda uu, v: np.maximum(2 * k * n, 2 * N[uu] * N[v]), N)
         workers_self = q * q <= t and (k == 1 or q * q == t)  # every worker multiplies too
         muls_self = t <= q * q and (k == 1 or t == q * q)     # every multiplier is a worker
         return {
-            "form": max(form, 2 * k * m if spare else 0),
+            "form": max(int(form.max()), 2 * k * m if spare else 0),
             "gather": max(2 * c * r * (t - workers_self), 2 * c * r * (q * q - muls_self)),
             "combine": max(c * c * (q * q - muls_self), c * c * (t - workers_self)),
-            "deliver": max(deliver, 2 * k * n if spare else 0),
+            "deliver": max(int(deliver.max()), 2 * k * n if spare else 0),
         }
 
 
@@ -607,13 +582,6 @@ def _real_counts(size: int, block: int, q: int) -> np.ndarray:
     positions, the columns repeating with period q * block."""
     period = q * block
     return (size // period) * block + np.clip(size % period - np.arange(q) * block, 0, block)
-
-
-def _overlap(*intervals) -> np.ndarray:
-    """Length of the intersection of half-open intervals (bounds may be arrays)."""
-    lo = functools.reduce(np.maximum, (iv[0] for iv in intervals))
-    hi = functools.reduce(np.minimum, (iv[1] for iv in intervals))
-    return np.maximum(0, hi - lo)
 
 
 def _block_loads(n: int, m: int, k: int) -> dict[str, int]:
