@@ -188,10 +188,10 @@ def apply_algorithm(alg: BilinearAlgorithm, a: np.ndarray, b: np.ndarray, p: int
     return np.einsum("mij,m->ij", lam, prods) % p
 
 
-def verify_identity(alg: BilinearAlgorithm, p: int = 101, trials: int = 50,
-                    rng=None, exhaustive_limit: int = 16) -> bool:
-    """Check the identity on basis pairs (small d*e) or random matrices."""
-    if alg.d * alg.e <= exhaustive_limit:
+def verify_identity(alg: BilinearAlgorithm, p: int = 101, trials: int = 50) -> bool:
+    """Check the identity on all basis pairs when d*e <= 16, else on `trials`
+    seeded random pairs."""
+    if alg.d * alg.e <= 16:
         for a_pos in range(alg.d * alg.e):
             for b_pos in range(alg.e * alg.d):
                 a = np.zeros((alg.d, alg.e), dtype=np.int64)
@@ -203,7 +203,7 @@ def verify_identity(alg: BilinearAlgorithm, p: int = 101, trials: int = 50,
                     return False
         return True
     import random as _random
-    rng = rng or _random.Random(0)
+    rng = _random.Random(0)
     for _ in range(trials):
         a = np.array([[rng.randrange(p) for _ in range(alg.e)] for _ in range(alg.d)],
                      dtype=np.int64)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, detinv, distprod, graphs, krylov, mm, oracles, planner
-from .ff import check_prime, matmul_mod, next_prime_at_least
+from .ff import capped_prime, check_prime, matmul_mod, next_prime_at_least
 from .minplus import INF, INF_THRESHOLD, format_entry, parse_fields, read_pair_file, read_records
 from .sim import CliqueWorld
 
@@ -42,9 +42,8 @@ class UsageError(ValueError):
 def default_prime(algorithm: str, n: int) -> int:
     if algorithm in ("matching-size", "allowed-edges", "gallai-edmonds"):
         return graphs.matching_prime(n)
-    if algorithm in ("minpol", "solve", "rank"):
-        return next_prime_at_least(max(krylov.field_size_bound(n), n + 1))
-    return next_prime_at_least(max(101, n + 1))
+    bound = krylov.field_size_bound(n) if algorithm in ("minpol", "solve", "rank") else 101
+    return capped_prime(max(bound, n + 1), algorithm)
 
 
 # ----------------------------------------------------------- instance model
@@ -93,12 +92,12 @@ def _rand_invertible(rng: random.Random, n: int, p: int) -> np.ndarray:
             return mat
 
 
-def _rand_minplus(rng: random.Random, rows: int, cols: int, bound: int,
-                  density: float = 0.8) -> np.ndarray:
+def _rand_minplus(rng: random.Random, rows: int, cols: int, bound: int) -> np.ndarray:
+    """Entries uniform in [-bound, bound] with probability 0.8, else INF."""
     out = np.full((rows, cols), INF, dtype=np.int64)
     for i in range(rows):
         for j in range(cols):
-            if rng.random() < density:
+            if rng.random() < 0.8:
                 out[i, j] = rng.randrange(-bound, bound + 1)
     return out
 

@@ -31,7 +31,7 @@ class UnsupportedFieldError(ValueError):
 
 
 def tri_inverse(world: CliqueWorld, subset: Sequence[int], a: DMat,
-                kernel: str = "trivial", phase: Optional[str] = None) -> DMat:
+                kernel: str = "trivial") -> DMat:
     """Exact inverse of an invertible lower-triangular matrix.
 
     Recursion on halves of the node subset; the two sub-inversions run on
@@ -41,8 +41,7 @@ def tri_inverse(world: CliqueWorld, subset: Sequence[int], a: DMat,
     n = len(subset)
     if a.rows != n or a.cols != n:
         raise ValueError("triangular inversion needs |subset| = matrix dimension")
-    phase = phase or world.fresh_name("triinv")
-    with world.ledger.group(phase):
+    with world.ledger.group(world.fresh_name("triinv")):
         return _tri_inverse_inner(world, subset, a, kernel)
 
 

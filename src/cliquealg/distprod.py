@@ -47,11 +47,10 @@ class MinPlusMatrix(RowColMatrix):
 
 
 def scatter_minplus(world: CliqueWorld, subset: Sequence[int], mat: np.ndarray,
-                    bound: int, name: Optional[str] = None, has_rows: bool = True,
+                    bound: int, has_rows: bool = True,
                     has_cols: bool = True) -> MinPlusMatrix:
     mat = clamp(np.asarray(mat, dtype=np.int64))
-    name = name or world.fresh_name("MP")
-    return MinPlusMatrix(name, *mat.shape, bound, tuple(subset), has_rows,
+    return MinPlusMatrix(world.fresh_name("MP"), *mat.shape, bound, tuple(subset), has_rows,
                          has_cols).place(world, mat)
 
 
@@ -196,6 +195,12 @@ class MinPlusAlgebra:
         return clamp(best.transpose(0, 2, 1, 3))
 
 
+def _semiring_plan(n: int, m: int, bound: int) -> tuple[MediumPlan, int]:
+    """The semiring strategy's four-step plan, and the units each entry of a
+    product bounded by 2 * bound is charged."""
+    return make_medium_plan(n, m, 1, "trivial", 1.0), wide_value_units(entry_bits(2 * bound), n)
+
+
 def dist_prod_semiring(world: CliqueWorld, subset: Sequence[int], a: MinPlusMatrix,
                        b: MinPlusMatrix, bound: Optional[int] = None,
                        phase: Optional[str] = None) -> MinPlusMatrix:
@@ -209,8 +214,7 @@ def dist_prod_semiring(world: CliqueWorld, subset: Sequence[int], a: MinPlusMatr
     n = len(subset)
     m = a.cols
     bound = a.bound if bound is None else bound
-    plan = make_medium_plan(n, m, 1, "trivial", 1.0)
-    width = wide_value_units(entry_bits(2 * bound), n)
+    plan, width = _semiring_plan(n, m, bound)
     phase = phase or world.fresh_name("distsemi")
     with world.ledger.group(phase):
         out = MinPlusMatrix(world.fresh_name("MP"), n, n, 2 * bound, subset)
@@ -228,8 +232,7 @@ def predict_dft_rounds(n: int, m: int, bound: int, kernel: str = "trivial") -> i
 def predict_semiring_rounds(n: int, m: int, bound: int) -> int:
     """Shape-only round prediction for the semiring strategy: the four-step
     loads of its plan, each element charged at the entry width."""
-    plan = make_medium_plan(n, m, 1, "trivial", 1.0)
-    width = wide_value_units(entry_bits(2 * bound), n)
+    plan, width = _semiring_plan(n, m, bound)
     return sum(CliqueWorld.route_rounds(width * load, n)
                for load in plan.phase_loads().values())
 

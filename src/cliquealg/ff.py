@@ -17,6 +17,7 @@ exact, so the order BLAS adds them in cannot change the result.
 
 from __future__ import annotations
 
+import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,6 +74,17 @@ def next_prime_at_least(lower_bound: int) -> int:
         if p > WORD_BOUND:
             raise OverflowError("prime search exceeded the machine-word bound")
     return p
+
+
+def capped_prime(bound: int, what: str) -> int:
+    """Least prime >= bound, the field size `what`'s failure bounds assume;
+    FLOAT_PRIME_MAX, with a warning that those bounds do not apply, when
+    bound exceeds it."""
+    if bound > FLOAT_PRIME_MAX:
+        warnings.warn(f"{what}: field size {FLOAT_PRIME_MAX} below {bound}; "
+                      "failure bounds do not apply", stacklevel=3)
+        return FLOAT_PRIME_MAX
+    return next_prime_at_least(bound)
 
 
 def least_prime_congruent(n_param: int, lower_bound: int) -> int:

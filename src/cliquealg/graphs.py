@@ -8,7 +8,6 @@ knowing row ell and column ell of the (min-plus) adjacency matrix.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,11 +16,19 @@ import numpy as np
 from . import detinv, krylov
 from .collective import allgather_scalars, broadcast_vector
 from .distprod import MinPlusMatrix, dist_prod, scatter_minplus
-from .ff import FLOAT_PRIME_MAX, next_prime_at_least
+from .ff import capped_prime
 from .krylov import build_unit_toeplitz
 from .mm import DMat, mm_multi
 from .minplus import INF, INF_THRESHOLD, parse_fields, read_records
 from .sim import CliqueWorld
+
+# apsp_zwick's iteration with bridging-set size s samples about
+# ZWICK_SAMPLE_C * n ln(n) / s vertices.
+ZWICK_SAMPLE_C = 3.0
+# Fresh substitutions matching_size and allowed_edges try, and
+# gallai_edmonds' attempts, before they give up.
+MATCHING_RETRIES = 3
+GE_RETRIES = 5
 
 
 class NoPerfectMatchingError(RuntimeError):
@@ -118,8 +125,8 @@ def apsp_minplus_squaring(world: CliqueWorld, graph: WeightedGraph,
     return dist
 
 
-def apsp_zwick(world: CliqueWorld, graph: WeightedGraph, sample_c: float = 3.0,
-               kernel: str = "trivial", tag: str = "zwick") -> MinPlusMatrix:
+def apsp_zwick(world: CliqueWorld, graph: WeightedGraph, kernel: str = "trivial",
+               tag: str = "zwick") -> MinPlusMatrix:
     """Randomized directed APSP by sampled bridging sets (correct whp).
 
     Each iteration samples about c*n*ln(n)/s vertices, caps the connecting
@@ -134,7 +141,7 @@ def apsp_zwick(world: CliqueWorld, graph: WeightedGraph, sample_c: float = 3.0,
     with world.ledger.group(world.fresh_name("apspzwick")):
         for it in range(1, iters + 1):
             s = 1.5 ** it
-            size = min(n, math.ceil(sample_c * n * math.log(n) / s))
+            size = min(n, math.ceil(ZWICK_SAMPLE_C * n * math.log(n) / s))
             if size < 1:
                 size = 1
 
@@ -212,12 +219,7 @@ def diameter(world: CliqueWorld, graph: WeightedGraph,
 def matching_prime(n: int) -> int:
     """Least prime >= 4 n^4, the field size the matching algorithms' failure
     bounds assume, capped at FLOAT_PRIME_MAX with a warning (n >= 166)."""
-    bound = max(4 * n ** 4, n + 1)
-    if bound > FLOAT_PRIME_MAX:
-        warnings.warn(f"matching: field size {FLOAT_PRIME_MAX} below {bound}; "
-                      "failure bounds do not apply", stacklevel=2)
-        return FLOAT_PRIME_MAX
-    return next_prime_at_least(bound)
+    return capped_prime(max(4 * n ** 4, n + 1), "matching")
 
 
 def build_tutte_instance(world: CliqueWorld, graph: WeightedGraph, p: int,
@@ -276,7 +278,7 @@ def build_tutte_instance(world: CliqueWorld, graph: WeightedGraph, p: int,
 
 
 def matching_size(world: CliqueWorld, graph: WeightedGraph, p: Optional[int] = None,
-                  tag: str = "nu", kernel: str = "trivial", retries: int = 3) -> int:
+                  tag: str = "nu", kernel: str = "trivial") -> int:
     """Number of edges in a maximum matching (Monte Carlo).
 
     An odd rank estimate signals failure (skew-symmetric matrices have even
@@ -286,7 +288,7 @@ def matching_size(world: CliqueWorld, graph: WeightedGraph, p: Optional[int] = N
     p = p or matching_prime(n)
     subset = world.all_nodes()
     rank = 0
-    for attempt in range(retries):
+    for attempt in range(MATCHING_RETRIES):
         tutte = build_tutte_instance(world, graph, p, f"{tag}-t{attempt}")
         rank = krylov.rank_rand(world, subset, tutte, f"{tag}-r{attempt}", kernel)
         if rank % 2 == 0:
@@ -294,20 +296,19 @@ def matching_size(world: CliqueWorld, graph: WeightedGraph, p: Optional[int] = N
     return rank // 2
 
 
-def allowed_edges(world: CliqueWorld, graph: WeightedGraph, p: Optional[int] = None,
-                  tag: str = "allowed", kernel: str = "trivial",
-                  retries: int = 3) -> set[frozenset[int]]:
+def allowed_edges(world: CliqueWorld, graph: WeightedGraph, tag: str = "allowed",
+                  kernel: str = "trivial") -> set[frozenset[int]]:
     """Edges lying in at least one perfect matching (whp); 1-based endpoints.
 
     Requires the graph to have a perfect matching; raises
     NoPerfectMatchingError otherwise.
     """
     n = graph.n
-    p = p or matching_prime(n)
+    p = matching_prime(n)
     subset = world.all_nodes()
     if n % 2 != 0 or matching_size(world, graph, p, f"{tag}-nu", kernel) != n // 2:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    for attempt in range(retries):
+    for attempt in range(MATCHING_RETRIES):
         tutte = build_tutte_instance(world, graph, p, f"{tag}-t{attempt}")
         try:
             inv = detinv.inverse(world, subset, tutte, kernel)
@@ -375,9 +376,8 @@ class GEDecomposition:
     c_set: frozenset[int]     # everything else
 
 
-def gallai_edmonds(world: CliqueWorld, graph: WeightedGraph, p: Optional[int] = None,
-                   tag: str = "ge", kernel: str = "trivial",
-                   retries: int = 5) -> GEDecomposition:
+def gallai_edmonds(world: CliqueWorld, graph: WeightedGraph, tag: str = "ge",
+                   kernel: str = "trivial") -> GEDecomposition:
     """Criticality decomposition via a null-space basis of the edge matrix.
 
     Self-checking: the candidate basis must annihilate the matrix, and the
@@ -385,9 +385,9 @@ def gallai_edmonds(world: CliqueWorld, graph: WeightedGraph, p: Optional[int] = 
     randomness.  Correct with high probability at p >= 4 n^4.
     """
     n = graph.n
-    p = p or matching_prime(n)
+    p = matching_prime(n)
     subset = world.all_nodes()
-    for attempt in range(retries):
+    for attempt in range(GE_RETRIES):
         tutte = build_tutte_instance(world, graph, p, f"{tag}-t{attempt}")
         rank = krylov.rank_rand(world, subset, tutte, f"{tag}-r{attempt}", kernel)
         if rank % 2 != 0:

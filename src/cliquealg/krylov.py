@@ -24,6 +24,10 @@ from .ff import Polynomial, generating_polynomial, matmul_mod
 from .mm import DMat, WideMat, mm_multi, mm_square_times_wide
 from .sim import CliqueWorld
 
+# Attempts, each with fresh randomness, that det_rand, solve and rank_rand
+# make before they give up.
+RETRIES = 3
+
 
 class SolveFailedError(RuntimeError):
     pass
@@ -87,16 +91,8 @@ def krylov_sequence(world: CliqueWorld, subset: Sequence[int], a: DMat,
 def _place_band(world: CliqueWorld, subset: tuple[int, ...], wide: WideMat,
                 prod: WideMat, offset: int) -> None:
     n = len(subset)
-    if offset % n == 0:
-        def copy(view):
-            pos = view.pos
-            for j0 in range(pos, prod.cols, n):
-                view.put(wide.col_key(offset + j0), view.get(prod.col_key(j0)))
 
-        world.run_local(subset, "place", copy)
-        return
-
-    def shift(view):
+    def shift(view):  # when n divides offset every column stays put, for free
         pos = view.pos
         for j0 in range(pos, prod.cols, n):
             dst = subset[(offset + j0) % n]
@@ -160,7 +156,7 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
 
 
 def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
-             tag: str = "det", kernel: str = "trivial", retries: int = 3) -> int:
+             tag: str = "det", kernel: str = "trivial") -> int:
     """Monte Carlo determinant; broadcast to all nodes and returned.
 
     A degree-n generating polynomial, or one with zero constant term, is
@@ -172,7 +168,7 @@ def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
     _check_field_size(p, n, "det_rand")
     result = 0
     with world.ledger.group(world.fresh_name("detrand")):
-        for attempt in range(retries):
+        for attempt in range(RETRIES):
 
             def draw(view):
                 if view.node != subset[0]:
@@ -224,8 +220,7 @@ def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
 
 
 def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
-          tag: str = "solve", kernel: str = "trivial",
-          retries: int = 3) -> np.ndarray:
+          tag: str = "solve", kernel: str = "trivial") -> np.ndarray:
     """x with Ax = b, coordinate ell at node ell; self-verifying.
 
     Raises SolveFailedError after the retry budget (singular system or
@@ -243,7 +238,7 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
             view.put("sv_b", b.copy())
 
         world.run_local(subset, "stage", stage_b)
-        for attempt in range(retries):
+        for attempt in range(RETRIES):
             poly = minpol_monte_carlo(world, subset, a, f"{tag}-mp-{attempt}", kernel)
             if poly(0) == 0:
                 continue
@@ -342,7 +337,7 @@ def build_unit_toeplitz(world: CliqueWorld, subset: Sequence[int], uv_key,
 
 
 def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
-              tag: str = "rank", kernel: str = "trivial", retries: int = 3) -> int:
+              tag: str = "rank", kernel: str = "trivial") -> int:
     """Monte Carlo rank: n if the randomized determinant is nonzero, else one
     less than the degree of the minimal polynomial of the preconditioned matrix."""
     subset = tuple(subset)
@@ -353,7 +348,7 @@ def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
         return n
     result = 0
     with world.ledger.group(world.fresh_name("rankrand")):
-        for attempt in range(retries):
+        for attempt in range(RETRIES):
 
             def draw(view):
                 if view.node != subset[0]:

@@ -94,12 +94,11 @@ class WideMat:
 
 
 def scatter_matrix(world: CliqueWorld, subset: Sequence[int], mat: np.ndarray, p: int,
-                   name: Optional[str] = None, has_rows: bool = True,
-                   has_cols: bool = True) -> DMat:
+                   has_rows: bool = True, has_cols: bool = True) -> DMat:
     """Driver-side initial placement (problem inputs start distributed; free)."""
     mat = np.asarray(mat, dtype=np.int64) % p
-    name = name or world.fresh_name("M")
-    return DMat(name, *mat.shape, p, tuple(subset), has_rows, has_cols).place(world, mat)
+    return DMat(world.fresh_name("M"), *mat.shape, p, tuple(subset), has_rows,
+                has_cols).place(world, mat)
 
 
 def gather_matrix(world: CliqueWorld, dm: DMat) -> np.ndarray:
@@ -300,14 +299,20 @@ def mm_multi(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
         return outs
 
 
+def _block_split(n: int, m: int, k: int) -> tuple[int, int]:
+    """Column-block route: each product's inner dimension is cut into g spans
+    of w indices (the last may be narrower), one per multiplying node."""
+    g = max(1, min(n // k, m))
+    return g, math.ceil(m / g)
+
+
 def _mm_large(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
               b_list: Sequence[DMat]) -> list[DMat]:
     n, k = len(subset), len(a_list)
     m = a_list[0].cols
     p = a_list[0].p
     nodes = np.array(subset)
-    g = max(1, min(n // k, m))
-    w = math.ceil(m / g)
+    g, w = _block_split(n, m, k)
     spans = [(t0 * w, min((t0 + 1) * w, m)) for t0 in range(g)]
     full = m // w  # the first `full` spans are w wide, then at most one narrower
 
@@ -586,8 +591,7 @@ def _real_counts(size: int, block: int, q: int) -> np.ndarray:
 
 def _block_loads(n: int, m: int, k: int) -> dict[str, int]:
     """Per-node loads of the column-block route, as `_mm_large` routes it."""
-    g = max(1, min(n // k, m))
-    w = math.ceil(m / g)
+    g, w = _block_split(n, m, k)
     last = min(w, max(0, m - (g - 1) * w))  # narrowest span
     spare = k * g < n  # some node multiplies no block
     return {

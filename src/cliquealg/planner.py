@@ -14,6 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+# solve_maincond stops once the two load exponents differ by at most this.
+MAINCOND_TOL = 1e-9
+# zwick_exponent refines sigma* to an interval a tenth of this wide.
+ZWICK_TOL = 1e-4
+
 
 class RegimeError(ValueError):
     pass
@@ -99,7 +104,7 @@ def _balance_functions(a: float, b: float, curve: OmegaCurve):
     return f, g
 
 
-def solve_maincond(a: float, b: float, curve: OmegaCurve, tol: float = 1e-9) -> float:
+def solve_maincond(a: float, b: float, curve: OmegaCurve) -> float:
     """gamma at which the two per-node load exponents coincide (middle regime)."""
     if not (0.0 <= a <= 1.0):
         raise RegimeError(f"a = {a} outside [0, 1]")
@@ -108,7 +113,7 @@ def solve_maincond(a: float, b: float, curve: OmegaCurve, tol: float = 1e-9) -> 
             f"(a, b) = ({a}, {b}) outside the middle regime; use the closed-form cases")
     f, g = _balance_functions(a, b, curve)
     lo, hi = 0.0, 40.0
-    if f(lo) <= g(lo) + tol:
+    if f(lo) <= g(lo) + MAINCOND_TOL:
         return 0.0
     # the crossing escapes any fixed bracket as b approaches 2 - a; grow it
     while f(hi) > g(hi):
@@ -116,7 +121,7 @@ def solve_maincond(a: float, b: float, curve: OmegaCurve, tol: float = 1e-9) -> 
         if hi > 1e9:
             raise RegimeError("no crossing below gamma = 1e9")
     while hi - lo > 1e-13 * max(1.0, hi) and \
-            abs(f(0.5 * (lo + hi)) - g(0.5 * (lo + hi))) > tol:
+            abs(f(0.5 * (lo + hi)) - g(0.5 * (lo + hi))) > MAINCOND_TOL:
         mid = 0.5 * (lo + hi)
         if f(mid) > g(mid):
             lo = mid
@@ -180,7 +185,7 @@ def _interpolate(xs: Sequence[float], ys: Sequence[float], x: float) -> float:
     return ys[lo] + frac * (ys[hi] - ys[lo])
 
 
-def zwick_exponent(curve_or_pair, tol: float = 1e-4) -> tuple[float, float]:
+def zwick_exponent(curve_or_pair) -> tuple[float, float]:
     """Optimal cutoff for the sampled-distance-product APSP iteration.
 
     The adversarial iteration parameter sigma = log s / log n maximizes the
@@ -207,7 +212,7 @@ def zwick_exponent(curve_or_pair, tol: float = 1e-4) -> tuple[float, float]:
     phi = (math.sqrt(5) - 1) / 2
     x1 = hi - phi * (hi - lo)
     x2 = lo + phi * (hi - lo)
-    while hi - lo > tol * 0.1:
+    while hi - lo > ZWICK_TOL * 0.1:
         if value(x1) < value(x2):
             lo, x1 = x1, x2
             x2 = lo + phi * (hi - lo)

@@ -189,9 +189,6 @@ class NodeView:
         store = self._store
         return [store.pop(key) for key in keys]
 
-    def has(self, key) -> bool:
-        return key in self._store
-
     def rng(self, phase: str) -> random.Random:
         return self._world.node_rng(phase, self.node)
 

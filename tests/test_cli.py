@@ -1,6 +1,8 @@
 import warnings
 
-from cliquealg import cli
+import pytest
+
+from cliquealg import cli, ff, krylov
 
 warnings.filterwarnings("ignore", message=".*field size.*")
 
@@ -190,6 +192,16 @@ def test_prime_above_float_prime_max_is_usage_error(tmp_path, capsys):
         " ".join("1" if i == j else "0" for j in range(4)) for i in range(4)) + "\n")
     _assert_usage_error(["run", "det", "--input", str(path)], capsys,
                         f"{path}:1: {big} exceeds")
+
+
+def test_default_prime_is_capped_at_float_prime_max():
+    # evaluated directly: no run at these sizes
+    bound = krylov.field_size_bound(7642)
+    assert bound < ff.FLOAT_PRIME_MAX
+    assert cli.default_prime("rank", 7642) == ff.next_prime_at_least(bound)
+    for algorithm in ("minpol", "solve", "rank"):
+        with pytest.warns(UserWarning, match="field size"):
+            assert cli.default_prime(algorithm, 7643) == ff.FLOAT_PRIME_MAX
 
 
 def test_malformed_graph_and_pair_files(tmp_path, capsys):
