@@ -22,9 +22,7 @@ from .mm import DMat, mm_multi
 from .minplus import INF, INF_THRESHOLD, parse_fields, read_records
 from .sim import CliqueWorld
 
-# apsp_zwick's iteration with bridging-set size s samples about
-# ZWICK_SAMPLE_C * n ln(n) / s vertices.
-ZWICK_SAMPLE_C = 3.0
+ZWICK_SAMPLE_C = 3.0  # the c of apsp_zwick's sample size
 # Fresh substitutions matching_size and allowed_edges try, and
 # gallai_edmonds' attempts, before they give up.
 MATCHING_RETRIES = 3
