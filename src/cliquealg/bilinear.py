@@ -114,41 +114,14 @@ def _tensor(a: BilinearAlgorithm, b: BilinearAlgorithm) -> BilinearAlgorithm:
     )
 
 
-def inner_dim(d: int, gamma: float) -> int:
-    """ceil(d**gamma) with guard against float fuzz at integer powers.
+def dimensions(family: str, budget: int, gamma: float) -> tuple[int, int, int]:
+    """(d, e, t) of the largest `family` kernel of rank t <= budget.
 
-    The slack absorbs the gamma-solver's bisection tolerance; genuine
-    fractional powers at feasible d are never within 1e-6 of an integer.
+    Strassen powers: d = e = 2^j, t = 7^j, for gamma = 1 only.  Schoolbook:
+    e = ceil(d^gamma), less 1e-6 of slack for the gamma-solver's tolerance,
+    and t = d*d*e; d stops growing once (d+1)^gamma exceeds the budget,
+    compared in log space so that a huge gamma never overflows a float power.
     """
-    if d == 1:
-        return 1
-    return max(1, math.ceil(d ** gamma - 1e-6))
-
-
-def inner_of(family: str, d: int, gamma: float) -> int:
-    """Inner dimension e of the algorithm `algorithm_for` builds, without building it."""
-    if family == "trivial":
-        return inner_dim(d, gamma)
-    if family == "strassen":
-        return d
-    raise ValueError(f"unknown kernel family {family!r}")
-
-
-def rank_of(family: str, d: int, gamma: float) -> int:
-    if family == "trivial":
-        return d * d * inner_dim(d, gamma)
-    if family == "strassen":
-        if d == 1:
-            return 1
-        j = int(round(math.log2(d)))
-        if 2 ** j != d:
-            raise ValueError("strassen powers exist only for d a power of two")
-        return 7 ** j
-    raise ValueError(f"unknown kernel family {family!r}")
-
-
-def max_d_for_budget(family: str, budget: int, gamma: float) -> int:
-    """Largest d whose (d, ceil(d**gamma)) algorithm has rank <= budget."""
     if budget < 1:
         raise ValueError("budget must be positive")
     if family == "strassen":
@@ -157,21 +130,27 @@ def max_d_for_budget(family: str, budget: int, gamma: float) -> int:
         j = 0
         while 7 ** (j + 1) <= budget:
             j += 1
-        return 2 ** j
-    d = 1
-    while rank_of(family, d + 1, gamma) <= budget:
-        d += 1
-    return d
-
-
-def algorithm_for(family: str, d: int, gamma: float) -> BilinearAlgorithm:
+        return 2 ** j, 2 ** j, 7 ** j
     if family == "trivial":
-        return trivial_algorithm(d, inner_dim(d, gamma))
+        d, e = 1, 1
+        while gamma * math.log(d + 1) <= math.log(budget):
+            e_next = max(1, math.ceil((d + 1) ** gamma - 1e-6))
+            if (d + 1) ** 2 * e_next > budget:
+                break
+            d, e = d + 1, e_next
+        return d, e, d * d * e
+    raise ValueError(f"unknown kernel family {family!r}")
+
+
+def algorithm_for(family: str, d: int, e: int) -> BilinearAlgorithm:
+    """The `family` kernel of outer size d and inner size e, as `dimensions` sizes it."""
+    if family == "trivial":
+        return trivial_algorithm(d, e)
     if family == "strassen":
-        j = 0 if d == 1 else int(round(math.log2(d)))
-        if 2 ** j != d:
-            raise ValueError("strassen powers exist only for d a power of two")
-        return tensor_power(strassen(), j)
+        alg = tensor_power(strassen(), d.bit_length() - 1)
+        if (alg.d, alg.e) != (d, e):
+            raise ValueError("strassen powers exist only for d = e a power of two")
+        return alg
     raise ValueError(f"unknown kernel family {family!r}")
 
 

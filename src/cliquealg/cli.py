@@ -2,7 +2,8 @@
 verify against the centralized oracles, benchmark round scaling, and query
 the complexity planner.
 
-Exit codes: 0 = pass, 1 = verification failure, 2 = usage error.
+Exit codes: 0 = pass, 1 = verification failure or no verified answer,
+2 = usage error or an input the algorithm refuses.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ ORACLE_SIZE_CAP = {
     "matching-size": 12, "allowed-edges": 12, "gallai-edmonds": 10,
 }
 DEFAULT_ORACLE_CAP = 64
+# the algorithms that compute over GF(p) for a prime --field-prime may set
+FIELD_ALGORITHMS = ("mm", "det", "inverse", "minpol", "rank", "solve")
 MONTE_CARLO = {"minpol", "solve", "rank", "apsp-zwick", "matching-size",
                "allowed-edges", "gallai-edmonds"}
 
@@ -141,6 +144,9 @@ def build_instance(algorithm: str, gen: Optional[str], input_path: Optional[str]
                    seed: int, field_prime: Optional[int]) -> Instance:
     rng = random.Random(seed ^ 0x5EED)
     if field_prime is not None:
+        if algorithm not in FIELD_ALGORITHMS:
+            raise UsageError(f"--field-prime: {algorithm} takes no prime; "
+                             f"only {', '.join(FIELD_ALGORITHMS)} do")
         _check_input_prime(field_prime, "--field-prime")
     if input_path is not None:
         return _instance_from_file(algorithm, input_path, field_prime)
@@ -208,11 +214,11 @@ def _instance_from_file(algorithm: str, path: str,
     if algorithm in ("mm",):
         raise UsageError("mm accepts generated instances only")
     if algorithm == "distprod":
-        a, b, bound = _load(read_pair_file, path)
+        a, b, bound = _as_usage(read_pair_file, path)
         return Instance(algorithm, a.shape[0], f"file:{path}",
                         {"a": a, "b": b, "M": bound})
     if algorithm in ("det", "inverse", "minpol", "rank", "solve"):
-        rows, p, b_row = _load(load_matrix_file, path)
+        rows, p, b_row = _as_usage(load_matrix_file, path)
         n = len(rows)
         p = _matrix_prime(algorithm, n, field_prime or p)
         payload = {"mat": np.array([[x % p for x in row] for row in rows], dtype=np.int64),
@@ -222,14 +228,15 @@ def _instance_from_file(algorithm: str, path: str,
                 raise UsageError("solve input file needs a trailing b row")
             payload["b"] = np.array([x % p for x in b_row], dtype=np.int64)
         return Instance(algorithm, n, f"file:{path}", payload)
-    graph = _load(graphs.WeightedGraph.load, path)
+    graph = _as_usage(graphs.WeightedGraph.load, path)
     return Instance(algorithm, graph.n, f"file:{path}", {"graph": graph})
 
 
-def _load(loader, path):
-    """loader(path), with a malformed file reported as a usage error."""
+def _as_usage(fn, *args):
+    """fn(*args), with its ValueError (a malformed file, or an exponent or
+    curve the planner refuses) reported as a usage error."""
     try:
-        return loader(path)
+        return fn(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -558,17 +565,19 @@ def _load_curve(token: str) -> planner.OmegaCurve:
 
 def cmd_plan(args) -> int:
     if args.query in ("theorem1", "dis"):
-        curve = _load_curve(args.curve)
-        est = planner.theorem1_exponent(args.a, args.b, curve)
+        curve = _as_usage(_load_curve, args.curve)
+        est = _as_usage(planner.theorem1_exponent, args.a, args.b, curve)
         label = "products" if args.query == "theorem1" else "distance product"
         print(f"{label}: regime={est.regime} gamma={est.gamma:.6f} "
               f"exponent={est.exponent:.6f}")
     elif args.query == "zwick":
         if args.curves:
-            left_path, right_path = args.curves.split(",")
-            arg = (planner.load_cost_file(left_path), planner.load_cost_file(right_path))
+            paths = args.curves.split(",")
+            if len(paths) != 2:
+                raise UsageError(f"--curves: expected LEFT,RIGHT, got {args.curves!r}")
+            arg = tuple(_as_usage(planner.load_cost_file, path) for path in paths)
         elif args.curve:
-            arg = _load_curve(args.curve)
+            arg = _as_usage(_load_curve, args.curve)
         else:
             arg = planner.bundled_zwick_curves()
         sigma, exponent = planner.zwick_exponent(arg)
@@ -634,12 +643,14 @@ def main(argv=None) -> int:
         if getattr(args, "gen", None) and getattr(args, "input", None):
             raise UsageError("--gen and --input are mutually exclusive")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError,  # OSError: missing or unreadable input file
+            detinv.SingularMatrixError, graphs.NoPerfectMatchingError,
+            distprod.StrategyUnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # missing or unreadable input file
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (krylov.SolveFailedError, graphs.DecompositionFailedError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # no verified answer exists
+        return 1
 
 
 if __name__ == "__main__":

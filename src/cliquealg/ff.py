@@ -81,10 +81,18 @@ def capped_prime(bound: int, what: str) -> int:
     FLOAT_PRIME_MAX, with a warning that those bounds do not apply, when
     bound exceeds it."""
     if bound > FLOAT_PRIME_MAX:
-        warnings.warn(f"{what}: field size {FLOAT_PRIME_MAX} below {bound}; "
-                      "failure bounds do not apply", stacklevel=3)
+        warn_small_field(FLOAT_PRIME_MAX, bound, what)
         return FLOAT_PRIME_MAX
     return next_prime_at_least(bound)
+
+
+def warn_small_field(p: int, bound: int, what: str) -> None:
+    """Warn when p is below the field size `bound` that `what`'s failure
+    bounds assume.  Callers sit two frames below the public function a user
+    called, so the warning points at that user's line."""
+    if p < bound:
+        warnings.warn(f"{what}: field size {p} below {bound}; failure bounds do not apply",
+                      stacklevel=4)
 
 
 def least_prime_congruent(n_param: int, lower_bound: int) -> int:

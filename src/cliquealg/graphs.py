@@ -20,7 +20,7 @@ from .ff import capped_prime
 from .krylov import build_unit_toeplitz
 from .mm import DMat, mm_multi
 from .minplus import INF, INF_THRESHOLD, parse_fields, read_records
-from .sim import CliqueWorld
+from .sim import CliqueWorld, message_bits
 
 ZWICK_SAMPLE_C = 3.0  # the c of apsp_zwick's sample size
 # Fresh substitutions matching_size and allowed_edges try, and
@@ -322,7 +322,7 @@ def _share_incidence(world: CliqueWorld, graph: WeightedGraph, inv: DMat,
     """All-to-all exchange of packed per-row allowed-edge bitmasks."""
     subset = world.all_nodes()
     n = graph.n
-    word_bits = max(1, math.ceil(2 * math.log2(max(2, n))))
+    word_bits = message_bits(n)
     words = math.ceil(n / word_bits)
 
     def pack(view):

@@ -14,13 +14,12 @@ so that toy instances remain runnable.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .collective import allgather_scalars, broadcast_scalar, broadcast_vector
-from .ff import Polynomial, generating_polynomial, matmul_mod
+from .ff import Polynomial, generating_polynomial, matmul_mod, warn_small_field
 from .mm import DMat, WideMat, mm_multi, mm_square_times_wide
 from .sim import CliqueWorld
 
@@ -39,11 +38,7 @@ def field_size_bound(n: int) -> int:
 
 
 def _check_field_size(p: int, n: int, what: str) -> None:
-    bound = field_size_bound(n)
-    if p < bound:
-        warnings.warn(
-            f"{what}: field size {p} below {bound}; failure bounds do not apply",
-            stacklevel=3)
+    warn_small_field(p, field_size_bound(n), what)
 
 
 def _next_pow2(x: int) -> int:

@@ -132,7 +132,6 @@ class MediumPlan:
     n: int
     m: int
     k: int
-    gamma: float
     family: str
     d: int
     e: int
@@ -143,7 +142,7 @@ class MediumPlan:
 
     @functools.cached_property
     def alg(self) -> bilinear.BilinearAlgorithm:
-        return bilinear.algorithm_for(self.family, self.d, self.gamma)
+        return bilinear.algorithm_for(self.family, self.d, self.e)
 
     @functools.cached_property
     def routes(self) -> "FourStepRoutes":
@@ -235,14 +234,12 @@ class FourStepRoutes:
 
 def make_medium_plan(n: int, m: int, k: int, family: str, gamma: float) -> MediumPlan:
     budget = max(1, n // k)
-    d = bilinear.max_d_for_budget(family, budget, gamma)
-    e = bilinear.inner_of(family, d, gamma)
-    t = bilinear.rank_of(family, d, gamma)
-    q = math.isqrt(max(1, n // k))
+    d, e, t = bilinear.dimensions(family, budget, gamma)
+    q = math.isqrt(budget)
     c = math.ceil(n / (d * q))
     r = math.ceil(m / (e * q))
     assert k * q * q <= n and k * t <= n
-    return MediumPlan(n, m, k, gamma, family, d, e, t, q, c, r)
+    return MediumPlan(n, m, k, family, d, e, t, q, c, r)
 
 
 def _plan_for(n: int, m: int, k: int, kernel: str) -> Optional[MediumPlan]:

@@ -43,10 +43,14 @@ class DisjointnessError(Exception):
     pass
 
 
+def message_bits(n: int) -> int:
+    """Bits one message unit carries on n nodes: ceil(2*log2(n))."""
+    return max(1, math.ceil(2 * math.log2(max(2, n))))
+
+
 def wide_value_units(bits: int, n: int) -> int:
     """Message units charged for one value of the given bit width."""
-    per_message = max(1, math.ceil(2 * math.log2(max(2, n))))
-    return max(1, math.ceil(bits / per_message))
+    return max(1, math.ceil(bits / message_bits(n)))
 
 
 class PhaseRecord:

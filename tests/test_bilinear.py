@@ -60,23 +60,34 @@ def test_tensor_power_of_trivial_is_trivial():
     assert bilinear.verify_identity(one, p=101)
 
 
-def test_max_d_for_budget_examples():
-    assert bilinear.max_d_for_budget("trivial", 64, 1.0) == 4
-    assert bilinear.max_d_for_budget("trivial", 100, 1.0) == 4
-    assert bilinear.max_d_for_budget("strassen", 49, 1.0) == 4
-    assert bilinear.max_d_for_budget("trivial", 1, 0.0) == 1
-    assert bilinear.max_d_for_budget("trivial", 100, 0.0) == 10
+def test_dimensions_examples():
+    assert bilinear.dimensions("trivial", 64, 1.0) == (4, 4, 64)
+    assert bilinear.dimensions("trivial", 100, 1.0) == (4, 4, 64)
+    assert bilinear.dimensions("strassen", 49, 1.0) == (4, 4, 49)
+    assert bilinear.dimensions("trivial", 1, 0.0) == (1, 1, 1)
+    assert bilinear.dimensions("trivial", 100, 0.0) == (10, 1, 100)
 
 
-def test_max_d_strassen_gamma_restriction():
+def test_dimensions_huge_gamma_gives_d_one():
+    # just below the column-block threshold the balancing gamma is in the
+    # thousands, and 2.0 ** gamma is no float
+    assert bilinear.dimensions("trivial", 255, 2123.0) == (1, 1, 1)
+    assert bilinear.dimensions("trivial", 10 ** 6, 1e9) == (1, 1, 1)
+
+
+def test_dimensions_strassen_gamma_restriction():
     with pytest.raises(ValueError):
-        bilinear.max_d_for_budget("strassen", 49, 0.5)
+        bilinear.dimensions("strassen", 49, 0.5)
 
 
 def test_algorithm_for_families():
-    alg = bilinear.algorithm_for("trivial", 3, 0.5)
-    assert alg.d == 3 and alg.e == bilinear.inner_dim(3, 0.5) == 2
-    st = bilinear.algorithm_for("strassen", 4, 1.0)
+    assert bilinear.dimensions("trivial", 18, 0.5) == (3, 2, 18)
+    alg = bilinear.algorithm_for("trivial", 3, 2)
+    assert (alg.d, alg.e, alg.t) == (3, 2, 18)
+    st = bilinear.algorithm_for("strassen", 4, 4)
     assert st.t == 49
+    for d, e in ((3, 3), (4, 2)):
+        with pytest.raises(ValueError):
+            bilinear.algorithm_for("strassen", d, e)
     with pytest.raises(ValueError):
-        bilinear.algorithm_for("nope", 2, 1.0)
+        bilinear.algorithm_for("nope", 2, 2)

@@ -234,3 +234,34 @@ def test_verify_and_bench_arguments_are_checked(capsys):
     _assert_usage_error(["bench", "minpol", "--sizes", "1,2,4,8"], capsys, "--sizes")
     _assert_usage_error(["bench", "mm-k", "--k-list", "0,1,2,4"], capsys, "--k-list")
     _assert_usage_error(["bench", "mm", "--sizes", "16,16,16,16"], capsys, "distinct")
+
+
+def test_refused_inputs_give_one_error_line(tmp_path, capsys):
+    singular = tmp_path / "singular.mat"
+    singular.write_text("2 2 101\n1 1\n1 1\n1 0\n")
+    cases = (
+        (["run", "inverse", "--input", str(singular)], 2, "not invertible"),
+        (["run", "allowed-edges", "--gen", "path:n=3"], 2, "no perfect matching"),
+        (["run", "distprod", "--gen", "minplus:n=4,m=8,M=2", "--strategy", "dft"], 2,
+         "requires m <= n"),
+        (["plan", "theorem1", "--a", "-1", "--b", "1"], 2, "nonnegative"),
+        (["plan", "theorem1", "--curve", "omega:1.5"], 2, "below 2"),
+        # no verified answer exists: the verification-failure code
+        (["run", "solve", "--input", str(singular)], 1, "system unsolved"),
+    )
+    for argv, want, message in cases:
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        assert code == want, argv
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and message in captured.err, argv
+
+
+def test_field_prime_refused_where_it_is_not_used(capsys):
+    for algorithm in ("matching-size", "allowed-edges", "gallai-edmonds", "distprod",
+                      "apsp", "apsp-zwick", "diameter"):
+        for command in (["run"], ["verify", "--trials", "1"]):
+            argv = [command[0], algorithm, *command[1:], "--field-prime", "103"]
+            _assert_usage_error(argv, capsys, f"{algorithm} takes no prime")
+    assert run_cli(["run", "matching-size", "--gen", "gnp:n=6", "--seed", "0"]) == 0
+    assert "verdict: pass" in capsys.readouterr().out

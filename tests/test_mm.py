@@ -139,7 +139,9 @@ def test_per_step_counts_within_factor_four():
 # (n, m, k) per route of mm_multi, all with n <= 32
 ROUTE_SHAPES = {
     "medium": [(8, 8, 1), (16, 16, 1), (32, 32, 1), (13, 9, 3), (16, 16, 4),
-               (32, 20, 2), (27, 27, 1), (7, 7, 1)],
+               (32, 20, 2), (27, 27, 1), (7, 7, 1),
+               # just below the column-block threshold: gamma in the thousands
+               (12, 143, 1), (16, 255, 1), (24, 287, 2)],
     "small-m": [(8, 2, 1), (8, 3, 3), (32, 4, 2), (16, 1, 1), (30, 7, 4)],
     "column-block": [(4, 16, 1), (8, 8, 8), (5, 30, 2), (6, 40, 1), (32, 64, 16)],
     "batches": [(8, 8, 17), (5, 3, 12), (4, 16, 9), (6, 6, 13)],
@@ -170,6 +172,19 @@ def test_predict_rounds_equals_ledger_every_size(kernel):
             world, _, _, _ = run_mm(n, m, k, kernel)
             assert mm.predict_rounds(n, m, k, kernel) == world.ledger.total_rounds, \
                 (n, m, k, kernel)
+
+
+def test_every_shape_below_column_block_threshold_plans():
+    # the balancing gamma grows without bound as m approaches n^2/k; such
+    # shapes get the d = 1 schoolbook plan instead of an overflowing power
+    for n in range(1, 200):
+        for k in (1, 2, 3, 4, 7, 8):
+            for m in {n * n // k - 1, (n * n - 1) // k}:
+                if k > n or m < 1:
+                    continue
+                plan = mm._plan_for(n, m, k, "trivial")
+                assert plan is not None and k * plan.t <= n, (n, m, k)
+                assert mm.predict_rounds(n, m, k) > 0
 
 
 def test_phase_loads_match_router(monkeypatch):
