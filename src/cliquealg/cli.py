@@ -329,11 +329,11 @@ def execute(instance: Instance, seed: int, kernel: str) -> tuple[str, str, Cliqu
         b = distprod.scatter_minplus(world, sub, pay["b"], pay["M"], has_rows=False)
         strategy = pay.get("strategy", "auto")
         if strategy == "dft":
-            out = distprod.dist_prod_dft(world, sub, a, b)
+            out = distprod.dist_prod_dft(world, sub, a, b, kernel=kernel)
         elif strategy == "semiring":
             out = distprod.dist_prod_semiring(world, sub, a, b)
         else:
-            out = distprod.dist_prod(world, sub, a, b)
+            out = distprod.dist_prod(world, sub, a, b, kernel=kernel)
         res = distprod.gather_minplus(world, out)
         if n <= cap:
             verdict = ("pass" if np.array_equal(
@@ -430,9 +430,12 @@ def execute(instance: Instance, seed: int, kernel: str) -> tuple[str, str, Cliqu
 def cmd_run(args) -> int:
     if args.algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {args.algorithm!r}")
+    if args.strategy != "auto" and args.algorithm != "distprod":
+        raise UsageError(f"--strategy: {args.algorithm} has one strategy; only distprod "
+                         "takes dft or semiring")
     instance = build_instance(args.algorithm, args.gen, args.input, args.seed,
                               args.field_prime)
-    if args.algorithm == "distprod" and args.strategy != "auto":
+    if args.strategy != "auto":
         instance.payload["strategy"] = args.strategy
     text, verdict, world = execute(instance, args.seed, args.kernel)
     report = RunReport(args.algorithm, instance.descriptor, args.seed, text,
@@ -454,7 +457,10 @@ def cmd_verify(args) -> int:
         seed = args.seed + trial
         instance = build_instance(args.algorithm, args.gen, None, seed,
                                   args.field_prime)
-        text, verdict, _ = execute(instance, seed, args.kernel)
+        try:
+            text, verdict, _ = execute(instance, seed, args.kernel)
+        except krylov.InconclusiveError:  # no answer counts as a wrong one
+            verdict = "fail"
         if verdict == "unchecked":
             raise UsageError("instance size exceeds the oracle capacity")
         ok = verdict == "pass"
@@ -488,9 +494,10 @@ def _bench_once(name: str, n: int, k: int, seed: int, kernel: str) -> CliqueWorl
         if name == "det-deterministic":
             detinv.det(world, sub, dm, kernel)
         else:
-            state = detinv.char_poly(world, sub, dm, kernel)
-            if int(state.coeffs[n - 1]) != 0:
-                detinv.inverse(world, sub, dm, kernel, state=state)
+            try:
+                detinv.inverse(world, sub, dm, kernel)
+            except detinv.SingularMatrixError:
+                pass  # a singular draw is charged for its char_poly alone
     elif name == "minpol":
         dm = mm.scatter_matrix(world, sub, _rand_matrix(rng, n, n, p), p)
         krylov.minpol_monte_carlo(world, sub, dm, f"bench-{seed}", kernel)
@@ -648,7 +655,7 @@ def main(argv=None) -> int:
             distprod.StrategyUnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (krylov.SolveFailedError, graphs.DecompositionFailedError) as exc:
+    except krylov.InconclusiveError as exc:
         print(f"error: {exc}", file=sys.stderr)  # no verified answer exists
         return 1
 

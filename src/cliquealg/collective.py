@@ -6,35 +6,45 @@ for an L-element payload, so every one of them finishes in O(ceil(L/n)) rounds.
 
 from __future__ import annotations
 
-from typing import Sequence
+import random
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .sim import CliqueWorld
 
 
-def broadcast_vector(world: CliqueWorld, subset: Sequence[int], phase: str,
-                     src_pos: int, in_key, out_key) -> None:
-    """Vector held at one node -> full copy at every node (scatter + allgather)."""
+def share_random(world: CliqueWorld, subset: Sequence[int], draw_phase: str, phase: str,
+                 label: str, out_key, draw: Callable[[random.Random], Sequence[int]]) -> None:
+    """Random coins drawn at one node -> full copy at every node.
+
+    The node at position 0 draws the integers draw(view.rng(label)) in the
+    local phase `draw_phase`; a scatter of ceil(L/n)-element chunks and an
+    allgather then leave them, as an int64 vector, under out_key at every
+    node of the subset.
+    """
     subset = tuple(subset)
     nodes = np.array(subset)
     n = len(subset)
-    length = {}
+    drawn = (out_key, "drawn")
+
+    def draw_step(view):
+        if view.pos == 0:
+            view.put(drawn, np.asarray(draw(view.rng(label)), dtype=np.int64))
+
+    world.run_local(subset, draw_phase, draw_step)
 
     def scatter(view):
-        if view.node != subset[src_pos]:
+        vec = view.pop(drawn, None)
+        if vec is None or vec.size == 0:
             return
-        vec = np.asarray(view.get(in_key))
-        length["value"] = vec.size
         chunk = -(-vec.size // n)  # ceil
-        for j in range(n):
-            part = vec[j * chunk:(j + 1) * chunk]
-            if part.size:
-                yield subset[j], (out_key, "chunk"), part
+        full = vec.size // chunk  # equal chunks, then at most one shorter one
+        yield nodes[:full], (out_key, "chunk"), vec[:full * chunk].reshape(full, chunk)
+        if vec.size % chunk:
+            yield subset[full], (out_key, "chunk"), vec[full * chunk:]
 
     world.route(subset, f"{phase}-scatter", scatter)
-    total = length["value"]
-    chunk = -(-total // n)
 
     def allgather(view):
         part = view.get((out_key, "chunk"))
@@ -45,15 +55,10 @@ def broadcast_vector(world: CliqueWorld, subset: Sequence[int], phase: str,
     world.route(subset, f"{phase}-allgather", allgather)
 
     def assemble(view):
-        pieces = []
-        for j in range(n):
-            part = view.pop((out_key, "part", subset[j]), None)
-            if part is not None:
-                pieces.append(part)
+        pieces = [part for part in (view.pop((out_key, "part", node), None) for node in subset)
+                  if part is not None]
         view.pop((out_key, "chunk"), None)
-        vec = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
-        assert vec.size == total
-        view.put(out_key, vec)
+        view.put(out_key, np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64))
 
     world.run_local(subset, f"{phase}-assemble", assemble)
 
@@ -78,15 +83,12 @@ def allgather_scalars(world: CliqueWorld, subset: Sequence[int], phase: str,
 
 
 def broadcast_scalar(world: CliqueWorld, subset: Sequence[int], phase: str,
-                     src_pos: int, in_key, out_key) -> None:
-    """One scalar from a designated node to everyone (one routed phase)."""
+                     in_key, out_key) -> None:
+    """One scalar from the node at position 0 to everyone (one routed phase)."""
     subset = tuple(subset)
 
     def send(view):
-        if view.node != subset[src_pos]:
-            return
-        value = int(view.get(in_key))
-        for node in subset:
-            yield node, out_key, value
+        if view.pos == 0:
+            yield np.array(subset), out_key, np.full(len(subset), int(view.get(in_key)))
 
     world.route(subset, f"{phase}-bcast", send)

@@ -12,7 +12,7 @@ system has diagonal 1..n).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -290,13 +290,12 @@ def det(world: CliqueWorld, subset: Sequence[int], a: DMat,
 
 
 def inverse(world: CliqueWorld, subset: Sequence[int], a: DMat,
-            kernel: str = "trivial",
-            state: Optional[CharPolyState] = None) -> DMat:
+            kernel: str = "trivial") -> DMat:
     """Exact inverse via coefficient-weighted power sums; A must be invertible."""
     subset = tuple(subset)
     n = len(subset)
     p = a.p
-    state = state or char_poly(world, subset, a, kernel)
+    state = char_poly(world, subset, a, kernel)
     cn = int(state.coeffs[n - 1])
     if cn == 0:
         raise SingularMatrixError("matrix is not invertible (zero determinant)")

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import detinv, krylov
-from .collective import allgather_scalars, broadcast_vector
+from .collective import allgather_scalars, share_random
 from .distprod import MinPlusMatrix, dist_prod, scatter_minplus
 from .ff import capped_prime
 from .krylov import build_unit_toeplitz
@@ -33,7 +33,7 @@ class NoPerfectMatchingError(RuntimeError):
     pass
 
 
-class DecompositionFailedError(RuntimeError):
+class DecompositionFailedError(krylov.InconclusiveError):
     pass
 
 
@@ -142,16 +142,8 @@ def apsp_zwick(world: CliqueWorld, graph: WeightedGraph, kernel: str = "trivial"
             size = min(n, math.ceil(ZWICK_SAMPLE_C * n * math.log(n) / s))
             if size < 1:
                 size = 1
-
-            def draw(view):
-                if view.node != subset[0]:
-                    return
-                rng = view.rng(f"{tag}-sample-{it}")
-                ids = sorted(rng.sample(range(n), size))
-                view.put("zw_sample", np.array(ids, dtype=np.int64))
-
-            world.run_local(subset, f"draw{it}", draw)
-            broadcast_vector(world, subset, f"sample{it}", 0, "zw_sample", "zw_sample_all")
+            share_random(world, subset, f"draw{it}", f"sample{it}", f"{tag}-sample-{it}",
+                         "zw_sample_all", lambda rng: sorted(rng.sample(range(n), size)))
             cap = math.ceil(s * bound_m)
             left = MinPlusMatrix(world.fresh_name("ZL"), n, size, cap, subset,
                                  has_cols=False)
@@ -229,6 +221,7 @@ def build_tutte_instance(world: CliqueWorld, graph: WeightedGraph, p: int,
     column is the negated row).
     """
     subset = world.all_nodes()
+    nodes = np.array(subset)
     n = graph.n
     out = DMat(world.fresh_name("Tutte"), n, n, p, subset)
     with world.ledger.group(world.fresh_name("tutte")):
@@ -239,14 +232,11 @@ def build_tutte_instance(world: CliqueWorld, graph: WeightedGraph, p: int,
             if adj_row is None:
                 raise AssertionError("adjacency row missing")
             rng = view.rng(f"{tag}-edge-{pos}")
+            later = pos + 1 + np.flatnonzero(adj_row[pos + 1:] < INF_THRESHOLD)
             values = np.zeros(n, dtype=np.int64)
-            for j in range(pos + 1, n):
-                if adj_row[j] < INF_THRESHOLD:
-                    values[j] = rng.randrange(p)
+            values[later] = [rng.randrange(p) for _ in later]  # in increasing j
             view.put("tutte_vals", values)
-            for j in range(pos + 1, n):
-                if adj_row[j] < INF_THRESHOLD:
-                    yield subset[j], ("tutte_x", pos), int(values[j])
+            yield nodes[later], ("tutte_x", pos), values[later]
 
         def stage_adj(view):
             pos = view.pos
@@ -279,19 +269,23 @@ def matching_size(world: CliqueWorld, graph: WeightedGraph, p: Optional[int] = N
                   tag: str = "nu", kernel: str = "trivial") -> int:
     """Number of edges in a maximum matching (Monte Carlo).
 
-    An odd rank estimate signals failure (skew-symmetric matrices have even
-    rank) and triggers a retry with a fresh substitution.
+    An odd rank estimate, or a rank_rand that raises InconclusiveError,
+    signals failure (skew-symmetric matrices have even rank) and triggers a
+    retry with a fresh substitution; InconclusiveError once they are spent.
     """
     n = graph.n
     p = p or matching_prime(n)
     subset = world.all_nodes()
-    rank = 0
     for attempt in range(MATCHING_RETRIES):
         tutte = build_tutte_instance(world, graph, p, f"{tag}-t{attempt}")
-        rank = krylov.rank_rand(world, subset, tutte, f"{tag}-r{attempt}", kernel)
+        try:
+            rank = krylov.rank_rand(world, subset, tutte, f"{tag}-r{attempt}", kernel)
+        except krylov.InconclusiveError:
+            continue
         if rank % 2 == 0:
-            break
-    return rank // 2
+            return rank // 2
+    raise krylov.InconclusiveError(
+        f"matching_size: no even rank estimate in {MATCHING_RETRIES} attempts")
 
 
 def allowed_edges(world: CliqueWorld, graph: WeightedGraph, tag: str = "allowed",
@@ -321,37 +315,31 @@ def _share_incidence(world: CliqueWorld, graph: WeightedGraph, inv: DMat,
                      tag: str) -> set[frozenset[int]]:
     """All-to-all exchange of packed per-row allowed-edge bitmasks."""
     subset = world.all_nodes()
+    nodes = np.array(subset)
     n = graph.n
     word_bits = message_bits(n)
     words = math.ceil(n / word_bits)
+    shifts = np.arange(word_bits, dtype=np.int64)  # bit j of a row: word j // word_bits
 
     def pack(view):
         pos = view.pos
         row = view.get(inv.row_key(pos))
-        bits = (np.asarray(row) % inv.p != 0) & (graph.adj[pos] < INF_THRESHOLD)
-        packed = np.zeros(words, dtype=np.int64)
-        for j in range(n):
-            if bits[j]:
-                packed[j // word_bits] |= 1 << (j % word_bits)
-        view.put("ae_packed", packed)
+        bits = np.zeros(words * word_bits, dtype=np.int64)
+        bits[:n] = (np.asarray(row) % inv.p != 0) & (graph.adj[pos] < INF_THRESHOLD)
+        view.put("ae_packed", (bits.reshape(words, word_bits) << shifts).sum(axis=1))
 
     world.run_local(subset, f"{tag}-pack", pack)
 
     def spread(view):
         packed = view.get("ae_packed")
-        for node in subset:
-            yield node, ("ae_from", view.node), packed
+        yield nodes, ("ae_from", view.node), np.broadcast_to(packed, (n, words))
 
     world.route(subset, f"{tag}-exchange", spread)
 
     def unpack(view):
-        allowed = np.zeros((n, n), dtype=bool)
-        for i, node in enumerate(subset):
-            packed = view.pop(("ae_from", node))
-            for j in range(n):
-                if packed[j // word_bits] >> (j % word_bits) & 1:
-                    allowed[i, j] = True
-        view.put("ae_all", allowed)
+        packed = np.stack(view.pop_many(("ae_from", node) for node in subset))
+        bits = packed[:, :, None] >> shifts & 1
+        view.put("ae_all", bits.reshape(n, words * word_bits)[:, :n].astype(bool))
 
     world.run_local(subset, f"{tag}-unpack", unpack)
     allowed = world.stores[subset[0]]["ae_all"]
@@ -387,7 +375,10 @@ def gallai_edmonds(world: CliqueWorld, graph: WeightedGraph, tag: str = "ge",
     subset = world.all_nodes()
     for attempt in range(GE_RETRIES):
         tutte = build_tutte_instance(world, graph, p, f"{tag}-t{attempt}")
-        rank = krylov.rank_rand(world, subset, tutte, f"{tag}-r{attempt}", kernel)
+        try:
+            rank = krylov.rank_rand(world, subset, tutte, f"{tag}-r{attempt}", kernel)
+        except krylov.InconclusiveError:
+            continue
         if rank % 2 != 0:
             continue
         if rank >= n:
@@ -411,17 +402,11 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
     the leading block of the preconditioned matrix is singular.
     """
     n = len(subset)
+    nodes = np.array(subset)
     p = tutte.p
 
-    def draw(view):
-        if view.node != subset[0]:
-            return
-        rng = view.rng(f"{tag}-uv")
-        view.put("ge_uv", np.array([rng.randrange(p) for _ in range(2 * (n - 1))],
-                                   dtype=np.int64))
-
-    world.run_local(subset, "draw", draw)
-    broadcast_vector(world, subset, f"{tag}-uv", 0, "ge_uv", "ge_uv_all")
+    share_random(world, subset, "draw", f"{tag}-uv", f"{tag}-uv", "ge_uv_all",
+                 lambda rng: [rng.randrange(p) for _ in range(2 * (n - 1))])
     u_dm, v_dm = build_unit_toeplitz(world, subset, "ge_uv_all", p, phase="toeplitz")
     ua = mm_multi(world, subset, [u_dm], [tutte], kernel, phase="ua")[0]
     nmat = mm_multi(world, subset, [ua], [v_dm], kernel, phase="uav")[0]
@@ -479,15 +464,13 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
     # columns of [[ -X ], [ I ]] routed to their final owners, padded to n
     y_mat = DMat(world.fresh_name("Y"), n, n, p, subset, has_rows=False)
 
-    def send_x(view):
+    def send_x(view):  # column j0 of X goes to position j0
         pos = view.pos  # sub_r is a prefix of subset
-        if pos >= rank:
+        if pos >= min(rank, tail):
             return
-        for g in range(chunks):
-            j0 = g * rank + pos
-            if j0 < tail:
-                col = view.get(x_chunks[g].col_key(pos))
-                yield subset[j0], ("ge_x", j0), col
+        dsts = nodes[pos:tail:rank]
+        yield dsts, "ge_x", np.stack([view.get(x_chunks[g].col_key(pos))
+                                      for g in range(len(dsts))])
 
     world.route(subset, "moveX", send_x)
 
@@ -495,7 +478,7 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
         pos = view.pos
         col = np.zeros(n, dtype=np.int64)
         if pos < tail:
-            xcol = view.pop(("ge_x", pos))
+            xcol = view.pop("ge_x")
             col[:rank] = (-xcol) % p
             col[rank + pos] = 1
         view.put(y_mat.col_key(pos), col)

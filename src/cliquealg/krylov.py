@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .collective import allgather_scalars, broadcast_scalar, broadcast_vector
+from .collective import allgather_scalars, broadcast_scalar, share_random
 from .ff import Polynomial, generating_polynomial, matmul_mod, warn_small_field
 from .mm import DMat, WideMat, mm_multi, mm_square_times_wide
 from .sim import CliqueWorld
@@ -28,7 +28,11 @@ from .sim import CliqueWorld
 RETRIES = 3
 
 
-class SolveFailedError(RuntimeError):
+class InconclusiveError(RuntimeError):
+    """A Monte Carlo routine spent its retries without a verified answer."""
+
+
+class SolveFailedError(InconclusiveError):
     pass
 
 
@@ -108,15 +112,8 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
     _check_field_size(p, n, "minpol")
     with world.ledger.group(world.fresh_name("minpol")):
 
-        def draw(view):
-            if view.node != subset[0]:
-                return
-            rng = view.rng(f"{tag}-probe")
-            vw = np.array([rng.randrange(p) for _ in range(2 * n)], dtype=np.int64)
-            view.put("mp_vw", vw)
-
-        world.run_local(subset, "draw", draw)
-        broadcast_vector(world, subset, "share-probe", 0, "mp_vw", "mp_vw_all")
+        share_random(world, subset, "draw", "share-probe", f"{tag}-probe", "mp_vw_all",
+                     lambda rng: [rng.randrange(p) for _ in range(2 * n)])
 
         def split(view):
             vw = view.get("mp_vw_all")
@@ -127,12 +124,9 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
         length = _next_pow2(2 * n)
         wide = krylov_sequence(world, subset, a, "mp_v", length, kernel)
 
-        def project(view):
-            pos = view.pos
-            w = view.get("mp_w")
-            for j0 in range(pos, 2 * n, len(subset)):
-                col = view.get(wide.col_key(j0))
-                yield subset[0], ("mp_term", j0), int(matmul_mod(w, col, p))
+        def project(view):  # terms j0 = pos and pos + n
+            cols = np.stack([view.get(wide.col_key(j0)) for j0 in (view.pos, view.pos + n)])
+            yield subset[0], ("mp_term", view.node), matmul_mod(cols, view.get("mp_w"), p)
 
         world.route(subset, "project", project)
 
@@ -141,7 +135,7 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
         def recover(view):
             if view.node != subset[0]:
                 return
-            seq = [view.pop(("mp_term", j0)) for j0 in range(2 * n)]
+            seq = np.stack(view.pop_many(("mp_term", node) for node in subset)).T.ravel()
             poly = generating_polynomial(seq, p)
             view.put("mp_poly", poly)
             poly_box["poly"] = poly
@@ -155,26 +149,17 @@ def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
     """Monte Carlo determinant; broadcast to all nodes and returned.
 
     A degree-n generating polynomial, or one with zero constant term, is
-    conclusive; anything else triggers a retry with fresh randomness.
+    conclusive; anything else triggers a retry with fresh randomness, and
+    InconclusiveError once the retries are spent.
     """
     subset = tuple(subset)
     n = len(subset)
     p = a.p
     _check_field_size(p, n, "det_rand")
-    result = 0
     with world.ledger.group(world.fresh_name("detrand")):
         for attempt in range(RETRIES):
-
-            def draw(view):
-                if view.node != subset[0]:
-                    return
-                rng = view.rng(f"{tag}-diag-{attempt}")
-                d = np.array([1 + rng.randrange(p - 1) for _ in range(n)],
-                             dtype=np.int64)
-                view.put("dr_d", d)
-
-            world.run_local(subset, "draw", draw)
-            broadcast_vector(world, subset, f"share-diag{attempt}", 0, "dr_d", "dr_d_all")
+            share_random(world, subset, "draw", f"share-diag{attempt}", f"{tag}-diag-{attempt}",
+                         "dr_d_all", lambda rng: [1 + rng.randrange(p - 1) for _ in range(n)])
             da = DMat(world.fresh_name("DA"), n, n, p, subset)
 
             def scale(view):
@@ -190,28 +175,18 @@ def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
                 if view.node != subset[0]:
                     return
                 m0 = poly(0)
-                d = view.get("dr_d_all")
                 prod = 1
-                for value in d:
+                for value in view.get("dr_d_all"):
                     prod = prod * int(value) % p
-                if poly.degree == n:
-                    value = (-1) ** n * m0 * pow(prod, -1, p) % p
-                    view.put("dr_result", value % p)
-                    view.put("dr_done", 1)
-                elif poly.degree >= 1 and m0 == 0:
-                    view.put("dr_result", 0)
-                    view.put("dr_done", 1)
-                else:
-                    view.put("dr_result", (-1) ** n * m0 * pow(prod, -1, p) % p)
-                    view.put("dr_done", 0)
+                view.put("dr_result", (-1) ** n * m0 * pow(prod, -1, p) % p)
+                view.put("dr_done", int(poly.degree == n or (poly.degree >= 1 and m0 == 0)))
 
             world.run_local(subset, "decide", decide)
-            broadcast_scalar(world, subset, f"verdict{attempt}", 0, "dr_done", "dr_done_all")
-            broadcast_scalar(world, subset, f"value{attempt}", 0, "dr_result", "dr_value_all")
-            result = int(world.stores[subset[0]]["dr_value_all"])
+            broadcast_scalar(world, subset, f"verdict{attempt}", "dr_done", "dr_done_all")
+            broadcast_scalar(world, subset, f"value{attempt}", "dr_result", "dr_value_all")
             if int(world.stores[subset[0]]["dr_done_all"]):
-                break
-    return result
+                return int(world.stores[subset[0]]["dr_value_all"])
+    raise InconclusiveError(f"det_rand: no conclusive attempt in {RETRIES}")
 
 
 def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
@@ -240,34 +215,28 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
             length = _next_pow2(n)
             wide = krylov_sequence(world, subset, a, "sv_b", length, kernel)
 
-            def send_coeffs(view):
+            def send_coeffs(view):  # node j0 gets (m0, coefficient j0 + 1)
                 if view.node != subset[0]:
                     return
                 g = view.get("mp_poly")
                 m0 = g(0)
-                for j0 in range(min(length, n)):
-                    coef = g.coeffs[j0 + 1] if j0 + 1 <= g.degree else 0
-                    yield subset[j0 % n], ("sv_coef", j0), np.array(
-                        [m0, coef], dtype=np.int64)
+                yield nodes, "sv_coef", np.array(
+                    [[m0, g.coeffs[j0 + 1] if j0 < g.degree else 0] for j0 in range(n)],
+                    dtype=np.int64)
 
             world.route(subset, f"coeffs{attempt}", send_coeffs)
 
-            def scatter_terms(view):
-                pos = view.pos
-                for j0 in range(pos, min(length, n), n):
-                    pair = view.pop(("sv_coef", j0), None)
-                    if pair is None:
-                        continue
-                    m0, coef = int(pair[0]), int(pair[1])
-                    col = view.get(wide.col_key(j0))
-                    term = (-coef * pow(m0, -1, p) % p) * col % p
-                    yield nodes, ("sv_part", j0), term
+            def scatter_terms(view):  # length >= n, so column pos is here
+                m0, coef = (int(v) for v in view.pop("sv_coef"))
+                col = view.get(wide.col_key(view.pos))
+                term = (-coef * pow(m0, -1, p) % p) * col % p
+                yield nodes, ("sv_part", view.pos), term
 
             world.route(subset, f"terms{attempt}", scatter_terms)
 
             def accumulate(view):
                 total = 0
-                for j0 in range(min(length, n)):
+                for j0 in range(n):
                     total += int(view.pop(("sv_part", j0), 0))
                 view.put("sv_x", total % p)
 
@@ -334,28 +303,21 @@ def build_unit_toeplitz(world: CliqueWorld, subset: Sequence[int], uv_key,
 def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
               tag: str = "rank", kernel: str = "trivial") -> int:
     """Monte Carlo rank: n if the randomized determinant is nonzero, else one
-    less than the degree of the minimal polynomial of the preconditioned matrix."""
+    less than the degree of the minimal polynomial of the preconditioned matrix.
+
+    Raises InconclusiveError when no attempt gives a degree in 1..n, and lets
+    det_rand's propagate."""
     subset = tuple(subset)
     n = len(subset)
     p = a.p
     _check_field_size(p, n, "rank_rand")
     if det_rand(world, subset, a, f"{tag}-det", kernel) != 0:
         return n
-    result = 0
     with world.ledger.group(world.fresh_name("rankrand")):
         for attempt in range(RETRIES):
-
-            def draw(view):
-                if view.node != subset[0]:
-                    return
-                rng = view.rng(f"{tag}-pre-{attempt}")
-                u = np.array([rng.randrange(p) for _ in range(n - 1)], dtype=np.int64)
-                v = np.array([rng.randrange(p) for _ in range(n - 1)], dtype=np.int64)
-                d = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
-                view.put("rk_pre", np.concatenate([u, v, d]))
-
-            world.run_local(subset, "draw", draw)
-            broadcast_vector(world, subset, f"share-pre{attempt}", 0, "rk_pre", "rk_pre_all")
+            share_random(world, subset, "draw", f"share-pre{attempt}", f"{tag}-pre-{attempt}",
+                         "rk_pre_all",  # u, v, then the diagonal
+                         lambda rng: [rng.randrange(p) for _ in range(3 * n - 2)])
             u_dm, v_dm = build_unit_toeplitz(world, subset, "rk_pre_all", p,
                                              phase="precondition")
             d_dm = DMat(world.fresh_name("D"), n, n, p, subset, has_rows=False)
@@ -374,7 +336,5 @@ def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
             poly = minpol_monte_carlo(world, subset, b3, f"{tag}-mp-{attempt}", kernel)
             r = poly.degree - 1
             if 0 <= r < n:
-                result = r
-                break
-            result = max(0, min(n - 1, r))
-    return result
+                return r
+    raise InconclusiveError(f"rank_rand: no rank estimate in range in {RETRIES} attempts")

@@ -32,22 +32,21 @@ class OmegaCurve:
     interpolation (slope-1 extrapolation beyond the last sample).
     """
 
-    def __init__(self, fn: Callable[[float], float], label: str):
+    def __init__(self, fn: Callable[[float], float]):
         self._fn = fn
-        self.label = label
 
     def __call__(self, gamma: float) -> float:
         return self._fn(gamma)
 
     @staticmethod
     def trivial() -> "OmegaCurve":
-        return OmegaCurve(lambda g: 2.0 + g, "trivial")
+        return OmegaCurve(lambda g: 2.0 + g)
 
     @staticmethod
     def constant(value: float) -> "OmegaCurve":
         if value < 2.0:
             raise ValueError("omega cannot be below 2")
-        return OmegaCurve(lambda g: max(value, 1.0 + g), f"constant({value})")
+        return OmegaCurve(lambda g: max(value, 1.0 + g))
 
     @staticmethod
     def strassen() -> "OmegaCurve":
@@ -72,7 +71,7 @@ class OmegaCurve:
                 return _interpolate(gs, ws, gamma)
             return max(ws[-1] + (gamma - gs[-1]), 1.0 + gamma)
 
-        return OmegaCurve(fn, "sampled")
+        return OmegaCurve(fn)
 
     @staticmethod
     def for_kernel(kernel: str) -> "OmegaCurve":

@@ -154,13 +154,6 @@ class CostLedger:
         lines.append(f"total rounds={self.total_rounds} messages={self.total_messages}")
         return "\n".join(lines) + "\n"
 
-    def to_csv(self) -> str:
-        lines = ["phase,rounds,messages"]
-        for path, rec in self.leaves():
-            lines.append(f"{path},{rec.rounds},{rec.messages}")
-        lines.append(f"total,{self.total_rounds},{self.total_messages}")
-        return "\n".join(lines) + "\n"
-
 
 class NodeView:
     """Access handle for one node's local store; the only state a compute sees.

@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from cliquealg import cli, ff, krylov
+from cliquealg import cli, distprod, ff, krylov
 
 warnings.filterwarnings("ignore", message=".*field size.*")
 
@@ -119,6 +119,29 @@ def test_run_distprod_strategies(capsys):
                         "--seed", "3", "--strategy", strategy])
         out = capsys.readouterr().out
         assert code == 0 and "verdict: pass" in out
+
+
+def test_run_distprod_uses_the_kernel(capsys):
+    argv = ["run", "distprod", "--gen", "minplus:n=16,m=16,M=3", "--strategy", "dft"]
+    assert run_cli(argv + ["--kernel", "strassen"]) == 0
+    out = capsys.readouterr().out
+    assert distprod.predict_dft_rounds(16, 16, 3, "strassen") == 434
+    assert "verdict: pass" in out and "\nrounds: 434\n" in out
+    assert run_cli(argv) == 0
+    assert "\nrounds: 440\n" in capsys.readouterr().out
+
+
+def test_strategy_refused_outside_distprod(capsys):
+    for algorithm, strategy in (("mm", "dft"), ("det", "semiring"), ("apsp", "dft")):
+        argv = ["run", algorithm, "--gen", "mm:n=8", "--strategy", strategy]
+        _assert_usage_error(argv, capsys, "--strategy")
+
+
+def test_verify_counts_an_inconclusive_trial_as_a_miss(capsys):
+    code = run_cli(["verify", "rank", "--gen", "matrix:n=3", "--field-prime", "3",
+                    "--trials", "1", "--seed", "1"])
+    assert code == 1
+    assert capsys.readouterr().out == "trial 0: MISMATCH\n0/1 passed\n"
 
 
 def test_run_solve_from_file(tmp_path, capsys):
@@ -248,6 +271,8 @@ def test_refused_inputs_give_one_error_line(tmp_path, capsys):
         (["plan", "theorem1", "--curve", "omega:1.5"], 2, "below 2"),
         # no verified answer exists: the verification-failure code
         (["run", "solve", "--input", str(singular)], 1, "system unsolved"),
+        (["run", "rank", "--gen", "matrix:n=3", "--field-prime", "3", "--seed", "1"], 1,
+         "det_rand: no conclusive attempt"),
     )
     for argv, want, message in cases:
         code = run_cli(argv)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cliquealg import distprod, ff, graphs, mm, oracles
+from cliquealg import distprod, ff, graphs, krylov, mm, oracles
 from cliquealg.minplus import INF, INF_THRESHOLD
 from cliquealg.sim import CliqueWorld
 
@@ -245,6 +245,16 @@ def test_rank_evenness_enforced():
     g = unweighted(n, pairs)
     nu = graphs.matching_size(CliqueWorld(n, seed=2), g)
     assert nu == oracles.max_matching_size(oracles.graph_adj_sets(n, pairs))
+
+
+def test_matching_size_raises_after_odd_ranks():
+    # G(6, 0.5) over GF(7): every attempt ends on an odd rank, and halving the
+    # last one gave 1 for a maximum matching of 2
+    rng = random.Random(49)
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6) if rng.random() < 0.5]
+    assert oracles.max_matching_size(oracles.graph_adj_sets(6, pairs)) == 2
+    with pytest.raises(krylov.InconclusiveError):
+        graphs.matching_size(CliqueWorld(6, seed=49), unweighted(6, pairs), p=7)
 
 
 def test_matching_prime_is_capped_at_float_prime_max():

@@ -153,6 +153,16 @@ def test_det_rand_matches_oracle():
     assert hits >= 38
 
 
+@pytest.mark.parametrize("seed", [5, 11])
+def test_det_rand_raises_when_every_attempt_is_inconclusive(seed):
+    # over GF(5) these draws leave all three attempts inconclusive; the last
+    # attempt's value (3 and 4) is not the determinant (0 and 2)
+    mat = np.random.default_rng(seed).integers(0, 5, (4, 4))
+    world, sub, dm = world_with(mat, 5, seed=seed)
+    with pytest.raises(krylov.InconclusiveError):
+        krylov.det_rand(world, sub, dm)
+
+
 # ----------------------------------------------------------------- solve
 
 def test_solve_identity():
@@ -238,6 +248,16 @@ def test_rank_matches_oracle_various():
         hits += int(krylov.rank_rand(world, sub, dm, tag=f"t{trial}") ==
                     oracles.rank_mod(mat, p))
     assert hits >= 28
+
+
+def test_rank_rand_raises_when_no_estimate_is_in_range():
+    # a rank-2 matrix over GF(5) whose attempts all miss; clamping the last
+    # estimate gave 4
+    rng = np.random.default_rng(82)
+    mat = rng.integers(0, 5, (4, 2)) @ rng.integers(0, 5, (2, 4)) % 5
+    world, sub, dm = world_with(mat, 5, seed=82)
+    with pytest.raises(krylov.InconclusiveError):
+        krylov.rank_rand(world, sub, dm)
 
 
 def test_toeplitz_builder_shapes():

@@ -203,10 +203,6 @@ def test_ledger_export_forms():
     text = world.ledger.to_text()
     assert "phase=outer/a subset=4 rounds=2 messages=16" in text
     assert "total rounds=6 messages=24" in text
-    csv = world.ledger.to_csv()
-    assert csv.splitlines()[0] == "phase,rounds,messages"
-    assert "outer/b,4,8" in csv
-    assert csv.strip().splitlines()[-1] == "total,6,24"
     assert world.ledger.find("outer/a").rounds == 2
 
 
