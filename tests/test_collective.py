@@ -24,8 +24,8 @@ def test_share_random_delivers_and_charges_hand_count(n):
         chunk = -(-length // n)
         sizes = [min(chunk, max(0, length - j * chunk)) for j in range(n)]
         scatter_load = max([length - sizes[0]] + sizes[1:])
-        gather_load = max((n - 1) * size for size in sizes)
-        gather_load = max(gather_load, max(length - size for size in sizes))
+        # node j sends its chunk to n - 1 others and receives the rest
+        gather_load = max(max((n - 1) * size, length - size) for size in sizes)
         phases = [(path, rec.rounds, rec.messages) for path, rec in world.ledger.leaves()]
         assert phases == [
             ("draw", 0, 0),
