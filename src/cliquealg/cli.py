@@ -45,7 +45,9 @@ class UsageError(ValueError):
 def default_prime(algorithm: str, n: int) -> int:
     if algorithm in ("matching-size", "allowed-edges", "gallai-edmonds"):
         return graphs.matching_prime(n)
-    bound = krylov.field_size_bound(n) if algorithm in ("minpol", "solve", "rank") else 101
+    bound = 101  # the floor `_bench_once` uses too; the Krylov bound is below it for n <= 3
+    if algorithm in ("minpol", "solve", "rank"):
+        bound = max(bound, krylov.field_size_bound(n))
     return capped_prime(max(bound, n + 1), algorithm)
 
 

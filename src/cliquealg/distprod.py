@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ff import dft_matrix, least_prime_congruent, primitive_root_of_unity
-from .mm import (DMat, MediumPlan, RowColMatrix, four_step, make_medium_plan,
+from .mm import (DMat, MediumPlan, RowColMatrix, choose_plan, four_step, make_medium_plan,
                  mm_multi, predict_rounds)
 from .minplus import INF, INF_THRESHOLD, clamp, entry_bits
 from .sim import CliqueWorld, wide_value_units
@@ -198,7 +198,9 @@ class MinPlusAlgebra:
 def _semiring_plan(n: int, m: int, bound: int) -> tuple[MediumPlan, int]:
     """The semiring strategy's four-step plan, and the units each entry of a
     product bounded by 2 * bound is charged."""
-    return make_medium_plan(n, m, 1, "trivial", 1.0), wide_value_units(entry_bits(2 * bound), n)
+    width = wide_value_units(entry_bits(2 * bound), n)
+    seed = make_medium_plan(n, m, 1, "trivial", 1.0)
+    return choose_plan(n, m, 1, "trivial", seed, width, blocks=False), width
 
 
 def dist_prod_semiring(world: CliqueWorld, subset: Sequence[int], a: MinPlusMatrix,
@@ -214,7 +216,7 @@ def dist_prod_semiring(world: CliqueWorld, subset: Sequence[int], a: MinPlusMatr
     n = len(subset)
     m = a.cols
     bound = a.bound if bound is None else bound
-    plan, width = _semiring_plan(n, m, bound)
+    plan, width = world.plan((n, m, 1, ("min-plus", bound)), lambda: _semiring_plan(n, m, bound))
     phase = phase or world.fresh_name("distsemi")
     with world.ledger.group(phase):
         out = MinPlusMatrix(world.fresh_name("MP"), n, n, 2 * bound, subset)
@@ -233,8 +235,7 @@ def predict_semiring_rounds(n: int, m: int, bound: int) -> int:
     """Shape-only round prediction for the semiring strategy: the four-step
     loads of its plan, each element charged at the entry width."""
     plan, width = _semiring_plan(n, m, bound)
-    return sum(CliqueWorld.route_rounds(width * load, n)
-               for load in plan.phase_loads().values())
+    return plan.rounds(width)
 
 
 def dist_prod(world: CliqueWorld, subset: Sequence[int], a: MinPlusMatrix,

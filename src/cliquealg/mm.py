@@ -4,15 +4,17 @@ Input convention: the node playing logical role ell holds row ell of every
 left factor and column ell of every right factor.  Outputs are n x n with
 both the row and the column of each product delivered to node ell.
 
-Three routes, picked by shape:
+Three routes:
   * k > n:            sequential batches of at most n products;
-  * m >= n^2/k:       column-block partitioning, one block per worker node;
-  * otherwise:        the four-step bilinear-kernel pattern (with the inner
-                      dimension padded up to ceil(sqrt(k*n)) when m is small).
+  * otherwise, whichever of these two predicts fewer rounds:
+      - column-block partitioning, one block per worker node;
+      - the four-step bilinear-kernel pattern, dimensioned by `choose_plan`.
 
 `predict_rounds` gives the rounds a call charges from its shape alone, by
 per-node loads read from the plan of the route that runs: each worker of a
 four-step plan is counted as the router counts it, in O(kq^2) <= O(n) time.
+Plans depend on the shape only, and `mm_multi` keeps the ones it makes in
+`CliqueWorld.plans`.
 """
 
 from __future__ import annotations
@@ -190,14 +192,32 @@ class MediumPlan:
         form = np.maximum(2 * k * m, N[u] * a[v] + N[v] * a[u]) - in_u * a[v] - in_v * a[u]
         deliver = np.maximum(2 * k * n, 2 * N[u] * N[v]) - in_u * N[v] - in_v * N[u]
         spare = k * q * q < n  # some node is no worker
-        workers_self = q * q <= t and (k == 1 or q * q == t)  # every worker multiplies too
-        muls_self = t <= q * q and (k == 1 or t == q * q)     # every multiplier is a worker
+        gather, combine = _gather_combine_loads(k, t, q, c, r)
         return {
             "form": max(int(form.max()), 2 * k * m if spare else 0),
-            "gather": max(2 * c * r * (t - workers_self), 2 * c * r * (q * q - muls_self)),
-            "combine": max(c * c * (q * q - muls_self), c * c * (t - workers_self)),
+            "gather": gather,
+            "combine": combine,
             "deliver": max(int(deliver.max()), 2 * k * n if spare else 0),
         }
+
+    def rounds(self, width: int = 1) -> int:
+        """Predicted rounds, each element charged `width` units."""
+        return _rounds(self.phase_loads().values(), self.n, width)
+
+    def round_bounds(self, width: int = 1) -> tuple[int, int]:
+        """Bounds on `rounds(width)` in O(1) time.
+
+        gather and combine are exact.  The busiest form and deliver loads
+        are those of worker (0, 0, 0), whose column pair holds the most real
+        slots n0 and inner indices a0, less the pieces it keeps: at most a0
+        twice in form and n0 twice in deliver.
+        """
+        n, m, k = self.n, self.m, self.k
+        n0, a0 = _first_count(n, self.c, self.q), _first_count(m, self.r, self.q)
+        gather, combine = _gather_combine_loads(k, self.t, self.q, self.c, self.r)
+        form, deliver = max(2 * k * m, 2 * n0 * a0), max(2 * k * n, 2 * n0 * n0)
+        return (_rounds((form - 2 * a0, gather, combine, deliver - 2 * n0), n, width),
+                _rounds((form, gather, combine, deliver), n, width))
 
 
 class FourStepRoutes:
@@ -242,9 +262,9 @@ def make_medium_plan(n: int, m: int, k: int, family: str, gamma: float) -> Mediu
     return MediumPlan(n, m, k, family, d, e, t, q, c, r)
 
 
-def _plan_for(n: int, m: int, k: int, kernel: str) -> Optional[MediumPlan]:
-    """The four-step plan `mm_multi` runs for k <= n products of inner size m,
-    or None when the shape takes the column-block route."""
+def _seed_plan(n: int, m: int, k: int, kernel: str) -> Optional[MediumPlan]:
+    """The greedily dimensioned plan for k <= n products of inner size m, or
+    None for the column-block route when m*k >= n^2: the start of `_plan_for`."""
     if m * k >= n * n:
         return None
     if m * m <= k * n:
@@ -260,6 +280,119 @@ def _plan_for(n: int, m: int, k: int, kernel: str) -> Optional[MediumPlan]:
                                math.log(m) / math.log(n),
                                OmegaCurve.for_kernel(kernel))
     return make_medium_plan(n, m, k, kernel, gamma)
+
+
+def _plan_for(n: int, m: int, k: int, kernel: str) -> Optional[MediumPlan]:
+    """The four-step plan `mm_multi` runs for k <= n products of inner size m,
+    or None when the shape takes the column-block route."""
+    return choose_plan(n, m, k, kernel, _seed_plan(n, m, k, kernel))
+
+
+class _Option:
+    """A route under comparison: its predicted rounds lie in [lo, hi] until
+    `settle` counts them exactly.  `volume` breaks ties; the seed and the
+    column-block route carry -1, so a lattice plan must be strictly cheaper
+    to displace them."""
+
+    def __init__(self, plan: Optional[MediumPlan], bounds: tuple[int, int], volume: int = -1,
+                 width: int = 1):
+        self.plan, (self.lo, self.hi), self.volume, self.width = plan, bounds, volume, width
+
+    def settle(self) -> None:
+        self.lo = self.hi = self.plan.rounds(self.width)
+
+    def beats(self, other: "_Option") -> bool:
+        """Whether this route is cheaper than `other`, settling either one
+        only while their ranges cannot tell."""
+        while True:
+            if (self.lo, self.volume) >= (other.hi, other.volume):
+                return False
+            if (self.hi, self.volume) < (other.lo, other.volume):
+                return True
+            (other if other.lo < other.hi else self).settle()
+
+
+def choose_plan(n: int, m: int, k: int, family: str, seed: Optional[MediumPlan],
+                width: int = 1, blocks: bool = True) -> Optional[MediumPlan]:
+    """The four-step plan of fewest predicted rounds for k <= n products of
+    inner size m, each element charged `width` units, or None when the
+    column-block route (open only if `blocks`) predicts fewer.
+
+    `seed` is the greedily dimensioned plan (None: the column-block route)
+    and is kept unless another route is strictly cheaper.  The search runs
+    over the lattice k*q^2 <= n, k*t <= n of `family` kernels with the
+    smallest c and r that cover n and m.  Candidates are compared by
+    `MediumPlan.round_bounds` and counted worker by worker only where those
+    bounds cannot separate them; equally cheap plans are ordered by the
+    elements they gather and combine, k*q^2*t*c*(2r + c).
+    """
+    block = _Option(None, (_rounds(_block_loads(n, m, k).values(), n),) * 2)
+    best = block if seed is None else _Option(seed, seed.round_bounds(width), width=width)
+    if blocks and block.beats(best):
+        best = block
+    for lo, volume, dims, hi in sorted(_lattice(n, m, k, family, width, best.hi)):
+        if (lo, volume) >= (best.hi, best.volume):
+            break
+        option = _Option(MediumPlan(n, m, k, family, *dims), (lo, hi), volume, width)
+        if option.beats(best):
+            best = option
+    return best.plan
+
+
+def _lattice(n: int, m: int, k: int, family: str, width: int,
+             limit: int) -> list[tuple[int, int, tuple, int]]:
+    """(lo, volume, (d, e, t, q, c, r), hi) of the lattice plans whose
+    round bounds [lo, hi] may reach the least of `limit` and every hi seen.
+
+    The scan closes its ranges of q, d and e with lower bounds that hold for
+    every plan in them: in the first column pair, at least ceil(n/q) slots
+    and ceil(m/q) inner indices, so form and deliver loads of about
+    2(n/q)(m/q) and 2(n/q)^2; with c >= n/(dq), r >= m/(eq) and
+    d*e <= max(t, q^2)/d, a schoolbook gather of 2cr(max(t, q^2) - 1) >= A*d
+    and a combine of c^2(max(t, q^2) - 1) >= B/d^2.
+    """
+    budget = n // k
+    strassen = {2 ** j: 7 ** j for j in range(budget.bit_length()) if 7 ** j <= budget}
+
+    def rounds(load):
+        return CliqueWorld.route_rounds(width * load, n)
+
+    found = []
+    for q in range(math.isqrt(budget), 0, -1):
+        n_q, m_q = -(-n // q), -(-m // q)
+        floor = rounds(2 * (n_q - 1) * m_q) + rounds(2 * (n_q - 1) * n_q)
+        if floor > limit:
+            break  # n_q and m_q only grow as q falls
+        if family == "strassen":
+            ds = list(strassen)
+        else:
+            qq = q * q
+            a_coef, b_coef = 2 * n * m * (qq - 1) / qq ** 2, n * n * (qq - 1) / qq
+            room = (limit - floor + 0.5) * n / (2 * width)  # gather + combine elements
+            d_hi = min(math.isqrt(budget), int(room / a_coef) + 1 if a_coef else budget)
+            ds = range(max(1, int(math.sqrt(b_coef / room))), d_hi + 1)
+        for d in ds:
+            if family != "strassen" and a_coef * d + b_coef / (d * d) > room:
+                continue
+            c = -(-n // (d * q))
+            n0 = _first_count(n, c, q)
+            fixed = rounds(max(2 * k * n, 2 * n0 * n0) - 2 * n0) + rounds(2 * (n0 - 1) * m_q)
+            if family == "strassen":
+                pairs = [(d, strassen[d])]
+            else:
+                # gather >= 2c(m/(eq))(q^2 - 1) bounds e from below
+                cap = (limit - fixed - rounds(c * c * (max(qq, d * d) - 1))) // 2 * n // width
+                e_lo = max(1, 2 * c * m * (qq - 1) // (q * cap)) if cap > 0 else 1
+                pairs = ((e, d * d * e) for e in range(e_lo, budget // (d * d) + 1))
+            for e, t in pairs:
+                if fixed + rounds(c * c * (max(q * q, t) - 1)) > limit:
+                    break  # combine only grows with e
+                r = -(-m // (e * q))
+                lo, hi = MediumPlan(n, m, k, family, d, e, t, q, c, r).round_bounds(width)
+                limit = min(limit, hi)
+                if lo <= limit:
+                    found.append((lo, k * q * q * t * c * (2 * r + c), (d, e, t, q, c, r), hi))
+    return [cand for cand in found if cand[0] <= limit]
 
 
 def mm_multi(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
@@ -288,7 +421,7 @@ def mm_multi(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
                              b_list[start:start + n], kernel,
                              phase=f"batch{start // n}"))
             return out
-        plan = _plan_for(n, m, k, kernel)
+        plan = world.plan((n, m, k, kernel), lambda: _plan_for(n, m, k, kernel))
         if plan is None:
             return _mm_large(world, subset, a_list, b_list)
         outs = [DMat(world.fresh_name("C"), n, n, p, subset) for _ in range(k)]
@@ -298,9 +431,10 @@ def mm_multi(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
 
 def _block_split(n: int, m: int, k: int) -> tuple[int, int]:
     """Column-block route: each product's inner dimension is cut into g spans
-    of w indices (the last may be narrower), one per multiplying node."""
-    g = max(1, min(n // k, m))
-    return g, math.ceil(m / g)
+    of w indices (the last may be narrower, none is empty), one per
+    multiplying node."""
+    w = math.ceil(m / max(1, min(n // k, m)))
+    return math.ceil(m / w), w
 
 
 def _mm_large(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
@@ -586,6 +720,30 @@ def _real_counts(size: int, block: int, q: int) -> np.ndarray:
     return (size // period) * block + np.clip(size % period - np.arange(q) * block, 0, block)
 
 
+def _first_count(size: int, block: int, q: int) -> int:
+    """`_real_counts(size, block, q)[0]`, the fullest column, in O(1)."""
+    period = q * block
+    return (size // period) * block + min(size % period, block)
+
+
+def _gather_combine_loads(k: int, t: int, q: int, c: int, r: int) -> tuple[int, int]:
+    """Per-node loads of the gather and combine steps of a four-step plan.
+
+    A worker sends 2t blocks of c*r elements and a multiply node receives
+    2q^2 of them in gather; combine moves q^2*t blocks of c*c elements back.
+    One block stays local when a worker is also one of its multiply nodes.
+    """
+    workers_self = q * q <= t and (k == 1 or q * q == t)  # every worker multiplies too
+    muls_self = t <= q * q and (k == 1 or t == q * q)     # every multiplier is a worker
+    return (max(2 * c * r * (t - workers_self), 2 * c * r * (q * q - muls_self)),
+            max(c * c * (q * q - muls_self), c * c * (t - workers_self)))
+
+
+def _rounds(loads, n: int, width: int = 1) -> int:
+    """Rounds of routed steps with these per-node loads, `width` units an element."""
+    return sum(CliqueWorld.route_rounds(width * load, n) for load in loads)
+
+
 def _block_loads(n: int, m: int, k: int) -> dict[str, int]:
     """Per-node loads of the column-block route, as `_mm_large` routes it."""
     g, w = _block_split(n, m, k)
@@ -605,5 +763,4 @@ def predict_rounds(n: int, m: int, k: int, kernel: str = "trivial") -> int:
         return (full * predict_rounds(n, m, n, kernel)
                 + (predict_rounds(n, m, rest, kernel) if rest else 0))
     plan = _plan_for(n, m, k, kernel)
-    loads = _block_loads(n, m, k) if plan is None else plan.phase_loads()
-    return sum(CliqueWorld.route_rounds(load, n) for load in loads.values())
+    return _rounds(_block_loads(n, m, k).values(), n) if plan is None else plan.rounds()

@@ -207,6 +207,7 @@ class CliqueWorld:
         self.ledger = CostLedger()
         self._name_counter = 0
         self._member_masks: dict[tuple, np.ndarray] = {}
+        self.plans: dict = {}
 
     def all_nodes(self) -> tuple[int, ...]:
         return tuple(range(1, self.n + 1))
@@ -214,6 +215,13 @@ class CliqueWorld:
     def fresh_name(self, prefix: str) -> str:
         self._name_counter += 1
         return f"{prefix}{self._name_counter}"
+
+    def plan(self, key, make: Callable[[], object]):
+        """The plan stored under `key`, made by `make()` on first use.  Plans
+        depend on a shape only, so a driver sizes each shape once per world."""
+        if key not in self.plans:
+            self.plans[key] = make()
+        return self.plans[key]
 
     def node_rng(self, phase: str, node: int) -> random.Random:
         digest = hashlib.sha256(f"{self.seed}|{phase}|{node}".encode()).digest()

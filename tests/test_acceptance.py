@@ -6,13 +6,12 @@ O(k^(2/3) n^(1/3)) for k products, O(n^(1/3) log n) for minpol.  At the
 executed sizes (n <= 256) the fitted slope of total rounds is set by
 constants, not by these exponents: every routed phase costs
 2 * ceil(S / n_act) rounds, so each phase pays at least two rounds and the
-load term rises in steps of two.  Even an ideal four-step plan, with
-real-valued d = n^(1/3) and no padding, misses the windows there: one
-product costs 4 + 2 ceil(2 n^(1/3)) + 2 ceil(n^(1/3)) + 4 rounds, i.e.
-26, 30, 32, 42, 48 for n = 16..256 (slope ~0.23); k products at n = 64 move
-k rows and k columns per node in the form and deliver phases, 4k rounds
-each, i.e. 32, 56, 96, 160 for k = 1, 2, 4, 8 (slope ~0.77); minpol runs
-2 log2(2n) - 1 products of one shape plus O(log n) constant phases.
+load term rises in steps of two.  Even the plan of fewest predicted rounds
+over every integer dimensioning, which `mm_multi` runs, misses the windows
+there: one product costs 24, 48, 32, 50, 48 rounds for n = 16..256
+(slope ~0.21), and k products at n = 64 cost 32, 92, 92, 248 rounds for
+k = 1, 2, 4, 8 (slope ~0.89); minpol runs 2 log2(2n) - 1 products of one
+shape plus O(log n) constant phases.
 
 So each criterion-4 test for mm, mm-k and minpol has two parts.  (a) It runs
 the executed sweep and asserts at every point that the ledger equals the

@@ -125,10 +125,10 @@ def test_run_distprod_uses_the_kernel(capsys):
     argv = ["run", "distprod", "--gen", "minplus:n=16,m=16,M=3", "--strategy", "dft"]
     assert run_cli(argv + ["--kernel", "strassen"]) == 0
     out = capsys.readouterr().out
-    assert distprod.predict_dft_rounds(16, 16, 3, "strassen") == 434
-    assert "verdict: pass" in out and "\nrounds: 434\n" in out
+    assert distprod.predict_dft_rounds(16, 16, 3, "strassen") == 428
+    assert "verdict: pass" in out and "\nrounds: 428\n" in out
     assert run_cli(argv) == 0
-    assert "\nrounds: 440\n" in capsys.readouterr().out
+    assert "\nrounds: 422\n" in capsys.readouterr().out
 
 
 def test_strategy_refused_outside_distprod(capsys):
@@ -225,6 +225,14 @@ def test_default_prime_is_capped_at_float_prime_max():
     for algorithm in ("minpol", "solve", "rank"):
         with pytest.warns(UserWarning, match="field size"):
             assert cli.default_prime(algorithm, 7643) == ff.FLOAT_PRIME_MAX
+
+
+def test_default_prime_has_a_floor_of_101():
+    # the Krylov field-size bound 4 n^2 ceil(log2 n) is below 101 for n <= 3
+    for algorithm in ("minpol", "solve", "rank", "det", "mm"):
+        for n in (1, 2, 3):
+            assert cli.default_prime(algorithm, n) == 101
+    assert cli.default_prime("minpol", 4) == ff.next_prime_at_least(krylov.field_size_bound(4))
 
 
 def test_malformed_graph_and_pair_files(tmp_path, capsys):

@@ -19,58 +19,58 @@ from cliquealg import cli
 
 GOLDEN = {
     "trivial": {
-        ("mm", 8): "acda66df8a98857d75bbd81202ce15a9a36b5070ce8619ea6b7390347eed2f73",
-        ("distprod", 8): "56992b8cab714dded5d81427e423113369a3ccc267d8b162ba25fd5e92eede4d",
-        ("det", 8): "dad900a10a3b9a6eb9cd2381f9be5d5ea5f9651a9f770a7582f3802ece170b9e",
-        ("inverse", 8): "4fd17c56e033741d0ed540428d71614222b40c973d55115bc378bcdab48e71bb",
-        ("minpol", 8): "eb2d284b89ea75dd7cc3e97e908ed58675476978b9f7d0e1ba5854b3ebc974a4",
-        ("solve", 8): "c1e8c5320020c1bc0f58a182cd8bbdb4358d691cf557d2c93da47cfc4552e46e",
-        ("rank", 8): "26a709fa2723f2c5ed7a0ee34c0e1b30e16ec75914eb99f9d60855b0ac70f087",
-        ("apsp", 8): "25098f061925b006e41a7e96d175a82aee895f792ebf0c24168a9a6f6941c1b3",
-        ("apsp-zwick", 8): "d061f0e94ce997777870c2206ad5a62aca0e6e20107c41101fd89b51821ab175",
-        ("diameter", 8): "fa8f5492dcf0cd3cf51184b8bf5fab42b52153139b9c5e82d5704157de3fc602",
-        ("matching-size", 8): "0df101c2bbfa5a65badc93a31a7e4fb7a231fdf472cc9b55da78a94dcb52c12a",
-        ("allowed-edges", 8): "129efeb0d2c6654f5c61dabe7b62235cf751999cc55651848f46e1015059fdac",
-        ("gallai-edmonds", 8): "e843580eafb6a036b6b16fcc9a442e44afda616966c3205df9cf6a304cd51d5e",
-        ("mm", 16): "a98c034f66bd7ce9435752cdfeadb21098c18a6dd8308d3ab0c22ee2530b47c0",
-        ("distprod", 16): "10109b5a07d9996099e2a2e574f166fbc472dd0cab3469202726953bdcd2e2dd",
-        ("det", 16): "76bc814e6d38cf66984724b99d3dc1b2da628b2daab0c2562ffa39687eacc5df",
-        ("inverse", 16): "12aafa10738a740ba310eea2c926143016a97348a66bba7716f64c87776013e2",
-        ("minpol", 16): "8587419ac262e250fe7b4d65fc878d361a08dfd7aa4763dabb1977c6422945a6",
-        ("solve", 16): "3fd6756be20463b5c2c0a7090d25c021fcf642c9e37fb44e2643556c41d7473a",
-        ("rank", 16): "aa5c1cb20cd238ead31981b13c307a25f64f375090443a84ca48f66c8295254b",
-        ("apsp", 16): "b99b0e44c16cadecf834c2a0482136355e6cf00e9f0010b31ee4a9454f1b9c9b",
-        ("apsp-zwick", 16): "ba104d7bfb24c32b79f2bd6529c0f5f427398a654023b7af5614e446bb7b4562",
-        ("diameter", 16): "e6d25a567f7f4599208c4ba0cd714a258c76f54bb76145952a863fe4ac96263f",
-        ("matching-size", 16): "555d34bb98ce97b522c6430af2460de0d6905195dbd8b205fe75011fb108aeda",
-        ("allowed-edges", 16): "e473fda133ea18adf3f87b7b3c134c4975f745480c2e8721f88f1cd30a7c3565",
-        ("gallai-edmonds", 16): "f70d2fdd846dab139d8a0ceccb683cb6f4f5a3272dc4cf011a26295895bd5061",
+        ("mm", 8): "5dbed297cb06c22e8f75e67540794e2d7a7b9575b9ecda388d3aea8fa3366070",
+        ("distprod", 8): "4a3f0d6865513de0dab3fa77b9f52cb88ac4528cabf24edcdf43554ec09af8d8",
+        ("det", 8): "e41150653b0411e7fd32b7c17b3950645af5d5ab9939086cf8a0f6e60af56d44",
+        ("inverse", 8): "9570a6ba5e4e2c618b73f4a15375f4b888373a268947dc4a16f6eb17c0199972",
+        ("minpol", 8): "b38cd75bf61a3f3e7123700202c358b50d519e5052367a64dbf80487e30d1830",
+        ("solve", 8): "d6738e3c5a6b9aad1a392008ef406fe076b33cf8605f54c67ce1efe27d0407e5",
+        ("rank", 8): "17f86bef80d2d25312927a7f3533cad89b8c26d4e301e880727d8b3f6d280daa",
+        ("apsp", 8): "399efcba7debce58af1dd8d35f3608b2f2858568566129d2844ff42a7b5e59b4",
+        ("apsp-zwick", 8): "a77365e2b1a5ae5586693929d9e20a8244fb986884d02f253b66d2da53880ae2",
+        ("diameter", 8): "261842b4f4c3c3af2deb8ce4e9fc89ce36142700290efe321b240ad9934a5bb6",
+        ("matching-size", 8): "dc9096a78fe0c64228049c9b9a7a953469c8ea96dcc597c3b23238737ecd5958",
+        ("allowed-edges", 8): "d4b07dd8062118fc15de8f4197d6fceef49aa0f148b6296af5f98ff16ecc7a12",
+        ("gallai-edmonds", 8): "67a1e9ff750a0874829f737ebec84539cadd04ba4cd8d1cd375e9f2f3d5c2641",
+        ("mm", 16): "fd146d0b7010b4f939d44f78cc6fcf9448dff541b7add9e7d6f3dd944b59ff9b",
+        ("distprod", 16): "1a1ed8a9ebef0aa6276116cdf6e0a321cd1ded1037ade439820d083f6481abc1",
+        ("det", 16): "f0ee105c740ae41bbcedec807ef286eb3942cc7e9d35e2a30e1487eef2299e03",
+        ("inverse", 16): "5bf76710fa7d7cd0dd5d3d8166162fb44f38388dc88d32680e74ebcdf427ca02",
+        ("minpol", 16): "bd17b8adee81ad676c1ef3009c2d635d6eb5f3f64b9f0a89060f40e377ad5ad2",
+        ("solve", 16): "933c9bc653b14b07ec82673cb62eb81537b12b0d740459a6bfc73c70bd2f0db6",
+        ("rank", 16): "eb61b92d5682956d35c8ef57989f05d067467e704ca9661e22054effad2a4d10",
+        ("apsp", 16): "228419b0d365e19a8c4983195a7b61c95187331ff3ea634953f2654e60ff5a1e",
+        ("apsp-zwick", 16): "8994c8f64d19b769c04c5456fd0221850a5e0c6a289bb6e0217266e61220907b",
+        ("diameter", 16): "bef48efcbd14349b668e11df1db4c2298cabac423aeb0c21419936c40acd34c8",
+        ("matching-size", 16): "fdf3c1977ba4177c90cf3efe2fd44933cbbfd68416b14a9535ff1d0dd7668b0d",
+        ("allowed-edges", 16): "081df3b0b78c8a45f3bd0da92b430c4517153bf3ace54e8ac051ac61d6dc718c",
+        ("gallai-edmonds", 16): "08428d2ef1790886c73e8fdee961fd99227b239d2e72106883c9aaa33c7c0c13",
         ("mm", 64): "6f92efa10d459981b42601d1b3648fefe420fa4aadca3cc9ff9cd3c67dde1a76",
         ("distprod", 64): "6d51dd7ef37a46148deec487d80043a222660ddfa04c8f070f6788e5dbe400f3",
-        ("det", 64): "254063b3ef97019536039fbf2d8d1fbd15e6ba453c8098ec1096b7e698e6d811",
-        ("inverse", 64): "0cc8eda3eb05c0d5ee8601b1967d8030046c470ccc13260212008e073ff0fc42",
+        ("det", 64): "b23969c0dc0fb5385295dc53c8c95fa54f6ca07bcd8fb5b1a92e0b84ebe3a7f2",
+        ("inverse", 64): "cd7aff9ba19aa3f2ced9848cb120912cc62e22e529410f888b1e98928c3d22df",
         ("minpol", 64): "fd428cce83eedf81fe772376a308576fee52a052fb76b1fd29550486bfc60e2e",
         ("solve", 64): "363bd5f05cd213da958a610876226f9d01a8dbd3485d3163175b997be35bbd9d",
         ("rank", 64): "d9dbd9d311c02c51e2248f24840f9e6365f47902ebcccdc74afc034035faf353",
         ("apsp", 64): "7769079ef2d5448b205634ff5e9675918d999dd3eccb6d376e97fb08faa7e4a0",
-        ("apsp-zwick", 64): "be5d6ad4dac0522e73a5fcd020fc875a948df8a39de49e96cf1e70cae3ecfc7c",
+        ("apsp-zwick", 64): "24a0fa43b2e34b189e85d052099785ca3264e14c7ed72d66d99831307898f9e1",
         ("diameter", 64): "23f90ccc4ba92ef9cc69debb3624a4084e64c092d2a30b5ecf7098fe6866610e",
         ("matching-size", 64): "d9f36b285c16f0d3603ba1c3867c8def6a191fff6f0f0180899e7ccf5920a8d0",
-        ("allowed-edges", 64): "8b50def4344aae814a07acf1aabcff74dc9c8350b48a21bf961006359bd30212",
+        ("allowed-edges", 64): "f6dbc0aef95bea56b62176f6c465bc1a2302be2e5f3c5eb1d3a8cf2d2f2213c2",
         ("gallai-edmonds", 64): "54072b8e28c0a66a65dca3d33f837de6cd1421b2d81e324e31e3e5dacae250a4",
     },
     "strassen": {
-        ("mm", 8): "d99de24124b04430955a000fef05acd4914bf422acb8b6c86dd0c270b0439615",
-        ("det", 8): "3f0223e832079417ebe211487491d8cc7a39147cbd934f55636b5f1215e78ed2",
-        ("inverse", 8): "b8c6149c30c3ac39a63cfc9d11dfc6fa7ea0386083be0e5d7060ebb15746ab65",
-        ("minpol", 8): "c50ce8553d58df11f3e7a0a9a90e8ad99c2c7ae9b7e00fe6bf82393964e580d9",
+        ("mm", 8): "5dbed297cb06c22e8f75e67540794e2d7a7b9575b9ecda388d3aea8fa3366070",
+        ("det", 8): "e41150653b0411e7fd32b7c17b3950645af5d5ab9939086cf8a0f6e60af56d44",
+        ("inverse", 8): "9570a6ba5e4e2c618b73f4a15375f4b888373a268947dc4a16f6eb17c0199972",
+        ("minpol", 8): "b38cd75bf61a3f3e7123700202c358b50d519e5052367a64dbf80487e30d1830",
         ("mm", 16): "c34620eea56d8cae29b762f9cfa9d712abcf667eb52b9b0549a05e152c73fa28",
-        ("det", 16): "020c4e15a1d9075ffbcbfb19a575db21e083564290f542ddfef21ed57067d3fa",
-        ("inverse", 16): "4d392c5f4297e54a112a1a46c0a1f1e6ab8dc55411665a66b866fdd8182c7d35",
+        ("det", 16): "14601a020bff295ae98630a21d88f7683cf8c2ee5b97e68bee6f6279b7271071",
+        ("inverse", 16): "989448b1bfce224acde795c8545218810f7485445f6b86a7e3c884a4529cf920",
         ("minpol", 16): "a7f27e349cb5c0dd59f69ac270fdb3fd63e1c34256828a09eaa029066c866b9a",
         ("mm", 64): "4fef6c69d85f83fea15cc120b2f9448e928967ae3e6f88ef6175fead93ac3600",
-        ("det", 64): "d33e5523a85697f0373171f676cffe4deb4a09c7bc6ba9fe7c413674686c7a51",
-        ("inverse", 64): "81d3e89ea5d3462c4d81832091358d38141d293b7849d579cfb0d0604bbd56a1",
+        ("det", 64): "e207787d5402d59e09455c345b11d0483930e1b6e7ee827056c587423440ee52",
+        ("inverse", 64): "1a2c58a09d72c12d1977ff98afbd62232a4ad979a5a8a0d089b0e6f4f5c37ab8",
         ("minpol", 64): "c84c7df694a7a0fcda352bfd0257956e2be89125f9d7887d3c1d82e983c56e78",
     },
 }

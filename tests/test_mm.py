@@ -118,10 +118,18 @@ def test_data_oblivious_ledger():
 
 
 def test_per_step_counts_within_factor_four():
-    # medium pattern at n=8, m=8, k=1 with the schoolbook kernel
+    # medium pattern at n=8, m=8, k=1 with the schoolbook kernel, run directly:
+    # mm_multi takes the column-block route at this shape
     n = m = 8
-    world, _, _, _ = run_mm(n, m, 1)
+    p = 101
+    rng = random.Random(1)
+    world = CliqueWorld(n, seed=1)
+    sub = world.all_nodes()
     plan = mm.make_medium_plan(n, m, 1, "trivial", 1.0)
+    a = mm.scatter_matrix(world, sub, rand_mat(rng, n, m, p), p, has_cols=False)
+    b = mm.scatter_matrix(world, sub, rand_mat(rng, m, n, p), p, has_rows=False)
+    out = mm.DMat(world.fresh_name("C"), n, n, p, sub)
+    mm.four_step(world, sub, plan, mm.FieldAlgebra(plan, p), [a], [b], [out])
     counts = {
         "form": 2 * 1 * m,                   # 2km
         "gather": 2 * (n // plan.d) * (m // plan.e),
@@ -176,30 +184,85 @@ def test_predict_rounds_equals_ledger_every_size(kernel):
 
 def test_every_shape_below_column_block_threshold_plans():
     # the balancing gamma grows without bound as m approaches n^2/k; such
-    # shapes get the d = 1 schoolbook plan instead of an overflowing power
+    # shapes get the d = 1 schoolbook seed plan instead of an overflowing power
     for n in range(1, 200):
         for k in (1, 2, 3, 4, 7, 8):
             for m in {n * n // k - 1, (n * n - 1) // k}:
                 if k > n or m < 1:
                     continue
+                seed = mm._seed_plan(n, m, k, "trivial")
+                assert seed is not None and k * seed.t <= n, (n, m, k)
                 plan = mm._plan_for(n, m, k, "trivial")
-                assert plan is not None and k * plan.t <= n, (n, m, k)
+                assert plan is None or (k * plan.t <= n and k * plan.q ** 2 <= n), (n, m, k)
                 assert mm.predict_rounds(n, m, k) > 0
+
+
+def _lattice_minimum(n, m, k, kernel):
+    """Fewest rounds of any four-step dimensioning of the kernel's family
+    with k*q^2 <= n and k*t <= n, each plan counted worker by worker."""
+    budget = n // k
+    if kernel == "strassen":
+        shapes = [(2 ** j, 2 ** j, 7 ** j) for j in range(8) if 7 ** j <= budget]
+    else:
+        shapes = [(d, d * d * e, e) for d in range(1, math.isqrt(budget) + 1)
+                  for e in range(1, budget // (d * d) + 1)]
+        shapes = [(d, e, t) for d, t, e in shapes]
+    return min(mm.MediumPlan(n, m, k, kernel, d, e, t, q, -(-n // (d * q)),
+                             -(-m // (e * q))).rounds()
+               for q in range(1, math.isqrt(budget) + 1) for d, e, t in shapes)
+
+
+@pytest.mark.parametrize("kernel", ["trivial", "strassen"])
+def test_chosen_plan_is_the_lattice_minimum(kernel):
+    # the chosen route predicts the fewest rounds of the column-block route,
+    # the greedy seed plan (for a small inner size a schoolbook plan, outside
+    # the Strassen lattice) and every lattice plan, and never more than the seed
+    for n in range(1, 49):
+        for k in (1, 2, 4, 8):
+            for m in {n // 2, n, 2 * n, n * n // k - 1}:
+                if k > n or m < 1:
+                    continue
+                seed = mm._seed_plan(n, m, k, kernel)
+                block = mm._rounds(mm._block_loads(n, m, k).values(), n)
+                seed_rounds = block if seed is None else seed.rounds()
+                chosen = mm.predict_rounds(n, m, k, kernel)
+                assert chosen <= seed_rounds, (n, m, k)
+                assert chosen == min(_lattice_minimum(n, m, k, kernel), block, seed_rounds), \
+                    (n, m, k)
+
+
+@pytest.mark.parametrize("n,m,k,seed_rounds,rounds,route", [
+    (32, 1000, 1, 4458, 248, "block-multiply"),
+    (64, 2048, 1, 8314, 376, "multiply"),  # the column-block route costs 378
+])
+def test_route_chosen_by_rounds(n, m, k, seed_rounds, rounds, route):
+    # m*k < n^2, where the greedy four-step plan costs thousands of rounds
+    assert mm._seed_plan(n, m, k, "trivial").rounds() == seed_rounds
+    world, a_mats, b_mats, res = run_mm(n, m, k)
+    assert world.ledger.total_rounds == mm.predict_rounds(n, m, k) == rounds
+    assert route in {path.split("/")[-1] for path, _ in world.ledger.leaves()}
+    # entries below 101: int64 holds every inner sum exactly
+    assert np.array_equal(res[0], a_mats[0] @ b_mats[0] % 101)
 
 
 def test_phase_loads_match_router(monkeypatch):
     # the load `CliqueWorld.route` charges in each routed step, recorded as it
-    # is charged, equals the plan's load of that step exactly
+    # is charged, equals the plan's load of that step exactly; the planner's
+    # own calls of route_rounds, outside any routed step, are not recorded
     route, route_rounds = CliqueWorld.route, CliqueWorld.route_rounds
     charged, steps = {}, []
 
     def recording_route(world, subset, phase, build, width=1):
         charged[phase] = 0  # a step with no sends charges nothing
         steps.append(phase)
-        return route(world, subset, phase, build, width)
+        try:
+            return route(world, subset, phase, build, width)
+        finally:
+            steps.pop()
 
     def recording_rounds(load, n_act):
-        charged[steps[-1]] = load
+        if steps:
+            charged[steps[-1]] = load
         return route_rounds(load, n_act)
 
     monkeypatch.setattr(CliqueWorld, "route", recording_route)
