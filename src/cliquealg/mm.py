@@ -13,8 +13,8 @@ Three routes:
 `predict_rounds` gives the rounds a call charges from its shape alone, by
 per-node loads read from the plan of the route that runs: each worker of a
 four-step plan is counted as the router counts it, in O(kq^2) <= O(n) time.
-Plans depend on the shape only, and `mm_multi` keeps the ones it makes in
-`CliqueWorld.plans`.
+Plans depend on the shape only, and `mm_multi` keeps the ones it makes on
+its world (`CliqueWorld.plan`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bilinear
 from .ff import matmul_mod
-from .planner import OmegaCurve, solve_maincond
+from .planner import OmegaCurve, RegimeError, solve_maincond
 from .sim import CliqueWorld
 
 
@@ -276,9 +276,12 @@ def _seed_plan(n: int, m: int, k: int, kernel: str) -> Optional[MediumPlan]:
     if kernel == "strassen":
         gamma = 1.0
     else:
-        gamma = solve_maincond(math.log(k) / math.log(n),
-                               math.log(m) / math.log(n),
-                               OmegaCurve.for_kernel(kernel))
+        try:
+            gamma = solve_maincond(math.log(k) / math.log(n),
+                                   math.log(m) / math.log(n),
+                                   OmegaCurve.for_kernel(kernel))
+        except RegimeError:  # m so close to n^2/k that no crossing is found
+            return None
     return make_medium_plan(n, m, k, kernel, gamma)
 
 
@@ -369,19 +372,26 @@ def _lattice(n: int, m: int, k: int, family: str, width: int,
             qq = q * q
             a_coef, b_coef = 2 * n * m * (qq - 1) / qq ** 2, n * n * (qq - 1) / qq
             room = (limit - floor + 0.5) * n / (2 * width)  # gather + combine elements
-            d_hi = min(math.isqrt(budget), int(room / a_coef) + 1 if a_coef else budget)
-            ds = range(max(1, int(math.sqrt(b_coef / room))), d_hi + 1)
+            # gather >= 2c(max(d, q)^2 - 1) with r >= 1 keeps d near q
+            d_lo = max(int(math.sqrt(b_coef / room)), min(q, int(2 * n * (qq - 1) / (q * room))))
+            d_hi = min(math.isqrt(budget), max(q, int(room * q / (2 * n)) + 1),
+                       int(room / a_coef) + 1 if a_coef else budget)
+            ds = range(max(1, d_lo), d_hi + 1)
         for d in ds:
             if family != "strassen" and a_coef * d + b_coef / (d * d) > room:
                 continue
             c = -(-n // (d * q))
             n0 = _first_count(n, c, q)
             fixed = rounds(max(2 * k * n, 2 * n0 * n0) - 2 * n0) + rounds(2 * (n0 - 1) * m_q)
+            least = max(q * q, d * d) - 1  # at most max(t, q^2) - 1, whatever e is
+            spare = limit - fixed - rounds(c * c * least)  # rounds left for gather
+            if rounds(2 * c * least) > spare:
+                continue  # gather >= 2cr * least with r >= 1
             if family == "strassen":
                 pairs = [(d, strassen[d])]
             else:
                 # gather >= 2c(m/(eq))(q^2 - 1) bounds e from below
-                cap = (limit - fixed - rounds(c * c * (max(qq, d * d) - 1))) // 2 * n // width
+                cap = spare // 2 * n // width
                 e_lo = max(1, 2 * c * m * (qq - 1) // (q * cap)) if cap > 0 else 1
                 pairs = ((e, d * d * e) for e in range(e_lo, budget // (d * d) + 1))
             for e, t in pairs:

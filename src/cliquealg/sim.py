@@ -207,7 +207,7 @@ class CliqueWorld:
         self.ledger = CostLedger()
         self._name_counter = 0
         self._member_masks: dict[tuple, np.ndarray] = {}
-        self.plans: dict = {}
+        self._plans: dict = {}
 
     def all_nodes(self) -> tuple[int, ...]:
         return tuple(range(1, self.n + 1))
@@ -219,9 +219,9 @@ class CliqueWorld:
     def plan(self, key, make: Callable[[], object]):
         """The plan stored under `key`, made by `make()` on first use.  Plans
         depend on a shape only, so a driver sizes each shape once per world."""
-        if key not in self.plans:
-            self.plans[key] = make()
-        return self.plans[key]
+        if key not in self._plans:
+            self._plans[key] = make()
+        return self._plans[key]
 
     def node_rng(self, phase: str, node: int) -> random.Random:
         digest = hashlib.sha256(f"{self.seed}|{phase}|{node}".encode()).digest()
@@ -296,6 +296,7 @@ class CliqueWorld:
             raise RoutingViolation(
                 f"phase {phase}: duplicate delivery key "
                 f"{list(key_ids)[again // (self.n + 1)]!r} at node {again % (self.n + 1)}")
+        del taken  # its Python ints would otherwise live on beside the delivered copies
         units *= dst != src  # self-addressed rows stay local and are free
         sent = np.bincount(src, weights=units, minlength=self.n + 1)
         recv = np.bincount(dst, weights=units, minlength=self.n + 1)

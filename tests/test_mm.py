@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from cliquealg import mm, oracles
+from cliquealg import mm, oracles, planner
 from cliquealg.sim import CliqueWorld
 
 
@@ -144,7 +144,7 @@ def test_per_step_counts_within_factor_four():
         assert load_upper <= 4 * max(reference, n), (step, load_upper, reference)
 
 
-# (n, m, k) per route of mm_multi, all with n <= 32
+# (n, m, k) per shape regime of mm_multi's seed plan, all with n <= 32
 ROUTE_SHAPES = {
     "medium": [(8, 8, 1), (16, 16, 1), (32, 32, 1), (13, 9, 3), (16, 16, 4),
                (32, 20, 2), (27, 27, 1), (7, 7, 1),
@@ -243,6 +243,32 @@ def test_route_chosen_by_rounds(n, m, k, seed_rounds, rounds, route):
     assert route in {path.split("/")[-1] for path, _ in world.ledger.leaves()}
     # entries below 101: int64 holds every inner sum exactly
     assert np.array_equal(res[0], a_mats[0] @ b_mats[0] % 101)
+
+
+def test_plans_made_once_per_world(monkeypatch):
+    made = []
+    seed_plan = mm._seed_plan
+    monkeypatch.setattr(mm, "_seed_plan", lambda *shape: made.append(shape) or seed_plan(*shape))
+    for _ in range(2):
+        world = CliqueWorld(16, seed=0)
+        sub = world.all_nodes()
+        a = mm.scatter_matrix(world, sub, np.eye(16, dtype=np.int64), 101)
+        for _ in range(3):
+            mm.mm_multi(world, sub, [a, a], [a, a])
+    # each world sizes its shape once; a fresh world sizes it again
+    assert made == [(16, 16, 2, "trivial")] * 2
+
+
+def test_no_crossing_next_to_the_threshold():
+    # from n = 2^14 the balancing equation finds no crossing for m = n^2/k - 1;
+    # the column-block route is then the seed
+    for n, k in ((2 ** 14, 1), (2 ** 14, 3), (2 ** 18, 16)):
+        m = n * n // k - 1
+        with pytest.raises(planner.RegimeError):
+            planner.solve_maincond(math.log(k) / math.log(n), math.log(m) / math.log(n),
+                                   planner.OmegaCurve.trivial())
+        assert mm._seed_plan(n, m, k, "trivial") is None
+        assert 0 < mm.predict_rounds(n, m, k) <= mm._rounds(mm._block_loads(n, m, k).values(), n)
 
 
 def test_phase_loads_match_router(monkeypatch):
