@@ -296,12 +296,13 @@ class CliqueWorld:
             raise RoutingViolation(
                 f"phase {phase}: duplicate delivery key "
                 f"{list(key_ids)[again // (self.n + 1)]!r} at node {again % (self.n + 1)}")
-        del taken  # its Python ints would otherwise live on beside the delivered copies
         units *= dst != src  # self-addressed rows stay local and are free
         sent = np.bincount(src, weights=units, minlength=self.n + 1)
         recv = np.bincount(dst, weights=units, minlength=self.n + 1)
         rounds = self.route_rounds(width * int(max(sent.max(), recv.max())), n_act)
         total = width * int(units.sum())
+        # the per-row bookkeeping would otherwise live on beside the delivered copies
+        del taken, src, key_id, units, dst, sent, recv
         stores = self.stores
         for to, key, payload, blk, size in zip(dsts, keys, payloads, blocks, row_size):
             if size == 0:
