@@ -218,7 +218,7 @@ class CliqueWorld:
 
     def plan(self, key, make: Callable[[], object]):
         """The plan stored under `key`, made by `make()` on first use.  Plans
-        depend on a shape only, so a driver sizes each shape once per world."""
+        depend on a shape only, so each shape is sized once per world."""
         if key not in self._plans:
             self._plans[key] = make()
         return self._plans[key]

@@ -1,4 +1,4 @@
-"""Smoke runs of the benchmark driver in its traced mode.
+"""Smoke runs of `perfbench/run.py` in its traced mode.
 
 A traced run exits 1 when a layer its workload requires recorded no calls
 (for example when plans stop being made inside a traced pass) or when the
