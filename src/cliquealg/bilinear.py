@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import matmul_mod
-
 
 @dataclass(frozen=True)
 class BilinearAlgorithm:
@@ -152,42 +150,3 @@ def algorithm_for(family: str, d: int, e: int) -> BilinearAlgorithm:
             raise ValueError("strassen powers exist only for d = e a power of two")
         return alg
     raise ValueError(f"unknown kernel family {family!r}")
-
-
-def apply_algorithm(alg: BilinearAlgorithm, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate the coefficient identity directly on scalar matrices (for checks)."""
-    if a.shape != (alg.d, alg.e) or b.shape != (alg.e, alg.d):
-        raise ValueError("shape mismatch with the algorithm dimensions")
-    alpha = alg.alpha % p
-    beta = alg.beta % p
-    lam = alg.lam % p
-    s = np.einsum("mij,ij->m", alpha, a % p) % p
-    t = np.einsum("mij,ji->m", beta, b % p) % p
-    prods = s * t % p
-    return np.einsum("mij,m->ij", lam, prods) % p
-
-
-def verify_identity(alg: BilinearAlgorithm, p: int = 101, trials: int = 50) -> bool:
-    """Check the identity on all basis pairs when d*e <= 16, else on `trials`
-    seeded random pairs."""
-    if alg.d * alg.e <= 16:
-        for a_pos in range(alg.d * alg.e):
-            for b_pos in range(alg.e * alg.d):
-                a = np.zeros((alg.d, alg.e), dtype=np.int64)
-                b = np.zeros((alg.e, alg.d), dtype=np.int64)
-                a[a_pos // alg.e, a_pos % alg.e] = 1
-                b[b_pos // alg.d, b_pos % alg.d] = 1
-                if not np.array_equal(apply_algorithm(alg, a, b, p),
-                                      matmul_mod(a, b, p)):
-                    return False
-        return True
-    import random as _random
-    rng = _random.Random(0)
-    for _ in range(trials):
-        a = np.array([[rng.randrange(p) for _ in range(alg.e)] for _ in range(alg.d)],
-                     dtype=np.int64)
-        b = np.array([[rng.randrange(p) for _ in range(alg.d)] for _ in range(alg.e)],
-                     dtype=np.int64)
-        if not np.array_equal(apply_algorithm(alg, a, b, p), matmul_mod(a, b, p)):
-            return False
-    return True

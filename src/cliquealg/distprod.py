@@ -1,11 +1,13 @@
 """Distributed min-plus (distance) products, by two interchangeable strategies.
 
-DFT batching: entries with absolute value at most M are encoded as the powers
-(m+1)^(M - value), those integers as bit-polynomials of N bits, and each of
-the 2N transform coordinates becomes one ordinary matrix product over a prime
-field with p = 1 (mod 2N) and p > m*N, so the whole distance product reduces
-to one batched multi-product call; the answer is decoded entrywise from the
-exact integer reconstruction.
+DFT batching: an entry a with |a| <= M becomes the monomial x^(M - a) and
+infinity becomes 0, so entry (i, j) of the product of the encodings is the
+exponent polynomial sum_k x^(2M - A_ik - B_kj), of degree at most 4M with
+coefficients counting summands, at most m.  One transform of length 4M + 2
+over a prime field with p = 1 (mod 4M + 2) and p > m recovers it exactly; each
+transform coordinate is one ordinary matrix product, so the whole distance
+product reduces to one batched multi-product call of 4M + 2 products, and the
+answer is 2M minus the highest degree with a nonzero coefficient.
 
 Semiring blocking: the schoolbook kernel contains no subtractions, so the
 four-step multi-product pattern runs directly over (min, +); wide entries are
@@ -22,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ff import dft_matrix, least_prime_congruent, primitive_root_of_unity
+from .ff import dft_matrix, least_prime_congruent, matmul_mod, primitive_root_of_unity
 from .mm import (DMat, MediumPlan, RowColMatrix, choose_plan, four_step, make_medium_plan,
                  mm_multi, predict_rounds)
 from .minplus import INF, INF_THRESHOLD, clamp, entry_bits
@@ -60,55 +62,11 @@ def gather_minplus(world: CliqueWorld, dm: MinPlusMatrix) -> np.ndarray:
 
 # ------------------------------------------------------------- DFT strategy
 
-@dataclass(frozen=True)
-class DftBatchPlan:
-    m: int              # inner dimension (number of summands)
-    bound: int          # declared entry bound M
-    n_bits: int         # N: bits per encoded integer
-    p: int              # prime with p = 1 (mod 2N), p > m*N
-    omega: int          # 2N-th primitive root of unity mod p
-
-    @property
-    def batch(self) -> int:
-        return 2 * self.n_bits
-
-
-def make_dft_plan(m: int, bound: int) -> DftBatchPlan:
-    n_bits = max(1, ((m + 1) ** (2 * bound) + 1).bit_length() - 1)
-    if 2 ** n_bits < (m + 1) ** (2 * bound) + 1:
-        n_bits += 1
-    p = least_prime_congruent(n_bits, max(2, m * n_bits + 1))
-    omega = primitive_root_of_unity(p, 2 * n_bits)
-    return DftBatchPlan(m, bound, n_bits, p, omega)
-
-
-def _encode_table(plan: DftBatchPlan) -> np.ndarray:
-    """(2M+1) x 2N bit table: row e holds the bits of (m+1)^e."""
-    rows = []
-    for e in range(2 * plan.bound + 1):
-        value = (plan.m + 1) ** e
-        rows.append([(value >> i) & 1 for i in range(2 * plan.n_bits)])
-    return np.array(rows, dtype=np.int64)
-
-
-def _transform_entries(values: np.ndarray, plan: DftBatchPlan, table: np.ndarray,
-                       w_mat: np.ndarray) -> np.ndarray:
-    """Min-plus entries -> (len, 2N) field coordinates of the encodings."""
-    enc = np.zeros((values.size, 2 * plan.n_bits), dtype=np.int64)
-    finite = values < INF_THRESHOLD
-    if finite.any():
-        if int(np.abs(values[finite]).max()) > plan.bound:
-            raise ValueError(
-                f"entry exceeds the declared bound {plan.bound}; encoding undefined")
-        exps = plan.bound - values[finite]
-        enc[finite] = table[exps]
-    return enc @ w_mat % plan.p  # bits are 0/1, no overflow concern
-
-
 def dist_prod_dft(world: CliqueWorld, subset: Sequence[int], a: MinPlusMatrix,
                   b: MinPlusMatrix, bound: Optional[int] = None,
                   kernel: str = "trivial", phase: Optional[str] = None) -> MinPlusMatrix:
-    """Exact distance product via DFT batching; needs m <= n and M <= n."""
+    """Exact distance product via one transform of the exponent polynomial;
+    needs m <= n and M <= n."""
     subset = tuple(subset)
     n = len(subset)
     m = a.cols
@@ -117,46 +75,52 @@ def dist_prod_dft(world: CliqueWorld, subset: Sequence[int], a: MinPlusMatrix,
         raise StrategyUnsupportedError("DFT strategy requires m <= n")
     if bound > n:
         raise StrategyUnsupportedError("DFT strategy requires M <= n")
-    plan = make_dft_plan(m, bound)
+    # degree <= 4M and coefficients <= m < p, so length 4M + 2 recovers it
+    length = 4 * bound + 2
+    p = least_prime_congruent(2 * bound + 1, m + 1)
+    omega = primitive_root_of_unity(p, length)
+    w_mat = dft_matrix(omega, length, p)  # row e: the coordinates of x^e
+    w_inv = dft_matrix(pow(omega, -1, p), length, p) * pow(length, -1, p) % p
     phase = phase or world.fresh_name("distdft")
-    table = _encode_table(plan)
-    w_mat = dft_matrix(plan.omega, plan.batch, plan.p)
-    w_inv = dft_matrix(pow(plan.omega, -1, plan.p), plan.batch, plan.p)
-    scale = pow(plan.batch % plan.p, -1, plan.p)
+
+    def transform(values: np.ndarray) -> np.ndarray:
+        """Min-plus entries -> (len, L) coordinates of x^(M - value), 0 for infinity."""
+        coords = np.zeros((values.size, length), dtype=np.int64)
+        finite = values < INF_THRESHOLD
+        if finite.any():
+            if int(np.abs(values[finite]).max()) > bound:
+                raise ValueError(f"entry exceeds the declared bound {bound}; encoding undefined")
+            coords[finite] = w_mat[bound - values[finite]]
+        return coords
+
     with world.ledger.group(phase):
-        a_parts = [DMat(world.fresh_name("Fa"), n, m, plan.p, subset, has_cols=False)
-                   for _ in range(plan.batch)]
-        b_parts = [DMat(world.fresh_name("Fb"), m, n, plan.p, subset, has_rows=False)
-                   for _ in range(plan.batch)]
+        a_parts = [DMat(world.fresh_name("Fa"), n, m, p, subset, has_cols=False)
+                   for _ in range(length)]
+        b_parts = [DMat(world.fresh_name("Fb"), m, n, p, subset, has_rows=False)
+                   for _ in range(length)]
 
         def encode(view):
             pos = view.pos
-            row = view.get(a.row_key(pos))
-            coords = _transform_entries(np.asarray(row), plan, table, w_mat)
-            for s0 in range(plan.batch):
+            coords = transform(np.asarray(view.get(a.row_key(pos))))
+            for s0 in range(length):
                 view.put(a_parts[s0].row_key(pos), coords[:, s0].copy())
-            col = view.get(b.col_key(pos))
-            coords_b = _transform_entries(np.asarray(col), plan, table, w_mat)
-            for s0 in range(plan.batch):
+            coords_b = transform(np.asarray(view.get(b.col_key(pos))))
+            for s0 in range(length):
                 view.put(b_parts[s0].col_key(pos), coords_b[:, s0].copy())
 
         world.run_local(subset, "encode", encode)
         prods = mm_multi(world, subset, a_parts, b_parts, kernel, phase="batch")
         out = MinPlusMatrix(world.fresh_name("MP"), n, n, 2 * bound, subset)
-        # exact Python ints: the powers of two of the bit-polynomial and the
-        # powers of the base that bracket a decoded value
-        bit_weights = np.array([1 << i for i in range(plan.batch)], dtype=object)
-        log_table = np.array([(plan.m + 1) ** e for e in range(4 * bound + 2)], dtype=object)
 
         def decode_vector(stack: np.ndarray) -> np.ndarray:
-            # stack: (batch, n) transform coordinates of each entry
-            coeffs = (w_inv @ (stack % plan.p)) % plan.p * scale % plan.p
-            assert int(coeffs.max(initial=0)) <= plan.m * plan.n_bits, \
+            # stack: (L, n) transform coordinates; coefficient d of an entry
+            # counts the k with A_ik + B_kj = 2M - d
+            coeffs = matmul_mod(w_inv, stack, p)
+            assert int(coeffs.max(initial=0)) <= m, \
                 "convolution coefficient exceeded the exactness bound"
-            values = coeffs.T.astype(object) @ bit_weights
-            # floor(log_base(value)) by binary search, no floating point
-            exps = np.searchsorted(log_table, values, side="right") - 1
-            return np.where(values == 0, INF, 2 * bound - exps).astype(np.int64)
+            nonzero = coeffs != 0
+            top = length - 1 - np.argmax(nonzero[::-1], axis=0)
+            return np.where(nonzero.any(axis=0), 2 * bound - top, INF).astype(np.int64)
 
         def decode(view):
             pos = view.pos
@@ -227,8 +191,9 @@ def dist_prod_semiring(world: CliqueWorld, subset: Sequence[int], a: MinPlusMatr
 # ------------------------------------------------------------- cost model
 
 def predict_dft_rounds(n: int, m: int, bound: int, kernel: str = "trivial") -> int:
-    """Shape-only round prediction for the DFT strategy: its one batched call."""
-    return predict_rounds(n, m, make_dft_plan(m, bound).batch, kernel)
+    """Shape-only round prediction for the DFT strategy: its one batched call
+    of 4M + 2 products."""
+    return predict_rounds(n, m, 4 * bound + 2, kernel)
 
 
 def predict_semiring_rounds(n: int, m: int, bound: int) -> int:

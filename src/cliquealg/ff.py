@@ -241,12 +241,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __call__(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -262,35 +256,6 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash((self.coeffs, self.p))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial([], self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % self.p
-        return Polynomial(out, self.p)
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        rem = list(self.coeffs)
-        d = other.degree
-        lead_inv = pow(other.coeffs[-1], -1, p)
-        quot = [0] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            factor = rem[i] * lead_inv % p
-            if factor:
-                quot[i - d] = factor
-                for j, c in enumerate(other.coeffs):
-                    rem[i - d + j] = (rem[i - d + j] - factor * c) % p
-        return Polynomial(quot, p), Polynomial(rem, p)
-
-    def divides(self, other: "Polynomial") -> bool:
-        _, rem = other.divmod(self)
-        return rem.is_zero()
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)} mod {self.p})"

@@ -104,44 +104,48 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
                        tag: str = "minpol", kernel: str = "trivial") -> Polynomial:
     """Generating polynomial of w A^i v for random v, w; equals minpol(A) whp.
 
-    The polynomial ends up at the node in position 0 (and is returned).
+    Every minimal polynomial has degree >= 1, so a degree-0 generator (an
+    all-zero sequence) redraws v and w; InconclusiveError once the retries
+    are spent.  The polynomial ends up at the node in position 0 (and is
+    returned).
     """
     subset = tuple(subset)
     n = len(subset)
     p = a.p
     _check_field_size(p, n, "minpol")
+    length = _next_pow2(2 * n)
+    poly_box: dict[str, Polynomial] = {}
+
+    def split(view):
+        vw = view.get("mp_vw_all")
+        view.put("mp_v", vw[:n].copy())
+        view.put("mp_w", vw[n:].copy())
+
+    def recover(view):
+        if view.node != subset[0]:
+            return
+        seq = np.stack(view.pop_many(("mp_term", node) for node in subset)).T.ravel()
+        poly = generating_polynomial(seq, p)
+        view.put("mp_poly", poly)
+        poly_box["poly"] = poly
+
     with world.ledger.group(world.fresh_name("minpol")):
+        for attempt in range(RETRIES):
+            suffix = f"-{attempt}" if attempt else ""
+            share_random(world, subset, "draw", f"share-probe{suffix}", f"{tag}-probe{suffix}",
+                         "mp_vw_all", lambda rng: [rng.randrange(p) for _ in range(2 * n)])
+            world.run_local(subset, "split", split)
+            wide = krylov_sequence(world, subset, a, "mp_v", length, kernel)
 
-        share_random(world, subset, "draw", "share-probe", f"{tag}-probe", "mp_vw_all",
-                     lambda rng: [rng.randrange(p) for _ in range(2 * n)])
+            def project(view):  # terms j0 = pos and pos + n
+                cols = np.stack([view.get(wide.col_key(j0)) for j0 in (view.pos, view.pos + n)])
+                yield subset[0], ("mp_term", view.node), matmul_mod(cols, view.get("mp_w"), p)
 
-        def split(view):
-            vw = view.get("mp_vw_all")
-            view.put("mp_v", vw[:n].copy())
-            view.put("mp_w", vw[n:].copy())
-
-        world.run_local(subset, "split", split)
-        length = _next_pow2(2 * n)
-        wide = krylov_sequence(world, subset, a, "mp_v", length, kernel)
-
-        def project(view):  # terms j0 = pos and pos + n
-            cols = np.stack([view.get(wide.col_key(j0)) for j0 in (view.pos, view.pos + n)])
-            yield subset[0], ("mp_term", view.node), matmul_mod(cols, view.get("mp_w"), p)
-
-        world.route(subset, "project", project)
-
-        poly_box: dict[str, Polynomial] = {}
-
-        def recover(view):
-            if view.node != subset[0]:
-                return
-            seq = np.stack(view.pop_many(("mp_term", node) for node in subset)).T.ravel()
-            poly = generating_polynomial(seq, p)
-            view.put("mp_poly", poly)
-            poly_box["poly"] = poly
-
-        world.run_local(subset, "recover", recover)
-    return poly_box["poly"]
+            world.route(subset, f"project{suffix}", project)
+            world.run_local(subset, "recover", recover)
+            if poly_box["poly"].degree >= 1:
+                return poly_box["poly"]
+    raise InconclusiveError(f"minpol: every probe sequence was zero in {RETRIES} attempts")
 
 
 def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
@@ -306,7 +310,7 @@ def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
     less than the degree of the minimal polynomial of the preconditioned matrix.
 
     Raises InconclusiveError when no attempt gives a degree in 1..n, and lets
-    det_rand's propagate."""
+    det_rand's and minpol_monte_carlo's propagate."""
     subset = tuple(subset)
     n = len(subset)
     p = a.p

@@ -122,13 +122,14 @@ def test_run_distprod_strategies(capsys):
 
 
 def test_run_distprod_uses_the_kernel(capsys):
-    argv = ["run", "distprod", "--gen", "minplus:n=16,m=16,M=3", "--strategy", "dft"]
+    argv = ["run", "distprod", "--gen", "minplus:n=64,m=64,M=3", "--strategy", "dft"]
     assert run_cli(argv + ["--kernel", "strassen"]) == 0
     out = capsys.readouterr().out
-    assert distprod.predict_dft_rounds(16, 16, 3, "strassen") == 428
-    assert "verdict: pass" in out and "\nrounds: 428\n" in out
+    assert distprod.predict_dft_rounds(64, 64, 3, "strassen") == 316
+    assert "verdict: pass" in out and "\nrounds: 316\n" in out
     assert run_cli(argv) == 0
-    assert "\nrounds: 422\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "verdict: pass" in out and "\nrounds: 248\n" in out
 
 
 def test_strategy_refused_outside_distprod(capsys):

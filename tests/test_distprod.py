@@ -3,17 +3,19 @@ import random
 import numpy as np
 import pytest
 
-from cliquealg import distprod, oracles
+from cliquealg import distprod, mm, oracles
 from cliquealg.minplus import (INF, entry_bits, read_pair_file, write_pair_file)
 from cliquealg.sim import CliqueWorld
 
 
-def rand_minplus(rng, rows, cols, bound, density=0.8):
+def rand_minplus(rng, rows, cols, bound, density=0.8, values=None):
+    """Finite entries uniform in [-bound, bound], or drawn from `values`."""
     out = np.full((rows, cols), INF, dtype=np.int64)
     for i in range(rows):
         for j in range(cols):
             if rng.random() < density:
-                out[i, j] = rng.randrange(-bound, bound + 1)
+                out[i, j] = (rng.randrange(-bound, bound + 1) if values is None
+                             else rng.choice(values))
     return out
 
 
@@ -60,12 +62,16 @@ def test_zero_bound_boolean_product():
     assert set(np.unique(got)) <= {0, INF}
 
 
-@pytest.mark.parametrize("n,m,bound", [(8, 8, 3), (8, 5, 2), (6, 6, 5), (8, 8, 1)])
+@pytest.mark.parametrize("n,m,bound", [
+    (8, 8, 3), (8, 5, 2), (6, 6, 5), (8, 8, 1),
+    (8, 8, 0), (8, 1, 2), (1, 1, 0), (1, 1, 1), (6, 6, 6),
+])
 def test_strategies_agree_with_oracle(n, m, bound):
-    for seed in range(6):
+    for seed in range(12):  # seeds from 6 on draw only the extreme entries -M, M, inf
         rng = random.Random(seed * 37 + n)
-        a_mat = rand_minplus(rng, n, m, bound)
-        b_mat = rand_minplus(rng, m, n, bound)
+        values = None if seed < 6 else (-bound, bound)
+        a_mat = rand_minplus(rng, n, m, bound, values=values)
+        b_mat = rand_minplus(rng, m, n, bound, values=values)
         want = oracles.minplus_product(a_mat, b_mat)
         world = CliqueWorld(n, seed=seed)
         sub, a, b = scatter_pair(world, a_mat, b_mat, bound)
@@ -125,6 +131,7 @@ def test_predictions_equal_ledgers(n, m, bound):
         sub, a, b = scatter_pair(world, a_mat, b_mat, bound)
         distprod.dist_prod_dft(world, sub, a, b)
         assert distprod.predict_dft_rounds(n, m, bound) == world.ledger.total_rounds
+        assert distprod.predict_dft_rounds(n, m, bound) == mm.predict_rounds(n, m, 4 * bound + 2)
 
 
 def test_monotone_in_entries():

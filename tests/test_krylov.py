@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cliquealg import detinv, krylov, mm, oracles
+from cliquealg import cli, detinv, krylov, mm, oracles
 from cliquealg.ff import Polynomial, next_prime_at_least
 from cliquealg.sim import CliqueWorld
+from polytools import divides, poly_mul
 
 warnings.filterwarnings("ignore", message=".*field size.*")
 
@@ -98,7 +99,7 @@ def test_minpol_distinct_diagonal():
     poly = krylov.minpol_monte_carlo(world, sub, dm)
     want = Polynomial([1], p)
     for d in (1, 2, 5, 9):
-        want = want * Polynomial([-d, 1], p)
+        want = poly_mul(want, Polynomial([-d, 1], p))
     assert poly == want
 
 
@@ -115,6 +116,28 @@ def test_minpol_matches_oracle_overwhelmingly():
     assert hits >= 38
 
 
+@pytest.mark.parametrize("seed", [44, 57])
+def test_minpol_redraws_a_zero_probe(seed, capsys):
+    # at these seeds the first probe of the 1 x 1 instance projects to an
+    # all-zero sequence, whose generator 1 is no minimal polynomial
+    argv = ["run", "minpol", "--gen", "matrix:n=1", "--field-prime", "101",
+            "--seed", str(seed)]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "verdict: pass" in out and "/project-1 " in out
+
+
+def test_minpol_inconclusive_once_every_probe_is_zero(monkeypatch):
+    p = prime_for(4)
+    world, sub, dm = world_with(np.eye(4, dtype=np.int64), p)
+    monkeypatch.setattr(krylov, "generating_polynomial", lambda seq, q: Polynomial([1], q))
+    with pytest.raises(krylov.InconclusiveError):
+        krylov.minpol_monte_carlo(world, sub, dm)
+    projects = [path for path, _ in world.ledger.leaves()
+                if path.split("/")[-1].startswith("project")]
+    assert len(projects) == krylov.RETRIES
+
+
 def test_minpol_divides_charpol():
     n = 8
     p = prime_for(n)
@@ -126,7 +149,7 @@ def test_minpol_divides_charpol():
         state = detinv.char_poly(world, sub, dm)
         charp = Polynomial(
             [int(state.coeffs[n - 1 - j]) for j in range(n)] + [1], p)
-        assert minp.divides(charp)
+        assert divides(minp, charp)
 
 
 # ------------------------------------------------------------------- det
@@ -251,11 +274,11 @@ def test_rank_matches_oracle_various():
 
 
 def test_rank_rand_raises_when_no_estimate_is_in_range():
-    # a rank-2 matrix over GF(5) whose attempts all miss; clamping the last
-    # estimate gave 4
-    rng = np.random.default_rng(82)
+    # a rank-2 matrix over GF(5) whose determinant attempts are all
+    # inconclusive, so no rank estimate exists; clamping one once gave 4
+    rng = np.random.default_rng(139)
     mat = rng.integers(0, 5, (4, 2)) @ rng.integers(0, 5, (2, 4)) % 5
-    world, sub, dm = world_with(mat, 5, seed=82)
+    world, sub, dm = world_with(mat, 5, seed=139)
     with pytest.raises(krylov.InconclusiveError):
         krylov.rank_rand(world, sub, dm)
 

@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["four-step", "detinv"])
+@pytest.mark.parametrize("workload", ["four-step", "blocks", "krylov-mc", "detinv"])
 def test_traced_benchmark_run(workload):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
