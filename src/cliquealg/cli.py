@@ -87,7 +87,7 @@ def _number(raw, what: str, low, parse=int):
 
 def _rand_matrix(rng: random.Random, rows: int, cols: int, p: int) -> np.ndarray:
     return np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
-                    dtype=np.int64)
+                    dtype=np.int64).reshape(rows, cols)  # also when rows == 0
 
 
 def _rand_invertible(rng: random.Random, n: int, p: int) -> np.ndarray:

@@ -416,7 +416,11 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
         return v_dm
 
     sub_r = subset[:rank]
+    tail = n - rank
     n11 = DMat(world.fresh_name("N11"), rank, rank, p, sub_r)
+    # column j0 of N12 is column j0 mod rank of chunk j0 // rank, zero-padded
+    n12 = [DMat(world.fresh_name("N12"), rank, rank, p, sub_r, has_rows=False)
+           for _ in range(math.ceil(tail / rank))]
 
     def slice_n11(view):
         pos = view.pos
@@ -424,6 +428,8 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
             return
         view.put(n11.row_key(pos), view.get(nmat.row_key(pos))[:rank])
         view.put(n11.col_key(pos), view.get(nmat.col_key(pos))[:rank])
+        for chunk in n12:
+            view.put(chunk.col_key(pos), np.zeros(rank, dtype=np.int64))
 
     world.run_local(subset, "slice", slice_n11)
     try:
@@ -431,35 +437,15 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
     except detinv.SingularMatrixError:
         return None
 
-    tail = n - rank
-
     def send_n12(view):
         pos = view.pos
         if pos < rank:
             return
-        j0 = pos - rank
-        col = view.get(nmat.col_key(pos))[:rank]
-        yield sub_r[j0 % rank], ("ge_n12", j0), col
+        g, j0 = divmod(pos - rank, rank)
+        yield sub_r[j0], n12[g].col_key(j0), view.get(nmat.col_key(pos))[:rank]
 
     world.route(subset, "moveN12", send_n12)
-
-    chunks = math.ceil(tail / rank)
-    rhs_list = []
-    for g in range(chunks):
-        rhs = DMat(world.fresh_name("N12"), rank, rank, p, sub_r, has_rows=False)
-
-        def stage(view, g=g, rhs=rhs):
-            pos = view.pos
-            j0 = g * rank + pos
-            col = view.get(("ge_n12", j0)) if j0 < tail else None
-            if col is None:
-                col = np.zeros(rank, dtype=np.int64)
-            view.put(rhs.col_key(pos), col)
-
-        world.run_local(sub_r, f"stageN12-{g}", stage)
-        rhs_list.append(rhs)
-    x_chunks = mm_multi(world, sub_r, [inv11] * chunks, rhs_list, kernel,
-                        phase="solve-tail")
+    x_chunks = mm_multi(world, sub_r, [inv11] * len(n12), n12, kernel, phase="solve-tail")
 
     # columns of [[ -X ], [ I ]] routed to their final owners, padded to n
     y_mat = DMat(world.fresh_name("Y"), n, n, p, subset, has_rows=False)

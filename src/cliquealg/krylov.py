@@ -4,6 +4,8 @@ linear-system solving, and rank.
 All four are Monte Carlo.  The probe sequence w A^i v is built by doubling a
 column band (band i holds A^0 u .. A^(2^i - 1) u) and squaring the power of A
 alongside, so 2*log2(L) - 1 batched product calls generate L Krylov columns.
+The L columns are held as a list of n x n column-held chunks, column j being
+column j mod n of chunk j // n, so one `mm_multi` call multiplies a whole band.
 The sequence length is 2n: recovering a linear recurrence of degree up to n
 needs 2n terms.
 
@@ -20,11 +22,11 @@ import numpy as np
 
 from .collective import allgather_scalars, broadcast_scalar, share_random
 from .ff import Polynomial, generating_polynomial, matmul_mod, warn_small_field
-from .mm import DMat, WideMat, mm_multi, mm_square_times_wide
+from .mm import DMat, mm_multi
 from .sim import CliqueWorld
 
-# Attempts, each with fresh randomness, that det_rand, solve and rank_rand
-# make before they give up.
+# Attempts, each with fresh randomness, that minpol_monte_carlo, det_rand and
+# solve make before they give up.
 RETRIES = 3
 
 
@@ -51,11 +53,16 @@ def _next_pow2(x: int) -> int:
 
 def krylov_sequence(world: CliqueWorld, subset: Sequence[int], a: DMat,
                     u_key, length: int, kernel: str = "trivial",
-                    phase: Optional[str] = None) -> WideMat:
-    """Column j of the result is A^j u, for j < length (a power of two).
+                    phase: Optional[str] = None) -> list[DMat]:
+    """Column j of the n x length matrix [u, Au, ..., A^(length-1) u] for a
+    power of two `length`, as n x n column-held chunks: column j is column
+    j mod n of chunk j // n, at the node in position j mod n.
 
-    Every node must hold the full start vector under u_key.  Column j lives
-    at the node in position j mod n.
+    Every node must hold the full start vector under u_key.  Step i multiplies
+    the chunks the band of 2^i columns occupies by A^(2^i) in one `mm_multi`
+    call.  Once n divides the band, the products are the next chunks as they
+    stand; before that, their columns are routed into chunks zero-filled by
+    the seed step.
     """
     subset = tuple(subset)
     n = len(subset)
@@ -63,41 +70,42 @@ def krylov_sequence(world: CliqueWorld, subset: Sequence[int], a: DMat,
     if length & (length - 1):
         raise ValueError("sequence length must be a power of two")
     phase = phase or world.fresh_name("krylov")
-    wide = WideMat(world.fresh_name("K"), n, length, p, subset)
+    # a band below n fits in chunk 0, and once n divides a band it is whole chunks
+    filled = 1 if length % n == 0 else -(-length // n)
+    chunks = [DMat(world.fresh_name("K"), n, n, p, subset, has_rows=False)
+              for _ in range(filled)]
     with world.ledger.group(phase):
 
         def init(view):
-            if view.node == subset[0]:
-                vec = np.asarray(view.get(u_key), dtype=np.int64) % p
-                view.put(wide.col_key(0), vec)
+            for chunk in chunks:
+                view.put(chunk.col_key(view.pos), np.zeros(n, dtype=np.int64))
+            if view.pos == 0:
+                view.put(chunks[0].col_key(0), np.asarray(view.get(u_key), dtype=np.int64) % p)
 
         world.run_local(subset, "seed", init)
         apow = a
         band = 1
         steps = int(math.log2(length))
         for i in range(steps):
-            band_view = WideMat(wide.name, n, band, p, subset)
-            prod = mm_square_times_wide(world, subset, apow, band_view, kernel,
-                                        phase=f"apply{i}")
-            _place_band(world, subset, wide, prod, offset=band)
+            used = -(-band // n)
+            prods = mm_multi(world, subset, [apow] * used, chunks[:used], kernel,
+                             phase=f"apply{i}")
+            if band % n == 0:
+                chunks[used:2 * used] = prods
+            else:
+
+                def shift(view):  # product column j0 is sequence column band + j0
+                    for j0 in range(view.pos, band, n):
+                        j1 = band + j0
+                        yield (subset[j1 % n], chunks[j1 // n].col_key(j1 % n),
+                               view.pop(prods[j0 // n].col_key(view.pos)))
+
+                world.route(subset, "place", shift)
             band *= 2
             if i != steps - 1:
                 apow = mm_multi(world, subset, [apow], [apow], kernel,
                                 phase=f"square{i}")[0]
-    return wide
-
-
-def _place_band(world: CliqueWorld, subset: tuple[int, ...], wide: WideMat,
-                prod: WideMat, offset: int) -> None:
-    n = len(subset)
-
-    def shift(view):  # when n divides offset every column stays put, for free
-        pos = view.pos
-        for j0 in range(pos, prod.cols, n):
-            dst = subset[(offset + j0) % n]
-            yield dst, wide.col_key(offset + j0), view.get(prod.col_key(j0))
-
-    world.route(subset, "place", shift)
+    return chunks
 
 
 def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
@@ -135,10 +143,10 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
             share_random(world, subset, "draw", f"share-probe{suffix}", f"{tag}-probe{suffix}",
                          "mp_vw_all", lambda rng: [rng.randrange(p) for _ in range(2 * n)])
             world.run_local(subset, "split", split)
-            wide = krylov_sequence(world, subset, a, "mp_v", length, kernel)
+            chunks = krylov_sequence(world, subset, a, "mp_v", length, kernel)
 
             def project(view):  # terms j0 = pos and pos + n
-                cols = np.stack([view.get(wide.col_key(j0)) for j0 in (view.pos, view.pos + n)])
+                cols = np.stack([view.get(chunk.col_key(view.pos)) for chunk in chunks[:2]])
                 yield subset[0], ("mp_term", view.node), matmul_mod(cols, view.get("mp_w"), p)
 
             world.route(subset, f"project{suffix}", project)
@@ -217,7 +225,7 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
             if poly(0) == 0:
                 continue
             length = _next_pow2(n)
-            wide = krylov_sequence(world, subset, a, "sv_b", length, kernel)
+            chunks = krylov_sequence(world, subset, a, "sv_b", length, kernel)
 
             def send_coeffs(view):  # node j0 gets (m0, coefficient j0 + 1)
                 if view.node != subset[0]:
@@ -230,9 +238,9 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
 
             world.route(subset, f"coeffs{attempt}", send_coeffs)
 
-            def scatter_terms(view):  # length >= n, so column pos is here
+            def scatter_terms(view):  # length >= n, so column pos is in chunk 0
                 m0, coef = (int(v) for v in view.pop("sv_coef"))
-                col = view.get(wide.col_key(view.pos))
+                col = view.get(chunks[0].col_key(view.pos))
                 term = (-coef * pow(m0, -1, p) % p) * col % p
                 yield nodes, ("sv_part", view.pos), term
 
@@ -276,29 +284,21 @@ def build_unit_toeplitz(world: CliqueWorld, subset: Sequence[int], uv_key,
 
     def build(view):
         pos = view.pos
-        pre = view.get(uv_key)
-        u, v = pre[:n - 1], pre[n - 1:2 * (n - 1)]
-        urow = np.zeros(n, dtype=np.int64)
-        urow[pos] = 1
-        if pos + 1 < n:
-            urow[pos + 1:] = u[:n - 1 - pos]
-        ucol = np.zeros(n, dtype=np.int64)
-        ucol[pos] = 1
-        if pos > 0:
-            # U[i, pos] = u_(pos - i + 1) for i < pos
-            ucol[:pos] = u[pos - 1::-1][:pos]
-        vcol = np.zeros(n, dtype=np.int64)
-        vcol[pos] = 1
-        if pos + 1 < n:
-            vcol[pos + 1:] = v[:n - 1 - pos]
-        vrow = np.zeros(n, dtype=np.int64)
-        vrow[pos] = 1
-        if pos > 0:
-            vrow[:pos] = v[pos - 1::-1][:pos]
-        view.put(u_dm.row_key(pos), urow % p)
-        view.put(u_dm.col_key(pos), ucol % p)
-        view.put(v_dm.row_key(pos), vrow % p)
-        view.put(v_dm.col_key(pos), vcol % p)
+        pre = np.asarray(view.get(uv_key), dtype=np.int64) % p
+
+        def upper(seq):  # row and column pos of the upper Toeplitz matrix of seq
+            row = np.zeros(n, dtype=np.int64)
+            col = np.zeros(n, dtype=np.int64)
+            row[pos:] = seq[:n - pos]
+            col[:pos + 1] = seq[pos::-1]
+            return row, col
+
+        urow, ucol = upper(np.concatenate(([1], pre[:n - 1])))
+        vcol, vrow = upper(np.concatenate(([1], pre[n - 1:2 * (n - 1)])))  # V is lower
+        view.put(u_dm.row_key(pos), urow)
+        view.put(u_dm.col_key(pos), ucol)
+        view.put(v_dm.row_key(pos), vrow)
+        view.put(v_dm.col_key(pos), vcol)
 
     world.run_local(subset, phase, build)
     return u_dm, v_dm
@@ -309,8 +309,10 @@ def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
     """Monte Carlo rank: n if the randomized determinant is nonzero, else one
     less than the degree of the minimal polynomial of the preconditioned matrix.
 
-    Raises InconclusiveError when no attempt gives a degree in 1..n, and lets
-    det_rand's and minpol_monte_carlo's propagate."""
+    The preconditioned matrix has minimal polynomial degree rank + 1 (whp),
+    and the generator minpol_monte_carlo returns has degree 1..n, so the
+    estimate is always in 0..n - 1.  InconclusiveError from det_rand or
+    minpol_monte_carlo propagates."""
     subset = tuple(subset)
     n = len(subset)
     p = a.p
@@ -318,27 +320,21 @@ def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
     if det_rand(world, subset, a, f"{tag}-det", kernel) != 0:
         return n
     with world.ledger.group(world.fresh_name("rankrand")):
-        for attempt in range(RETRIES):
-            share_random(world, subset, "draw", f"share-pre{attempt}", f"{tag}-pre-{attempt}",
-                         "rk_pre_all",  # u, v, then the diagonal
-                         lambda rng: [rng.randrange(p) for _ in range(3 * n - 2)])
-            u_dm, v_dm = build_unit_toeplitz(world, subset, "rk_pre_all", p,
-                                             phase="precondition")
-            d_dm = DMat(world.fresh_name("D"), n, n, p, subset, has_rows=False)
+        share_random(world, subset, "draw", "share-pre0", f"{tag}-pre-0",
+                     "rk_pre_all",  # u, v, then the diagonal
+                     lambda rng: [rng.randrange(p) for _ in range(3 * n - 2)])
+        u_dm, v_dm = build_unit_toeplitz(world, subset, "rk_pre_all", p, phase="precondition")
+        d_dm = DMat(world.fresh_name("D"), n, n, p, subset, has_rows=False)
 
-            def build_diag(view):
-                pos = view.pos
-                d = view.get("rk_pre_all")[2 * (n - 1):]
-                dcol = np.zeros(n, dtype=np.int64)
-                dcol[pos] = int(d[pos]) % p
-                view.put(d_dm.col_key(pos), dcol)
+        def build_diag(view):
+            pos = view.pos
+            d = view.get("rk_pre_all")[2 * (n - 1):]
+            dcol = np.zeros(n, dtype=np.int64)
+            dcol[pos] = int(d[pos]) % p
+            view.put(d_dm.col_key(pos), dcol)
 
-            world.run_local(subset, "diagonal", build_diag)
-            b1 = mm_multi(world, subset, [u_dm], [a], kernel, phase=f"ua{attempt}")[0]
-            b2 = mm_multi(world, subset, [b1], [v_dm], kernel, phase=f"uav{attempt}")[0]
-            b3 = mm_multi(world, subset, [b2], [d_dm], kernel, phase=f"uavd{attempt}")[0]
-            poly = minpol_monte_carlo(world, subset, b3, f"{tag}-mp-{attempt}", kernel)
-            r = poly.degree - 1
-            if 0 <= r < n:
-                return r
-    raise InconclusiveError(f"rank_rand: no rank estimate in range in {RETRIES} attempts")
+        world.run_local(subset, "diagonal", build_diag)
+        b1 = mm_multi(world, subset, [u_dm], [a], kernel, phase="ua0")[0]
+        b2 = mm_multi(world, subset, [b1], [v_dm], kernel, phase="uav0")[0]
+        b3 = mm_multi(world, subset, [b2], [d_dm], kernel, phase="uavd0")[0]
+        return minpol_monte_carlo(world, subset, b3, f"{tag}-mp-0", kernel).degree - 1

@@ -81,20 +81,6 @@ class DMat(RowColMatrix):
     has_cols: bool = True
 
 
-@dataclass
-class WideMat:
-    """Column-distributed n x L matrix; column j lives at logical node j mod n."""
-
-    name: str
-    rows: int
-    cols: int
-    p: int
-    subset: tuple[int, ...]
-
-    def col_key(self, j0: int) -> str:
-        return f"{self.name}:c{j0}"
-
-
 def scatter_matrix(world: CliqueWorld, subset: Sequence[int], mat: np.ndarray, p: int,
                    has_rows: bool = True, has_cols: bool = True) -> DMat:
     """Driver-side initial placement (problem inputs start distributed; free)."""
@@ -678,47 +664,6 @@ def _worker_label(plan: MediumPlan, pos: int) -> Optional[tuple[int, int, int]]:
     s0, rest = divmod(pos, plan.q * plan.q)
     u0, v0 = divmod(rest, plan.q)
     return s0, u0, v0
-
-
-def mm_square_times_wide(world: CliqueWorld, subset: Sequence[int], lhs: DMat,
-                         wide: WideMat, kernel: str = "trivial",
-                         phase: Optional[str] = None) -> WideMat:
-    """lhs (n x n) times a column-distributed n x L matrix, by n-column chunks."""
-    subset = tuple(subset)
-    n = len(subset)
-    p = lhs.p
-    L = wide.cols
-    chunks = math.ceil(L / n)
-    phase = phase or world.fresh_name("wmm")
-    rhs_list = []
-    for g in range(chunks):
-        rhs = DMat(world.fresh_name("W"), n, n, p, subset, has_rows=False)
-
-        def stage(view, g=g, rhs=rhs):
-            pos = view.pos
-            base = g * n
-            col = None
-            j0 = base + pos
-            if j0 < L:
-                col = view.get(wide.col_key(j0))
-            if col is None:
-                col = np.zeros(n, dtype=np.int64)
-            view.put(rhs.col_key(pos), col)
-
-        world.run_local(subset, f"{phase}-stage{g}", stage)
-        rhs_list.append(rhs)
-    outs = mm_multi(world, subset, [lhs] * chunks, rhs_list, kernel, phase=phase)
-    result = WideMat(world.fresh_name("WP"), n, L, p, subset)
-
-    def collect(view):
-        pos = view.pos
-        for g in range(chunks):
-            j0 = g * n + pos
-            if j0 < L:
-                view.put(result.col_key(j0), view.get(outs[g].col_key(pos)))
-
-    world.run_local(subset, f"{phase}-collect", collect)
-    return result
 
 
 # ------------------------------------------------------------- cost model

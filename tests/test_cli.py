@@ -43,6 +43,15 @@ def test_run_reports_are_reproducible(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_run_rank_of_a_rank_zero_product(n, capsys):
+    code = run_cli(["run", "rank", "--gen", f"lowrank:n={n},r=0", "--seed", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "verdict: pass" in out
+    assert "output:\n0\n" in out
+
+
 def test_run_different_seeds_differ(tmp_path, capsys):
     out_a = tmp_path / "a.report"
     out_b = tmp_path / "b.report"

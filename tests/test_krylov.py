@@ -35,9 +35,9 @@ def test_sequence_identity_matrix():
     p = prime_for(4)
     world, sub, dm = world_with(np.eye(4, dtype=np.int64), p)
     stage_vector(world, sub, "u", [3, 1, 4, 1])
-    wide = krylov.krylov_sequence(world, sub, dm, "u", 8)
+    chunks = krylov.krylov_sequence(world, sub, dm, "u", 8)
     for j0 in range(8):
-        col = world.stores[sub[j0 % 4]][wide.col_key(j0)]
+        col = world.stores[sub[j0 % 4]][chunks[j0 // 4].col_key(j0 % 4)]
         assert list(col) == [3, 1, 4, 1]
 
 
@@ -48,13 +48,13 @@ def test_sequence_shift_matrix_walks_basis():
         shift[i, i + 1] = 1
     world, sub, dm = world_with(shift, p)
     stage_vector(world, sub, "u", [0, 0, 0, 1])
-    wide = krylov.krylov_sequence(world, sub, dm, "u", 4)
+    chunks = krylov.krylov_sequence(world, sub, dm, "u", 4)
     expect = [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
     for j0 in range(4):
-        assert list(world.stores[sub[j0 % 4]][wide.col_key(j0)]) == expect[j0]
+        assert list(world.stores[sub[j0 % 4]][chunks[j0 // 4].col_key(j0 % 4)]) == expect[j0]
 
 
-@pytest.mark.parametrize("n,length", [(8, 16), (8, 32), (6, 16)])
+@pytest.mark.parametrize("n,length", [(8, 16), (8, 32), (6, 16), (1, 4), (5, 32), (12, 64)])
 def test_sequence_matches_iterated_multiplication(n, length):
     p = prime_for(n)
     rng = random.Random(n + length)
@@ -62,10 +62,10 @@ def test_sequence_matches_iterated_multiplication(n, length):
     u = np.array([rng.randrange(p) for _ in range(n)])
     world, sub, dm = world_with(mat, p)
     stage_vector(world, sub, "u", u)
-    wide = krylov.krylov_sequence(world, sub, dm, "u", length)
+    chunks = krylov.krylov_sequence(world, sub, dm, "u", length)
     vec = u % p
     for j0 in range(length):
-        col = world.stores[sub[j0 % n]][wide.col_key(j0)]
+        col = world.stores[sub[j0 % n]][chunks[j0 // n].col_key(j0 % n)]
         assert np.array_equal(col, vec), j0
         vec = oracles.mat_mult(mat, vec.reshape(-1, 1), p).ravel()
 
@@ -81,6 +81,27 @@ def test_sequence_uses_expected_product_call_count():
              if isinstance(child, GroupRecord)
              and child.name.startswith(("apply", "square"))]
     assert len(calls) == 2 * 4 - 1  # 2 log2(L) - 1 product calls
+
+
+def test_sequence_routes_only_bands_below_n():
+    p = prime_for(8)
+    world, sub, dm = world_with(np.eye(8, dtype=np.int64), p)
+    stage_vector(world, sub, "u", list(range(8)))
+    krylov.krylov_sequence(world, sub, dm, "u", 32, phase="kry")
+    from cliquealg.sim import PhaseRecord
+    steps = []  # (step, rounds) of every place phase
+    local = []
+    step = None
+    for child in world.ledger.find("kry").children:
+        if not isinstance(child, PhaseRecord):
+            step = int(child.name.removeprefix("apply").removeprefix("square"))
+        elif child.name == "place":
+            steps.append((step, child.rounds))
+        else:
+            local.append(child.name)
+    # bands 1, 2 and 4 are routed within chunk 0; bands 8 and 16 are whole chunks
+    assert steps == [(0, 2), (1, 2), (2, 2)]
+    assert local == ["seed"]
 
 
 # ----------------------------------------------------------------- minpol

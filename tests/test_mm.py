@@ -320,25 +320,6 @@ def test_shape_only_plan_builds_no_tensors():
     assert (small.alg.d, small.alg.e, small.alg.t) == (small.d, small.e, small.t)
 
 
-def test_wide_product_helper():
-    rng = random.Random(3)
-    p = 101
-    n, L = 6, 15
-    world = CliqueWorld(n, seed=0)
-    sub = world.all_nodes()
-    lhs_mat = rand_mat(rng, n, n, p)
-    lhs = mm.scatter_matrix(world, sub, lhs_mat, p)
-    wide_mat = rand_mat(rng, n, L, p)
-    wide = mm.WideMat(world.fresh_name("W"), n, L, p, sub)
-    for j0 in range(L):
-        world.stores[sub[j0 % n]][wide.col_key(j0)] = wide_mat[:, j0].copy()
-    prod = mm.mm_square_times_wide(world, sub, lhs, wide)
-    want = oracles.mat_mult(lhs_mat, wide_mat, p)
-    for j0 in range(L):
-        got = world.stores[sub[j0 % n]][prod.col_key(j0)]
-        assert np.array_equal(got, want[:, j0])
-
-
 def test_dimension_and_field_mismatch_errors():
     world = CliqueWorld(4, seed=0)
     sub = world.all_nodes()
