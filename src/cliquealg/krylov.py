@@ -70,7 +70,8 @@ def krylov_sequence(world: CliqueWorld, subset: Sequence[int], a: DMat,
     if length & (length - 1):
         raise ValueError("sequence length must be a power of two")
     phase = phase or world.fresh_name("krylov")
-    # a band below n fits in chunk 0, and once n divides a band it is whole chunks
+    # the chunks that routed steps write into: when n divides length, only chunk 0
+    # (every band below n fits in it, and every later band is whole chunks)
     filled = 1 if length % n == 0 else -(-length // n)
     chunks = [DMat(world.fresh_name("K"), n, n, p, subset, has_rows=False)
               for _ in range(filled)]
