@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, detinv, distprod, graphs, krylov, mm, oracles, planner
-from .ff import capped_prime, check_prime, matmul_mod, next_prime_at_least
+from .ff import capped_prime, check_prime, matmul_mod
 from .minplus import INF, INF_THRESHOLD, format_entry, parse_fields, read_pair_file, read_records
 from .sim import CliqueWorld
 
@@ -45,7 +45,7 @@ class UsageError(ValueError):
 def default_prime(algorithm: str, n: int) -> int:
     if algorithm in ("matching-size", "allowed-edges", "gallai-edmonds"):
         return graphs.matching_prime(n)
-    bound = 101  # the floor `_bench_once` uses too; the Krylov bound is below it for n <= 3
+    bound = 101  # the Krylov bound is below it for n <= 3
     if algorithm in ("minpol", "solve", "rank"):
         bound = max(bound, krylov.field_size_bound(n))
     return capped_prime(max(bound, n + 1), algorithm)
@@ -482,7 +482,7 @@ def _bench_once(name: str, n: int, k: int, seed: int, kernel: str) -> CliqueWorl
     rng = random.Random(seed)
     world = CliqueWorld(n, seed=seed)
     sub = world.all_nodes()
-    p = next_prime_at_least(max(101, krylov.field_size_bound(n)))
+    p = default_prime("minpol", n)
     if name in ("mm", "mm-k"):
         a_dms = [mm.scatter_matrix(world, sub, _rand_matrix(rng, n, n, 101), 101,
                                    has_cols=False) for _ in range(k)]
@@ -490,7 +490,7 @@ def _bench_once(name: str, n: int, k: int, seed: int, kernel: str) -> CliqueWorl
                                    has_rows=False) for _ in range(k)]
         mm.mm_multi(world, sub, a_dms, b_dms, kernel)
     elif name in ("det-deterministic", "inverse-deterministic"):
-        p_det = next_prime_at_least(max(101, n + 1))
+        p_det = default_prime("det", n)
         mat = _rand_matrix(rng, n, n, p_det)
         dm = mm.scatter_matrix(world, sub, mat, p_det)
         if name == "det-deterministic":

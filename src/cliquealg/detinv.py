@@ -82,14 +82,10 @@ def _tri_inverse_inner(world: CliqueWorld, subset: tuple[int, ...], a: DMat,
 
     world.run_local(subset, "split", split)
 
-    results: dict[str, DMat] = {}
-    world.parallel_phases("halves", [
-        (sub1, lambda: results.__setitem__(
-            "inv11", _tri_inverse_inner(world, sub1, a11, kernel))),
-        (sub2, lambda: results.__setitem__(
-            "inv22", _tri_inverse_inner(world, sub2, a22, kernel))),
+    inv11, inv22 = world.parallel_phases("halves", [
+        (sub1, lambda: _tri_inverse_inner(world, sub1, a11, kernel)),
+        (sub2, lambda: _tri_inverse_inner(world, sub2, a22, kernel)),
     ])
-    inv11, inv22 = results["inv11"], results["inv22"]
 
     # group 2 hands its inverse rows to group 1 (zero-padded to size h)
     lhs22 = DMat(world.fresh_name("L22"), h, h, p, sub1, has_cols=False)
@@ -104,44 +100,29 @@ def _tri_inverse_inner(world: CliqueWorld, subset: tuple[int, ...], a: DMat,
 
     world.route(subset, "handover", hand_over)
 
-    def pad_rows(view):
-        pos = view.pos
-        if pos < nh2:
-            row = view.get(lhs22.row_key(pos))
-            padded = np.zeros(h, dtype=np.int64)
-            padded[:nh2] = row
-            view.put(lhs22.row_key(pos), padded)
-        else:
-            view.put(lhs22.row_key(pos), np.zeros(h, dtype=np.int64))
-
-    world.run_local(sub1, "pad", pad_rows)
-
     a21 = DMat(world.fresh_name("A21"), h, h, p, sub1, has_rows=False)
 
-    def slice_a21(view):
+    def pad(view):  # L22's rows and A21's columns, zero-padded to size h
         pos = view.pos
-        col = view.get(a.col_key(pos))
-        padded = np.zeros(h, dtype=np.int64)
-        padded[:nh2] = col[h:]
-        view.put(a21.col_key(pos), padded)
+        row = np.zeros(h, dtype=np.int64)
+        if pos < nh2:
+            row[:nh2] = view.get(lhs22.row_key(pos))
+        view.put(lhs22.row_key(pos), row)
+        col = np.zeros(h, dtype=np.int64)
+        col[:nh2] = view.get(a.col_key(pos))[h:]
+        view.put(a21.col_key(pos), col)
 
-    world.run_local(sub1, "slice", slice_a21)
+    world.run_local(sub1, "pad", pad)
 
     x = mm_multi(world, sub1, [lhs22], [a21], kernel, phase="prod1")[0]
     y = mm_multi(world, sub1, [x], [inv11], kernel, phase="prod2")[0]
 
-    def negate(view):
-        pos = view.pos
-        view.put(y.row_key(pos), (-view.get(y.row_key(pos))) % p)
-        view.put(y.col_key(pos), (-view.get(y.col_key(pos))) % p)
-
-    world.run_local(sub1, "negate", negate)
-
+    # the inverse's lower-left block is -y
     def hand_back(view):
         pos = view.pos
         if pos >= h or pos >= nh2:
             return
-        yield sub2[pos], ("yrow",), view.get(y.row_key(pos))
+        yield sub2[pos], ("yrow",), (-view.get(y.row_key(pos))) % p
 
     world.route(subset, "handback", hand_back)
 
@@ -154,7 +135,7 @@ def _tri_inverse_inner(world: CliqueWorld, subset: tuple[int, ...], a: DMat,
         if pos < h:
             row[:h] = view.get(inv11.row_key(pos))
             col[:h] = view.get(inv11.col_key(pos))
-            col[h:] = view.get(y.col_key(pos))[:nh2]
+            col[h:] = (-view.get(y.col_key(pos))[:nh2]) % p
         else:
             j = pos - h
             row[:h] = view.pop(("yrow",))

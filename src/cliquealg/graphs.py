@@ -140,8 +140,6 @@ def apsp_zwick(world: CliqueWorld, graph: WeightedGraph, kernel: str = "trivial"
         for it in range(1, iters + 1):
             s = 1.5 ** it
             size = min(n, math.ceil(ZWICK_SAMPLE_C * n * math.log(n) / s))
-            if size < 1:
-                size = 1
             share_random(world, subset, f"draw{it}", f"sample{it}", f"{tag}-sample-{it}",
                          "zw_sample_all", lambda rng: sorted(rng.sample(range(n), size)))
             cap = math.ceil(s * bound_m)
@@ -228,9 +226,7 @@ def build_tutte_instance(world: CliqueWorld, graph: WeightedGraph, p: int,
 
         def draw_and_send(view):
             pos = view.pos
-            adj_row = view.get(f"tutte_adj:{pos}")
-            if adj_row is None:
-                raise AssertionError("adjacency row missing")
+            adj_row = graph.adj[pos]
             rng = view.rng(f"{tag}-edge-{pos}")
             later = pos + 1 + np.flatnonzero(adj_row[pos + 1:] < INF_THRESHOLD)
             values = np.zeros(n, dtype=np.int64)
@@ -238,16 +234,11 @@ def build_tutte_instance(world: CliqueWorld, graph: WeightedGraph, p: int,
             view.put("tutte_vals", values)
             yield nodes[later], ("tutte_x", pos), values[later]
 
-        def stage_adj(view):
-            pos = view.pos
-            view.put(f"tutte_adj:{pos}", graph.adj[pos].copy())
-
-        world.run_local(subset, "stage", stage_adj)
         world.route(subset, "exchange", draw_and_send)
 
         def build_rows(view):
             pos = view.pos
-            adj_row = view.get(f"tutte_adj:{pos}")
+            adj_row = graph.adj[pos]
             row = np.zeros(n, dtype=np.int64)
             own = view.pop("tutte_vals")
             for j in range(n):

@@ -58,7 +58,8 @@ def krylov_sequence(world: CliqueWorld, subset: Sequence[int], a: DMat,
     power of two `length`, as n x n column-held chunks: column j is column
     j mod n of chunk j // n, at the node in position j mod n.
 
-    Every node must hold the full start vector under u_key.  Step i multiplies
+    Every node must hold the start vector as the first n entries of the
+    vector under u_key; later entries are ignored.  Step i multiplies
     the chunks the band of 2^i columns occupies by A^(2^i) in one `mm_multi`
     call.  Once n divides the band, the products are the next chunks as they
     stand; before that, their columns are routed into chunks zero-filled by
@@ -81,7 +82,8 @@ def krylov_sequence(world: CliqueWorld, subset: Sequence[int], a: DMat,
             for chunk in chunks:
                 view.put(chunk.col_key(view.pos), np.zeros(n, dtype=np.int64))
             if view.pos == 0:
-                view.put(chunks[0].col_key(0), np.asarray(view.get(u_key), dtype=np.int64) % p)
+                view.put(chunks[0].col_key(0),
+                         np.asarray(view.get(u_key)[:n], dtype=np.int64) % p)
 
         world.run_local(subset, "seed", init)
         apow = a
@@ -125,11 +127,6 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
     length = _next_pow2(2 * n)
     poly_box: dict[str, Polynomial] = {}
 
-    def split(view):
-        vw = view.get("mp_vw_all")
-        view.put("mp_v", vw[:n].copy())
-        view.put("mp_w", vw[n:].copy())
-
     def recover(view):
         if view.node != subset[0]:
             return
@@ -143,12 +140,12 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
             suffix = f"-{attempt}" if attempt else ""
             share_random(world, subset, "draw", f"share-probe{suffix}", f"{tag}-probe{suffix}",
                          "mp_vw_all", lambda rng: [rng.randrange(p) for _ in range(2 * n)])
-            world.run_local(subset, "split", split)
-            chunks = krylov_sequence(world, subset, a, "mp_v", length, kernel)
+            chunks = krylov_sequence(world, subset, a, "mp_vw_all", length, kernel)
 
-            def project(view):  # terms j0 = pos and pos + n
+            def project(view):  # terms j0 = pos and pos + n; w is the probe's tail
                 cols = np.stack([view.get(chunk.col_key(view.pos)) for chunk in chunks[:2]])
-                yield subset[0], ("mp_term", view.node), matmul_mod(cols, view.get("mp_w"), p)
+                yield (subset[0], ("mp_term", view.node),
+                       matmul_mod(cols, view.get("mp_vw_all")[n:], p))
 
             world.route(subset, f"project{suffix}", project)
             world.run_local(subset, "recover", recover)
@@ -325,17 +322,15 @@ def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
                      "rk_pre_all",  # u, v, then the diagonal
                      lambda rng: [rng.randrange(p) for _ in range(3 * n - 2)])
         u_dm, v_dm = build_unit_toeplitz(world, subset, "rk_pre_all", p, phase="precondition")
-        d_dm = DMat(world.fresh_name("D"), n, n, p, subset, has_rows=False)
-
-        def build_diag(view):
-            pos = view.pos
-            d = view.get("rk_pre_all")[2 * (n - 1):]
-            dcol = np.zeros(n, dtype=np.int64)
-            dcol[pos] = int(d[pos]) % p
-            view.put(d_dm.col_key(pos), dcol)
-
-        world.run_local(subset, "diagonal", build_diag)
         b1 = mm_multi(world, subset, [u_dm], [a], kernel, phase="ua0")[0]
         b2 = mm_multi(world, subset, [b1], [v_dm], kernel, phase="uav0")[0]
-        b3 = mm_multi(world, subset, [b2], [d_dm], kernel, phase="uavd0")[0]
+        b3 = DMat(world.fresh_name("BD"), n, n, p, subset)
+
+        def diagonal(view):  # B D for D = diag(d): row pos times d, column pos times d[pos]
+            pos = view.pos
+            d = view.get("rk_pre_all")[2 * (n - 1):]
+            view.put(b3.row_key(pos), view.get(b2.row_key(pos)) * d % p)
+            view.put(b3.col_key(pos), view.get(b2.col_key(pos)) * int(d[pos]) % p)
+
+        world.run_local(subset, "diagonal", diagonal)
         return minpol_monte_carlo(world, subset, b3, f"{tag}-mp-0", kernel).degree - 1

@@ -172,9 +172,6 @@ class NodeView:
     def get(self, key, default=None):
         return self._store.get(key, default)
 
-    def __getitem__(self, key):
-        return self._store[key]
-
     def put(self, key, value) -> None:
         self._store[key] = value
 
@@ -317,15 +314,18 @@ class CliqueWorld:
         return self.ledger.phase(phase, n_act, rounds, total)
 
     def parallel_phases(self, name: str,
-                        branches: Sequence[tuple[Sequence[int], Callable[[], None]]]) -> None:
-        """Run sub-programs on pairwise disjoint subsets; charge max rounds."""
+                        branches: Sequence[tuple[Sequence[int], Callable[[], object]]]) -> list:
+        """Run sub-programs on pairwise disjoint subsets; charge max rounds.
+        Returns the sub-programs' results in branch order."""
         taken: set[int] = set()
         for subset, _ in branches:
             sub = set(subset)
             if sub & taken:
                 raise DisjointnessError(f"parallel phases of {name} overlap on {sub & taken}")
             taken |= sub
+        results = []
         with self.ledger.group(name, parallel=True):
             for idx, (_, prog) in enumerate(branches):
                 with self.ledger.group(f"branch{idx}"):
-                    prog()
+                    results.append(prog())
+        return results

@@ -42,7 +42,7 @@ def test_tri_inverse_diagonal():
     assert np.array_equal(inv, want)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 11])
 def test_tri_inverse_random(n):
     rng = random.Random(n)
     mat = rand_lower(rng, n)
@@ -66,6 +66,8 @@ def test_tri_inverse_recurrence_in_ledger():
     world, sub, dm = world_with(rand_lower(rng, 8))
     detinv.tri_inverse(world, sub, dm)
     tri = world.ledger.root.children[-1]
+    assert [child.name for child in tri.children] == [
+        "split", "halves", "handover", "pad", "prod1", "prod2", "handback", "assemble"]
     parts = {child.name: child for child in tri.children}
     halves = parts["halves"].rounds
     prod1 = parts["prod1"].rounds

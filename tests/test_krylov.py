@@ -294,6 +294,23 @@ def test_rank_matches_oracle_various():
     assert hits >= 28
 
 
+def test_rank_rand_scales_by_its_diagonal_locally():
+    # B D is formed node by node after uav0; no product by D is routed
+    n, r = 8, 3
+    p = prime_for(n)
+    rng = random.Random(3)
+    mat = (np.array([[rng.randrange(p) for _ in range(r)] for _ in range(n)]) @
+           np.array([[rng.randrange(p) for _ in range(n)] for _ in range(r)])) % p
+    assert oracles.rank_mod(mat, p) == r
+    world, sub, dm = world_with(mat, p, seed=3)
+    assert krylov.rank_rand(world, sub, dm) == r
+    group = next(child for child in world.ledger.root.children
+                 if child.name.startswith("rankrand"))
+    names = [child.name for child in group.children]
+    assert "uavd0" not in names
+    assert names.index("diagonal") == names.index("uav0") + 1
+
+
 def test_rank_rand_raises_when_no_estimate_is_in_range():
     # a rank-2 matrix over GF(5) whose determinant attempts are all
     # inconclusive, so no rank estimate exists; clamping one once gave 4

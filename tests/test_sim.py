@@ -157,9 +157,11 @@ def test_parallel_phases_max_semantics():
     def cost(rounds):
         def prog():
             world.ledger.phase("work", 4, rounds, rounds * 4)
+            return rounds
         return prog
 
-    world.parallel_phases("par", [((1, 2, 3, 4), cost(4)), ((5, 6, 7, 8), cost(6))])
+    results = world.parallel_phases("par", [((1, 2, 3, 4), cost(4)), ((5, 6, 7, 8), cost(6))])
+    assert results == [4, 6]  # each branch's result, in branch order
     assert world.ledger.total_rounds == 6
     assert world.ledger.total_messages == 40
 
