@@ -81,14 +81,3 @@ def allgather_scalars(world: CliqueWorld, subset: Sequence[int], phase: str,
 
     world.run_local(subset, f"{phase}-assemble", assemble)
 
-
-def broadcast_scalar(world: CliqueWorld, subset: Sequence[int], phase: str,
-                     in_key, out_key) -> None:
-    """One scalar from the node at position 0 to everyone (one routed phase)."""
-    subset = tuple(subset)
-
-    def send(view):
-        if view.pos == 0:
-            yield np.array(subset), out_key, np.full(len(subset), int(view.get(in_key)))
-
-    world.route(subset, f"{phase}-bcast", send)

@@ -7,7 +7,10 @@ alongside, so 2*log2(L) - 1 batched product calls generate L Krylov columns.
 The L columns are held as a list of n x n column-held chunks, column j being
 column j mod n of chunk j // n, so one `mm_multi` call multiplies a whole band.
 The sequence length is 2n: recovering a linear recurrence of degree up to n
-needs 2n terms.
+needs 2n terms.  Every node receives all 2n projected terms and runs
+Berlekamp-Massey itself (node-local work is free), so every node holds the
+generator, and every retry decision det_rand and solve read from it is known
+to all nodes without a broadcast.
 
 Guarantees assume |F| >= 4 n^2 ceil(log2 n); smaller fields only get a warning
 so that toy instances remain runnable.
@@ -16,11 +19,11 @@ so that toy instances remain runnable.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .collective import allgather_scalars, broadcast_scalar, share_random
+from .collective import allgather_scalars, share_random
 from .ff import Polynomial, generating_polynomial, matmul_mod, warn_small_field
 from .mm import DMat, mm_multi
 from .sim import CliqueWorld
@@ -52,8 +55,7 @@ def _next_pow2(x: int) -> int:
 
 
 def krylov_sequence(world: CliqueWorld, subset: Sequence[int], a: DMat,
-                    u_key, length: int, kernel: str = "trivial",
-                    phase: Optional[str] = None) -> list[DMat]:
+                    u_key, length: int, kernel: str = "trivial") -> list[DMat]:
     """Column j of the n x length matrix [u, Au, ..., A^(length-1) u] for a
     power of two `length`, as n x n column-held chunks: column j is column
     j mod n of chunk j // n, at the node in position j mod n.
@@ -70,13 +72,12 @@ def krylov_sequence(world: CliqueWorld, subset: Sequence[int], a: DMat,
     p = a.p
     if length & (length - 1):
         raise ValueError("sequence length must be a power of two")
-    phase = phase or world.fresh_name("krylov")
     # the chunks that routed steps write into: when n divides length, only chunk 0
     # (every band below n fits in it, and every later band is whole chunks)
     filled = 1 if length % n == 0 else -(-length // n)
     chunks = [DMat(world.fresh_name("K"), n, n, p, subset, has_rows=False)
               for _ in range(filled)]
-    with world.ledger.group(phase):
+    with world.ledger.group(world.fresh_name("krylov")):
 
         def init(view):
             for chunk in chunks:
@@ -115,26 +116,18 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
                        tag: str = "minpol", kernel: str = "trivial") -> Polynomial:
     """Generating polynomial of w A^i v for random v, w; equals minpol(A) whp.
 
-    Every minimal polynomial has degree >= 1, so a degree-0 generator (an
-    all-zero sequence) redraws v and w; InconclusiveError once the retries
-    are spent.  The polynomial ends up at the node in position 0 (and is
-    returned).
+    Every node receives all 2n projected terms and recovers the generator
+    itself, so the polynomial ends up under mp_poly at every node (and is
+    returned), and every decision read from it is known to all nodes.  Every
+    minimal polynomial has degree >= 1, so a degree-0 generator (an all-zero
+    sequence) redraws v and w; InconclusiveError once the retries are spent.
     """
     subset = tuple(subset)
+    nodes = np.array(subset)
     n = len(subset)
     p = a.p
     _check_field_size(p, n, "minpol")
     length = _next_pow2(2 * n)
-    poly_box: dict[str, Polynomial] = {}
-
-    def recover(view):
-        if view.node != subset[0]:
-            return
-        seq = np.stack(view.pop_many(("mp_term", node) for node in subset)).T.ravel()
-        poly = generating_polynomial(seq, p)
-        view.put("mp_poly", poly)
-        poly_box["poly"] = poly
-
     with world.ledger.group(world.fresh_name("minpol")):
         for attempt in range(RETRIES):
             suffix = f"-{attempt}" if attempt else ""
@@ -144,23 +137,35 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
 
             def project(view):  # terms j0 = pos and pos + n; w is the probe's tail
                 cols = np.stack([view.get(chunk.col_key(view.pos)) for chunk in chunks[:2]])
-                yield (subset[0], ("mp_term", view.node),
-                       matmul_mod(cols, view.get("mp_vw_all")[n:], p))
+                terms = matmul_mod(cols, view.get("mp_vw_all")[n:], p)
+                yield nodes, ("mp_term", view.node), np.broadcast_to(terms, (n, 2))
 
             world.route(subset, f"project{suffix}", project)
+            last = []  # (sequence, generator): Berlekamp-Massey runs once per phase
+
+            def recover(view):
+                seq = np.stack(view.pop_many(("mp_term", node) for node in subset)).T.ravel()
+                if not (last and np.array_equal(last[0], seq)):
+                    last[:] = seq, generating_polynomial(seq, p)
+                view.put("mp_poly", last[1])
+
             world.run_local(subset, "recover", recover)
-            if poly_box["poly"].degree >= 1:
-                return poly_box["poly"]
+            poly = world.stores[subset[0]]["mp_poly"]
+            if poly.degree >= 1:
+                return poly
     raise InconclusiveError(f"minpol: every probe sequence was zero in {RETRIES} attempts")
 
 
 def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
              tag: str = "det", kernel: str = "trivial") -> int:
-    """Monte Carlo determinant; broadcast to all nodes and returned.
+    """Monte Carlo determinant of A from the generator of D A for a random
+    invertible diagonal D; known at every node and returned.
 
     A degree-n generating polynomial, or one with zero constant term, is
-    conclusive; anything else triggers a retry with fresh randomness, and
-    InconclusiveError once the retries are spent.
+    conclusive.  Every node holds the generator and D, so every node reaches
+    the verdict and the value without further communication.  Anything else
+    triggers a retry with fresh randomness, and InconclusiveError once the
+    retries are spent.
     """
     subset = tuple(subset)
     n = len(subset)
@@ -180,22 +185,10 @@ def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
 
             world.run_local(subset, "scale", scale)
             poly = minpol_monte_carlo(world, subset, da, f"{tag}-mp-{attempt}", kernel)
-
-            def decide(view):
-                if view.node != subset[0]:
-                    return
-                m0 = poly(0)
-                prod = 1
-                for value in view.get("dr_d_all"):
-                    prod = prod * int(value) % p
-                view.put("dr_result", (-1) ** n * m0 * pow(prod, -1, p) % p)
-                view.put("dr_done", int(poly.degree == n or (poly.degree >= 1 and m0 == 0)))
-
-            world.run_local(subset, "decide", decide)
-            broadcast_scalar(world, subset, f"verdict{attempt}", "dr_done", "dr_done_all")
-            broadcast_scalar(world, subset, f"value{attempt}", "dr_result", "dr_value_all")
-            if int(world.stores[subset[0]]["dr_done_all"]):
-                return int(world.stores[subset[0]]["dr_value_all"])
+            m0 = poly(0)
+            if poly.degree == n or m0 == 0:
+                d = world.stores[subset[0]]["dr_d_all"].tolist()
+                return (-1) ** n * m0 * pow(math.prod(d), -1, p) % p
     raise InconclusiveError(f"det_rand: no conclusive attempt in {RETRIES}")
 
 
@@ -214,32 +207,28 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
     b = np.asarray(b, dtype=np.int64) % p
     with world.ledger.group(world.fresh_name("solve")):
 
+        def send_b(view):  # node pos holds b[pos]; the seed reads b at position 0
+            yield subset[0], ("sv_b", view.pos), int(b[view.pos])
+
+        world.route(subset, "gather-b", send_b)
+
         def stage_b(view):
-            view.put("sv_b", b.copy())
+            if view.pos == 0:
+                view.put("sv_b", np.array(view.pop_many(("sv_b", j0) for j0 in range(n))))
 
         world.run_local(subset, "stage", stage_b)
         for attempt in range(RETRIES):
             poly = minpol_monte_carlo(world, subset, a, f"{tag}-mp-{attempt}", kernel)
-            if poly(0) == 0:
+            if poly(0) == 0:  # every node reads this from its own mp_poly
                 continue
             length = _next_pow2(n)
             chunks = krylov_sequence(world, subset, a, "sv_b", length, kernel)
 
-            def send_coeffs(view):  # node j0 gets (m0, coefficient j0 + 1)
-                if view.node != subset[0]:
-                    return
-                g = view.get("mp_poly")
-                m0 = g(0)
-                yield nodes, "sv_coef", np.array(
-                    [[m0, g.coeffs[j0 + 1] if j0 < g.degree else 0] for j0 in range(n)],
-                    dtype=np.int64)
-
-            world.route(subset, f"coeffs{attempt}", send_coeffs)
-
             def scatter_terms(view):  # length >= n, so column pos is in chunk 0
-                m0, coef = (int(v) for v in view.pop("sv_coef"))
+                g = view.get("mp_poly")
+                coef = g.coeffs[view.pos + 1] if view.pos < g.degree else 0
                 col = view.get(chunks[0].col_key(view.pos))
-                term = (-coef * pow(m0, -1, p) % p) * col % p
+                term = (-coef * pow(g(0), -1, p) % p) * col % p
                 yield nodes, ("sv_part", view.pos), term
 
             world.route(subset, f"terms{attempt}", scatter_terms)

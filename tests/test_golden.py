@@ -25,55 +25,55 @@ GOLDEN = {
         ("distprod", 8): "4a3f0d6865513de0dab3fa77b9f52cb88ac4528cabf24edcdf43554ec09af8d8",
         ("det", 8): "0e3d09495bdd473e562f5d289a36a8c16e0828f4f594fb1348138eb13bf57f0f",
         ("inverse", 8): "45f0892bd6fbc4c4924af5dea827ee369a51b4a91767a9eca91de699b4076bc3",
-        ("minpol", 8): "9708280c7de8a157b08bfa763e47b92415e76ccd6a2b3d4c0079e74528eb26c5",
-        ("solve", 8): "17ce56893d9819c70af48a3ebe86870d3d666077a794d259d259b8f51b3744c8",
-        ("rank", 8): "c4899348ad985b4df24fd8a92ef33c196f8071b4e2e806f8e99392883b840459",
+        ("minpol", 8): "ff8a7cd2ee873240ff9242849bf0f20fab32456b954e217b5a4ca065e7d4db53",
+        ("solve", 8): "d51245fc59db1bdfab9d41a852934dae98b7686651efecb0c35bf61a0eb6daef",
+        ("rank", 8): "048604f467123f870edb36f23c682d824e51628ba11a17d1f50389b50bb8ddde",
         ("apsp", 8): "399efcba7debce58af1dd8d35f3608b2f2858568566129d2844ff42a7b5e59b4",
         ("apsp-zwick", 8): "a77365e2b1a5ae5586693929d9e20a8244fb986884d02f253b66d2da53880ae2",
         ("diameter", 8): "261842b4f4c3c3af2deb8ce4e9fc89ce36142700290efe321b240ad9934a5bb6",
-        ("matching-size", 8): "ad72f223c81d44938831abbf7ce03d5a0310e299dbca158a277d4b0a6304351e",
-        ("allowed-edges", 8): "a94a6e5edfa97046458d5e7be92b90b08cba0b7d25d603c716533aa91921a623",
-        ("gallai-edmonds", 8): "d8a72cb4cb555a882132e8c06c947a18e83ef7d341d690704d89a0e3a4db2275",
+        ("matching-size", 8): "8e2dea2b437cc000df94c91254d7b661e1570cb045f98b01006de384c66e8255",
+        ("allowed-edges", 8): "5b9206b61fc4d31b6ef3542923c680af6e5229818ac03d27300eb4deb58a5677",
+        ("gallai-edmonds", 8): "4dae30a716dc8c5c2c944efa4162537b3aeffd012c948c9717d132419e660b7a",
         ("mm", 16): "fd146d0b7010b4f939d44f78cc6fcf9448dff541b7add9e7d6f3dd944b59ff9b",
         ("distprod", 16): "1a1ed8a9ebef0aa6276116cdf6e0a321cd1ded1037ade439820d083f6481abc1",
         ("det", 16): "6ded598ac22c765d58c55d580487d4fb2d701ac8117249fc6221b26f32b4d12a",
         ("inverse", 16): "ed82c96f28df09988552395d9bdffa5b954c328370a843a7304dc1cfa48aa01c",
-        ("minpol", 16): "e8e6bd87450d29305baca1ad2bed3d649c4725d3823ee7683897366b30fac8a9",
-        ("solve", 16): "98a16e8712a381a0290a508874812354a1ceff2b79a4b074f77555a238b974ef",
-        ("rank", 16): "5f47ffee17d19227b4fae7a3bbf988922e0ebc2ea769acb900ac09d20ea4fc48",
+        ("minpol", 16): "3b3c0ac244a0d10b9024c42385f33ff777913565023b58e51d62bb9773efdd35",
+        ("solve", 16): "d6b5ca3408f7f7505e35304aefb9fa64a68ab4601222c01eb2a20405a5f28a01",
+        ("rank", 16): "2f39c5bdb452545e754c32f76fe19d9dc780d55e090d857887619d7d20dd8acc",
         ("apsp", 16): "228419b0d365e19a8c4983195a7b61c95187331ff3ea634953f2654e60ff5a1e",
         ("apsp-zwick", 16): "8994c8f64d19b769c04c5456fd0221850a5e0c6a289bb6e0217266e61220907b",
         ("diameter", 16): "bef48efcbd14349b668e11df1db4c2298cabac423aeb0c21419936c40acd34c8",
-        ("matching-size", 16): "a1b588231d72b8f5ae5a59829b432a2ba55ac182a1f593b0164d3c02a8c2f84c",
-        ("allowed-edges", 16): "a708fd5e5d5d727510688fd404a1256a119f525b8b905444183b2d484cc742a1",
-        ("gallai-edmonds", 16): "4164a10e360be7d880c0d8a40003e42e3c18a491c96869e01f9b95ff4d0d80ff",
+        ("matching-size", 16): "2f0396d9486a557569a20c2857601645c79a436361afdaa7e57943ba2d1c9af2",
+        ("allowed-edges", 16): "7ab45639e5d4e13404c41188d7d115806daec7d53bc4840847c70a446bcd3543",
+        ("gallai-edmonds", 16): "9659a79158710e0988a237d0bbc0bd89636789d2b8996ddc975bb5dee7db77f9",
         ("mm", 64): "6f92efa10d459981b42601d1b3648fefe420fa4aadca3cc9ff9cd3c67dde1a76",
         ("distprod", 64): "6d51dd7ef37a46148deec487d80043a222660ddfa04c8f070f6788e5dbe400f3",
         ("det", 64): "68ab7f34db90bbde19c1d0d1ae346c13837c4c71343bc0de31961211f3d5902d",
         ("inverse", 64): "fd92b141d3f8c7d52cdf9894bbecffee3932d4e37e5b86d2e87f8c20e6ae857c",
-        ("minpol", 64): "575d0401602bc378b39606a290eaa6df2e674e269c59388ad82087d98ef1ac70",
-        ("solve", 64): "e5ec5ca87fcc42e8372ac6fe036e527366688bfe7ef4792a292ba06e2c16cc40",
-        ("rank", 64): "d79e1e47166ccb906d5e0880e6696a74a8945becf3c15f3e9eff8eb1775284a2",
+        ("minpol", 64): "de98b1f8e913b1c4d0be157dcb1e9ded2f62f6a3ea12bfbcde949196ce5b390f",
+        ("solve", 64): "58e4697a3c9cbadc3590441c31211a1ce86ca1200e06c81f84eaa8c8238b69d9",
+        ("rank", 64): "d351d550f51a557de1fcb515be26373d796249ec9e86e8d35ef52d35aefbce21",
         ("apsp", 64): "7769079ef2d5448b205634ff5e9675918d999dd3eccb6d376e97fb08faa7e4a0",
         ("apsp-zwick", 64): "24a0fa43b2e34b189e85d052099785ca3264e14c7ed72d66d99831307898f9e1",
         ("diameter", 64): "23f90ccc4ba92ef9cc69debb3624a4084e64c092d2a30b5ecf7098fe6866610e",
-        ("matching-size", 64): "0a24a103eb1ec3dfcd8eb00a2d384e58ff778f3ddd2cbc7c4c1167800e4e41b8",
-        ("allowed-edges", 64): "03151c60303b9b2fd9e33f1089c57c6fc5848aa513c903b542ddd71c8954d92e",
-        ("gallai-edmonds", 64): "8753b12bd52f685930c2631a01a111339ff6a504c76dfe59584d976c032c7932",
+        ("matching-size", 64): "3851d5613f6a7e138f8a7f22e3eae7135fed7b05155eb85bbb211e7a2baf334f",
+        ("allowed-edges", 64): "d68691ff2be4b7e8f8142200a97df68c7331a321000770a8ec376fc69ddd0820",
+        ("gallai-edmonds", 64): "e9e96970559f6499166a2cb68303afdb4a3f3d2458c877cd68cce81afca69718",
     },
     "strassen": {
         ("mm", 8): "5dbed297cb06c22e8f75e67540794e2d7a7b9575b9ecda388d3aea8fa3366070",
         ("det", 8): "0e3d09495bdd473e562f5d289a36a8c16e0828f4f594fb1348138eb13bf57f0f",
         ("inverse", 8): "45f0892bd6fbc4c4924af5dea827ee369a51b4a91767a9eca91de699b4076bc3",
-        ("minpol", 8): "9708280c7de8a157b08bfa763e47b92415e76ccd6a2b3d4c0079e74528eb26c5",
+        ("minpol", 8): "ff8a7cd2ee873240ff9242849bf0f20fab32456b954e217b5a4ca065e7d4db53",
         ("mm", 16): "c34620eea56d8cae29b762f9cfa9d712abcf667eb52b9b0549a05e152c73fa28",
         ("det", 16): "256852f80d96275401b14fb7e3821da0f8c8848660833032d96c951416210032",
         ("inverse", 16): "f105ac6f863b1ff5c9ed5c5a361e85d7a69eae1342189bf0e70f66e7d099105e",
-        ("minpol", 16): "7c99fa29046432b9aa1e8c240a941886edfe8256e274074381e41625d2c3ba7e",
+        ("minpol", 16): "a8254ce249c07fe5b028a7c1aeafadf13ca094716e38aca782fb8d23071636e9",
         ("mm", 64): "4fef6c69d85f83fea15cc120b2f9448e928967ae3e6f88ef6175fead93ac3600",
         ("det", 64): "695e69edb9ae08be7b887cbda6c519743a1f91f1300d8152ccb37284ab4a427c",
         ("inverse", 64): "8080812d8d0f20147f112ccc995830de77071a1dba2f8bd88901785389a4370a",
-        ("minpol", 64): "6032a60297d1498238214fdea97c12356d17f312ab5e27d8ac1d89ed5ebac1d2",
+        ("minpol", 64): "7d68d45ce0a34a03b30f81b8e822e920d58edec30d40867162ba08e120010431",
     },
 }
 
@@ -101,11 +101,11 @@ def test_run_report_digest(kernel, algorithm, n, tmp_path):
 
 
 def ledger_summary(report: str) -> list[str]:
-    """One report's output digest and verdict, its routed phases in order
-    (path with digits masked, subset, rounds, messages), and its count of
-    0-round phases by name."""
+    """One report's output digest, verdict and total rounds and messages, its
+    routed phases in order (path with digits masked, subset, rounds,
+    messages), and its count of 0-round phases by name."""
     lines = [line for line in report.splitlines()
-             if line.startswith(("output-digest:", "verdict:"))]
+             if line.startswith(("output-digest:", "verdict:", "rounds:", "messages:"))]
     local = collections.Counter()
     for path, subset, rounds, messages in re.findall(
             r"^phase=(\S+) subset=(\d+) rounds=(\d+) messages=(\d+)$", report, re.M):

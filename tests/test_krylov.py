@@ -1,12 +1,14 @@
+import contextlib
 import math
 import random
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from cliquealg import cli, detinv, krylov, mm, oracles
-from cliquealg.ff import Polynomial, next_prime_at_least
+from cliquealg.ff import Polynomial, generating_polynomial, next_prime_at_least
 from cliquealg.sim import CliqueWorld
 from polytools import divides, poly_mul
 
@@ -74,8 +76,8 @@ def test_sequence_uses_expected_product_call_count():
     p = prime_for(8)
     world, sub, dm = world_with(np.eye(8, dtype=np.int64), p)
     stage_vector(world, sub, "u", list(range(8)))
-    krylov.krylov_sequence(world, sub, dm, "u", 16, phase="kry")
-    group = world.ledger.find("kry")
+    krylov.krylov_sequence(world, sub, dm, "u", 16)
+    group = world.ledger.root.children[-1]
     from cliquealg.sim import GroupRecord
     calls = [child.name for child in group.children
              if isinstance(child, GroupRecord)
@@ -87,12 +89,12 @@ def test_sequence_routes_only_bands_below_n():
     p = prime_for(8)
     world, sub, dm = world_with(np.eye(8, dtype=np.int64), p)
     stage_vector(world, sub, "u", list(range(8)))
-    krylov.krylov_sequence(world, sub, dm, "u", 32, phase="kry")
+    krylov.krylov_sequence(world, sub, dm, "u", 32)
     from cliquealg.sim import PhaseRecord
     steps = []  # (step, rounds) of every place phase
     local = []
     step = None
-    for child in world.ledger.find("kry").children:
+    for child in world.ledger.root.children[-1].children:
         if not isinstance(child, PhaseRecord):
             step = int(child.name.removeprefix("apply").removeprefix("square"))
         elif child.name == "place":
@@ -146,6 +148,23 @@ def test_minpol_redraws_a_zero_probe(seed, capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert "verdict: pass" in out and "/project-1 " in out
+
+
+@pytest.mark.parametrize("n,p,seed,attempts", [(8, None, 1, 1), (1, 101, 44, 2), (1, 101, 57, 2)])
+def test_minpol_leaves_the_generator_at_every_node(n, p, seed, attempts, monkeypatch):
+    # the instances `run minpol --gen matrix:n=N` builds; the 1 x 1 ones redraw
+    # their probe.  Berlekamp-Massey runs once per recover phase, not per node.
+    p = p or prime_for(n)
+    mat = cli.build_instance("minpol", f"matrix:n={n}", None, seed, p).payload["mat"]
+    world, sub, dm = world_with(mat, p, seed=seed)
+    runs = []
+    monkeypatch.setattr(krylov, "generating_polynomial",
+                        lambda seq, q: runs.append(seq) or generating_polynomial(seq, q))
+    poly = krylov.minpol_monte_carlo(world, sub, dm, f"cli-{seed}")
+    assert list(poly.coeffs) == oracles.minpol_mod(mat, p)
+    assert all(world.stores[node]["mp_poly"] == poly for node in sub)
+    recovers = [path for path, _ in world.ledger.leaves() if path.endswith("/recover")]
+    assert len(runs) == len(recovers) == attempts
 
 
 def test_minpol_inconclusive_once_every_probe_is_zero(monkeypatch):
@@ -207,6 +226,22 @@ def test_det_rand_raises_when_every_attempt_is_inconclusive(seed):
         krylov.det_rand(world, sub, dm)
 
 
+@pytest.mark.parametrize("n,p,seed,attempts", [(8, None, 1, 1), (4, 5, 5, 3)])
+def test_det_rand_routes_nothing_after_its_generator(n, p, seed, attempts):
+    # every node holds the generator and the diagonal, so each reaches the
+    # verdict and the value alone; the GF(5) case spends all three attempts
+    p = p or prime_for(n)
+    mat = np.random.default_rng(seed).integers(0, p, (n, n))
+    world, sub, dm = world_with(mat, p, seed=seed)
+    inconclusive = attempts == krylov.RETRIES
+    with pytest.raises(krylov.InconclusiveError) if inconclusive else contextlib.nullcontext():
+        assert krylov.det_rand(world, sub, dm) == oracles.det_mod(mat, p)
+    group = world.ledger.root.children[-1]
+    names = [re.sub(r"\d+", "#", child.name) for child in group.children]
+    assert names == ["draw", "share-diag#-scatter", "share-diag#-allgather",
+                     "share-diag#-assemble", "scale", "minpol#"] * attempts
+
+
 # ----------------------------------------------------------------- solve
 
 def test_solve_identity():
@@ -239,6 +274,25 @@ def test_solve_random_systems_always_verified():
         assert np.array_equal(oracles.mat_mult(mat, x.reshape(-1, 1), p).ravel(),
                               b % p)
         assert np.array_equal(x, oracles.solve_mod(mat, b, p))
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_solve_gathers_b_and_reads_its_coefficients_locally(n):
+    # node pos sends b[pos] to position 0, where the Krylov seed reads b; each
+    # node then takes its coefficient of the generator from its own mp_poly
+    p = prime_for(n)
+    rng = random.Random(n)
+    mat = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+    b = np.array([rng.randrange(p) for _ in range(n)])
+    world, sub, dm = world_with(mat, p, seed=n)
+    x = krylov.solve(world, sub, dm, b)
+    assert np.array_equal(oracles.mat_mult(mat, x.reshape(-1, 1), p).ravel(), b % p)
+    group = world.ledger.root.children[-1]
+    gather, stage = group.children[:2]
+    assert (gather.name, gather.rounds, gather.messages) == ("gather-b", 2, n - 1)
+    assert stage.name == "stage"
+    assert [node for node in sub if "sv_b" in world.stores[node]] == [sub[0]]
+    assert not any(child.name.startswith("coeffs") for child in group.children)
 
 
 def test_solve_singular_system_raises():
