@@ -16,8 +16,8 @@ import numpy as np
 from . import detinv, krylov
 from .collective import allgather_scalars, share_random
 from .distprod import MinPlusMatrix, dist_prod, scatter_minplus
-from .ff import capped_prime
-from .krylov import build_unit_toeplitz
+from .ff import capped_prime, matmul_mod
+from .krylov import precondition, transpose, unit_toeplitz
 from .mm import DMat, mm_multi
 from .minplus import INF, INF_THRESHOLD, parse_fields, read_records
 from .sim import CliqueWorld, message_bits
@@ -390,7 +390,10 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
     """n x (n - rank) matrix whose columns span the right null space (whp).
 
     Returns the matrix padded to n columns, distributed rows+cols; None when
-    the leading block of the preconditioned matrix is singular.
+    the leading block N11 of the preconditioned matrix U A V is singular.
+    Only the first rank nodes invert N11, so a routed `verdict` phase tells
+    the others the outcome either way.  Every node knows V, so the basis
+    V [[-X], [I]] is formed column by column and transposed for its rows.
     """
     n = len(subset)
     nodes = np.array(subset)
@@ -398,14 +401,20 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
 
     share_random(world, subset, "draw", f"{tag}-uv", f"{tag}-uv", "ge_uv_all",
                  lambda rng: [rng.randrange(p) for _ in range(2 * (n - 1))])
-    u_dm, v_dm = build_unit_toeplitz(world, subset, "ge_uv_all", p, phase="toeplitz")
-    ua = mm_multi(world, subset, [u_dm], [tutte], kernel, phase="ua")[0]
-    nmat = mm_multi(world, subset, [ua], [v_dm], kernel, phase="uav")[0]
+    basis = DMat(world.fresh_name("basis"), n, n, p, subset)
 
     if rank == 0:
-        # null space is everything; V itself is a basis
-        return v_dm
+        # null space is everything; V itself is a basis, and every node knows it
 
+        def toeplitz(view):
+            v = unit_toeplitz(view.get("ge_uv_all"), n, p)[1]
+            view.put(basis.row_key(view.pos), v[view.pos])
+            view.put(basis.col_key(view.pos), v[:, view.pos])
+
+        world.run_local(subset, "toeplitz", toeplitz)
+        return basis
+
+    nmat = precondition(world, subset, tutte, "ge_uv_all")
     sub_r = subset[:rank]
     tail = n - rank
     n11 = DMat(world.fresh_name("N11"), rank, rank, p, sub_r)
@@ -426,6 +435,14 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
     try:
         inv11 = detinv.inverse(world, sub_r, n11, kernel)
     except detinv.SingularMatrixError:
+        inv11 = None
+
+    def send_verdict(view):  # only sub_r learned whether N11 is invertible
+        if view.pos == 0:
+            yield nodes[rank:], "ge_n11_ok", np.full(tail, int(inv11 is not None))
+
+    world.route(subset, "verdict", send_verdict)
+    if inv11 is None:
         return None
 
     def send_n12(view):
@@ -438,9 +455,6 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
     world.route(subset, "moveN12", send_n12)
     x_chunks = mm_multi(world, sub_r, [inv11] * len(n12), n12, kernel, phase="solve-tail")
 
-    # columns of [[ -X ], [ I ]] routed to their final owners, padded to n
-    y_mat = DMat(world.fresh_name("Y"), n, n, p, subset, has_rows=False)
-
     def send_x(view):  # column j0 of X goes to position j0
         pos = view.pos  # sub_r is a prefix of subset
         if pos >= min(rank, tail):
@@ -451,17 +465,19 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
 
     world.route(subset, "moveX", send_x)
 
-    def build_y(view):
+    def build_basis(view):  # column pos of V Y, Y = [[-X], [I]] padded to n columns
         pos = view.pos
         col = np.zeros(n, dtype=np.int64)
         if pos < tail:
             xcol = view.pop("ge_x")
             col[:rank] = (-xcol) % p
             col[rank + pos] = 1
-        view.put(y_mat.col_key(pos), col)
+        v = unit_toeplitz(view.get("ge_uv_all"), n, p)[1]
+        view.put(basis.col_key(pos), matmul_mod(v, col, p))
 
-    world.run_local(subset, "buildY", build_y)
-    return mm_multi(world, subset, [v_dm], [y_mat], kernel, phase="basis")[0]
+    world.run_local(subset, "basis", build_basis)
+    transpose(world, subset, "basis-rows", basis.col_key, basis.row_key)
+    return basis
 
 
 def _verify_null_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,

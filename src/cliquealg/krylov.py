@@ -9,8 +9,14 @@ column j mod n of chunk j // n, so one `mm_multi` call multiplies a whole band.
 The sequence length is 2n: recovering a linear recurrence of degree up to n
 needs 2n terms.  Every node receives all 2n projected terms and runs
 Berlekamp-Massey itself (node-local work is free), so every node holds the
-generator, and every retry decision det_rand and solve read from it is known
-to all nodes without a broadcast.
+generator, and every retry decision det_rand, solve and rank_rand read from
+it is known to all nodes without a broadcast.
+
+rank_rand needs one generator per attempt: that of B = U A V D for random
+unit Toeplitz U, V and a random nonzero diagonal D, which every node knows,
+so B is formed by two transposes and no routed product.  deg g = n with
+g(0) != 0 certifies full rank; g(0) = 0 gives deg g - 1, a lower bound on
+the rank that equals it whp; anything else retries.
 
 Guarantees assume |F| >= 4 n^2 ceil(log2 n); smaller fields only get a warning
 so that toy instances remain runnable.
@@ -28,8 +34,8 @@ from .ff import Polynomial, generating_polynomial, matmul_mod, warn_small_field
 from .mm import DMat, mm_multi
 from .sim import CliqueWorld
 
-# Attempts, each with fresh randomness, that minpol_monte_carlo, det_rand and
-# solve make before they give up.
+# Attempts, each with fresh randomness, that minpol_monte_carlo, det_rand,
+# solve and rank_rand make before they give up.
 RETRIES = 3
 
 
@@ -257,69 +263,105 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
         "system unsolved: matrix singular or repeated Monte Carlo failure")
 
 
-def build_unit_toeplitz(world: CliqueWorld, subset: Sequence[int], uv_key,
-                        p: int, phase: str = "toeplitz") -> tuple[DMat, DMat]:
-    """Unit upper/lower triangular Toeplitz pair from a shared coefficient vector.
+def unit_toeplitz(pre: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit upper triangular Toeplitz U with first row [1, u_2..u_n] and the
+    unit lower triangular Toeplitz V with first column [1, v_2..v_n], from
+    pre = u_2..u_n, v_2..v_n (later entries are ignored); node-local."""
+    pre = np.asarray(pre, dtype=np.int64) % p
+    lag = np.arange(n) - np.arange(n)[:, None]  # [i, k] = k - i
 
-    uv_key must hold, at every node, concat(u_2..u_n, v_2..v_n); both matrices
-    are materialized locally with rows and columns.
+    def upper(seq):  # [i, k] = seq[k - i] on and above the diagonal
+        return np.where(lag >= 0, seq[np.abs(lag)], 0)
+
+    return (upper(np.concatenate(([1], pre[:n - 1]))),
+            upper(np.concatenate(([1], pre[n - 1:2 * (n - 1)]))).T)
+
+
+def transpose(world: CliqueWorld, subset: Sequence[int], phase: str, src_key, dst_key) -> None:
+    """Node pos holds src_key(pos), row (or column) pos of an n x n matrix, and
+    afterwards also dst_key(pos), its column (or row) pos.  Entry i of each
+    vector goes to position i: one routed phase of 2 rounds and n(n - 1)
+    messages."""
+    subset = tuple(subset)
+    nodes = np.array(subset)
+    n = len(subset)
+
+    def send(view):
+        yield nodes, ("tr", view.pos), view.get(src_key(view.pos))
+
+    world.route(subset, phase, send)
+
+    def stack(view):
+        view.put(dst_key(view.pos), np.array(view.pop_many(("tr", j0) for j0 in range(n))))
+
+    world.run_local(subset, f"{phase}-stack", stack)
+
+
+def precondition(world: CliqueWorld, subset: Sequence[int], a: DMat, pre_key) -> DMat:
+    """B = U A V D, rows and columns, for the pair (U, V) of `unit_toeplitz` and
+    D = diag(d).  Every node holds, under pre_key, u_2..u_n, v_2..v_n and then
+    d (D = I when d is absent).
+
+    Every node knows U, V and D, so no product is routed: node pos forms
+    column pos of U A from column pos of A, a transpose gives the rows of U A,
+    node pos multiplies its row by V D, and a second transpose gives the
+    columns of B.  Two routed phases of 2 rounds and n(n - 1) messages each.
     """
     subset = tuple(subset)
     n = len(subset)
-    u_dm = DMat(world.fresh_name("U"), n, n, p, subset)
-    v_dm = DMat(world.fresh_name("V"), n, n, p, subset)
+    p = a.p
+    ua = DMat(world.fresh_name("UA"), n, n, p, subset)
+    out = DMat(world.fresh_name("B"), n, n, p, subset)
 
-    def build(view):
+    def left(view):
+        u = unit_toeplitz(view.get(pre_key), n, p)[0]
+        view.put(ua.col_key(view.pos), matmul_mod(u, view.get(a.col_key(view.pos)), p))
+
+    world.run_local(subset, "ua", left)
+    transpose(world, subset, "ua-rows", ua.col_key, ua.row_key)
+
+    def right(view):
         pos = view.pos
-        pre = np.asarray(view.get(uv_key), dtype=np.int64) % p
+        pre = view.get(pre_key)
+        d = pre[2 * (n - 1):] if len(pre) > 2 * (n - 1) else 1
+        view.pop(ua.col_key(pos))
+        row = matmul_mod(view.pop(ua.row_key(pos)), unit_toeplitz(pre, n, p)[1], p)
+        view.put(out.row_key(pos), row * d % p)
 
-        def upper(seq):  # row and column pos of the upper Toeplitz matrix of seq
-            row = np.zeros(n, dtype=np.int64)
-            col = np.zeros(n, dtype=np.int64)
-            row[pos:] = seq[:n - pos]
-            col[:pos + 1] = seq[pos::-1]
-            return row, col
-
-        urow, ucol = upper(np.concatenate(([1], pre[:n - 1])))
-        vcol, vrow = upper(np.concatenate(([1], pre[n - 1:2 * (n - 1)])))  # V is lower
-        view.put(u_dm.row_key(pos), urow)
-        view.put(u_dm.col_key(pos), ucol)
-        view.put(v_dm.row_key(pos), vrow)
-        view.put(v_dm.col_key(pos), vcol)
-
-    world.run_local(subset, phase, build)
-    return u_dm, v_dm
+    world.run_local(subset, "uavd", right)
+    transpose(world, subset, "uavd-cols", out.row_key, out.col_key)
+    return out
 
 
 def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
               tag: str = "rank", kernel: str = "trivial") -> int:
-    """Monte Carlo rank: n if the randomized determinant is nonzero, else one
-    less than the degree of the minimal polynomial of the preconditioned matrix.
+    """Monte Carlo rank from the generator g of B = U A V D, for random unit
+    Toeplitz U, V and a random diagonal D with nonzero entries, so that B has
+    the rank of A.
 
-    The preconditioned matrix has minimal polynomial degree rank + 1 (whp),
-    and the generator minpol_monte_carlo returns has degree 1..n, so the
-    estimate is always in 0..n - 1.  InconclusiveError from det_rand or
-    minpol_monte_carlo propagates."""
+    Each attempt draws fresh coins and runs one `minpol_monte_carlo` on B:
+    - deg g = n and g(0) != 0: B, hence A, is invertible, and n is returned
+      (certified: g divides the minimal polynomial of B);
+    - g(0) = 0: deg g - 1 is returned, a lower bound on the rank (a singular
+      matrix has rank >= deg minpol - 1 >= deg g - 1) that equals it whp;
+    - anything else retries; InconclusiveError once RETRIES attempts are
+      spent.  InconclusiveError from minpol_monte_carlo propagates.
+    Every node holds g, so every node reaches the same decision.
+    """
     subset = tuple(subset)
     n = len(subset)
     p = a.p
     _check_field_size(p, n, "rank_rand")
-    if det_rand(world, subset, a, f"{tag}-det", kernel) != 0:
-        return n
     with world.ledger.group(world.fresh_name("rankrand")):
-        share_random(world, subset, "draw", "share-pre0", f"{tag}-pre-0",
-                     "rk_pre_all",  # u, v, then the diagonal
-                     lambda rng: [rng.randrange(p) for _ in range(3 * n - 2)])
-        u_dm, v_dm = build_unit_toeplitz(world, subset, "rk_pre_all", p, phase="precondition")
-        b1 = mm_multi(world, subset, [u_dm], [a], kernel, phase="ua0")[0]
-        b2 = mm_multi(world, subset, [b1], [v_dm], kernel, phase="uav0")[0]
-        b3 = DMat(world.fresh_name("BD"), n, n, p, subset)
-
-        def diagonal(view):  # B D for D = diag(d): row pos times d, column pos times d[pos]
-            pos = view.pos
-            d = view.get("rk_pre_all")[2 * (n - 1):]
-            view.put(b3.row_key(pos), view.get(b2.row_key(pos)) * d % p)
-            view.put(b3.col_key(pos), view.get(b2.col_key(pos)) * int(d[pos]) % p)
-
-        world.run_local(subset, "diagonal", diagonal)
-        return minpol_monte_carlo(world, subset, b3, f"{tag}-mp-0", kernel).degree - 1
+        for attempt in range(RETRIES):
+            share_random(world, subset, "draw", f"share-pre{attempt}", f"{tag}-pre-{attempt}",
+                         "rk_pre_all",  # u, v, then the diagonal
+                         lambda rng: ([rng.randrange(p) for _ in range(2 * (n - 1))]
+                                      + [1 + rng.randrange(p - 1) for _ in range(n)]))
+            b = precondition(world, subset, a, "rk_pre_all")
+            poly = minpol_monte_carlo(world, subset, b, f"{tag}-mp-{attempt}", kernel)
+            if poly(0) == 0:
+                return poly.degree - 1
+            if poly.degree == n:
+                return n
+    raise InconclusiveError(f"rank_rand: no conclusive attempt in {RETRIES}")

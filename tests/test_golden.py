@@ -27,39 +27,39 @@ GOLDEN = {
         ("inverse", 8): "45f0892bd6fbc4c4924af5dea827ee369a51b4a91767a9eca91de699b4076bc3",
         ("minpol", 8): "ff8a7cd2ee873240ff9242849bf0f20fab32456b954e217b5a4ca065e7d4db53",
         ("solve", 8): "d51245fc59db1bdfab9d41a852934dae98b7686651efecb0c35bf61a0eb6daef",
-        ("rank", 8): "048604f467123f870edb36f23c682d824e51628ba11a17d1f50389b50bb8ddde",
+        ("rank", 8): "c2367d2403245da552806ec5c2046d5658098d0c18465869087149a68580f11b",
         ("apsp", 8): "399efcba7debce58af1dd8d35f3608b2f2858568566129d2844ff42a7b5e59b4",
         ("apsp-zwick", 8): "a77365e2b1a5ae5586693929d9e20a8244fb986884d02f253b66d2da53880ae2",
         ("diameter", 8): "261842b4f4c3c3af2deb8ce4e9fc89ce36142700290efe321b240ad9934a5bb6",
-        ("matching-size", 8): "8e2dea2b437cc000df94c91254d7b661e1570cb045f98b01006de384c66e8255",
-        ("allowed-edges", 8): "5b9206b61fc4d31b6ef3542923c680af6e5229818ac03d27300eb4deb58a5677",
-        ("gallai-edmonds", 8): "4dae30a716dc8c5c2c944efa4162537b3aeffd012c948c9717d132419e660b7a",
+        ("matching-size", 8): "4ea1d1314a934cc907e638d2d590dd577a10872976e920412415e917bb04d389",
+        ("allowed-edges", 8): "d9e313777cde6340377f9337652fa0a4f8a712f15743328d36943ffb19323abe",
+        ("gallai-edmonds", 8): "6274da3de05f89562cc277e873aa5338ea7f186942cacd628554f9a8a79aa5ab",
         ("mm", 16): "fd146d0b7010b4f939d44f78cc6fcf9448dff541b7add9e7d6f3dd944b59ff9b",
         ("distprod", 16): "1a1ed8a9ebef0aa6276116cdf6e0a321cd1ded1037ade439820d083f6481abc1",
         ("det", 16): "6ded598ac22c765d58c55d580487d4fb2d701ac8117249fc6221b26f32b4d12a",
         ("inverse", 16): "ed82c96f28df09988552395d9bdffa5b954c328370a843a7304dc1cfa48aa01c",
         ("minpol", 16): "3b3c0ac244a0d10b9024c42385f33ff777913565023b58e51d62bb9773efdd35",
         ("solve", 16): "d6b5ca3408f7f7505e35304aefb9fa64a68ab4601222c01eb2a20405a5f28a01",
-        ("rank", 16): "2f39c5bdb452545e754c32f76fe19d9dc780d55e090d857887619d7d20dd8acc",
+        ("rank", 16): "509b054b939e6f3d8aac7cfef9e87c7b39c6aa9ae0c962e6d2ee9894cdb66aac",
         ("apsp", 16): "228419b0d365e19a8c4983195a7b61c95187331ff3ea634953f2654e60ff5a1e",
         ("apsp-zwick", 16): "8994c8f64d19b769c04c5456fd0221850a5e0c6a289bb6e0217266e61220907b",
         ("diameter", 16): "bef48efcbd14349b668e11df1db4c2298cabac423aeb0c21419936c40acd34c8",
-        ("matching-size", 16): "2f0396d9486a557569a20c2857601645c79a436361afdaa7e57943ba2d1c9af2",
-        ("allowed-edges", 16): "7ab45639e5d4e13404c41188d7d115806daec7d53bc4840847c70a446bcd3543",
-        ("gallai-edmonds", 16): "9659a79158710e0988a237d0bbc0bd89636789d2b8996ddc975bb5dee7db77f9",
+        ("matching-size", 16): "e2a6fce70088cc6c93f9ec0cdc1d13deb5bb1d6b140f01aec773e59f547e490f",
+        ("allowed-edges", 16): "f415f9b209472b0e0d768fb34185371c0c6b2320465c9632d024a3e2d116221c",
+        ("gallai-edmonds", 16): "44bc1900b4af1179b6ed416a5d2d670a1091979ea7f545eba1c2c23fb7323f21",
         ("mm", 64): "6f92efa10d459981b42601d1b3648fefe420fa4aadca3cc9ff9cd3c67dde1a76",
         ("distprod", 64): "6d51dd7ef37a46148deec487d80043a222660ddfa04c8f070f6788e5dbe400f3",
         ("det", 64): "68ab7f34db90bbde19c1d0d1ae346c13837c4c71343bc0de31961211f3d5902d",
         ("inverse", 64): "fd92b141d3f8c7d52cdf9894bbecffee3932d4e37e5b86d2e87f8c20e6ae857c",
         ("minpol", 64): "de98b1f8e913b1c4d0be157dcb1e9ded2f62f6a3ea12bfbcde949196ce5b390f",
         ("solve", 64): "58e4697a3c9cbadc3590441c31211a1ce86ca1200e06c81f84eaa8c8238b69d9",
-        ("rank", 64): "d351d550f51a557de1fcb515be26373d796249ec9e86e8d35ef52d35aefbce21",
+        ("rank", 64): "500aa0c4a01cc57c13995e7e1f9ba7585238c505063e56da020d0ba521d18e38",
         ("apsp", 64): "7769079ef2d5448b205634ff5e9675918d999dd3eccb6d376e97fb08faa7e4a0",
         ("apsp-zwick", 64): "24a0fa43b2e34b189e85d052099785ca3264e14c7ed72d66d99831307898f9e1",
         ("diameter", 64): "23f90ccc4ba92ef9cc69debb3624a4084e64c092d2a30b5ecf7098fe6866610e",
-        ("matching-size", 64): "3851d5613f6a7e138f8a7f22e3eae7135fed7b05155eb85bbb211e7a2baf334f",
-        ("allowed-edges", 64): "d68691ff2be4b7e8f8142200a97df68c7331a321000770a8ec376fc69ddd0820",
-        ("gallai-edmonds", 64): "e9e96970559f6499166a2cb68303afdb4a3f3d2458c877cd68cce81afca69718",
+        ("matching-size", 64): "87a7a61d942cc9949dac38e35ab8080fa1871bfdf2b2427426f6acd93da54318",
+        ("allowed-edges", 64): "ef721af779d81addb171e140be7462de2920dac6ccc92b8f8337f4c15a75c922",
+        ("gallai-edmonds", 64): "9ad3a6788e5e589fb8adc8ab7bfb62b9a12a7bd7ecdb00996d4f542546fbd3dd",
     },
     "strassen": {
         ("mm", 8): "5dbed297cb06c22e8f75e67540794e2d7a7b9575b9ecda388d3aea8fa3366070",

@@ -248,13 +248,32 @@ def test_rank_evenness_enforced():
 
 
 def test_matching_size_raises_after_odd_ranks():
-    # G(6, 0.5) over GF(7): every attempt ends on an odd rank, and halving the
-    # last one gave 1 for a maximum matching of 2
-    rng = random.Random(49)
+    # G(6, 0.5) over GF(7): every attempt ends on an odd rank or an
+    # inconclusive rank_rand.  Seed 20 is the first of 1..399 at which a graph
+    # with maximum matching 2 makes matching_size raise.
+    rng = random.Random(20)
     pairs = [(i, j) for i in range(6) for j in range(i + 1, 6) if rng.random() < 0.5]
     assert oracles.max_matching_size(oracles.graph_adj_sets(6, pairs)) == 2
     with pytest.raises(krylov.InconclusiveError):
-        graphs.matching_size(CliqueWorld(6, seed=49), unweighted(6, pairs), p=7)
+        graphs.matching_size(CliqueWorld(6, seed=20), unweighted(6, pairs), p=7)
+
+
+@pytest.mark.parametrize("p,seed,ok", [(None, 1, 1), (7, 1, 0)])
+def test_null_space_basis_charges_its_verdict(p, seed, ok):
+    # only the first rank nodes invert N11; one routed phase tells the other
+    # n - rank nodes the outcome, whichever it is (over GF(7) at seed 1 the
+    # leading block of the rank-4 instance is singular)
+    n, rank = 6, 4
+    world = CliqueWorld(n, seed=seed)
+    sub = world.all_nodes()
+    graph = unweighted(n, [(0, 1), (1, 2), (3, 4)])
+    tutte = graphs.build_tutte_instance(world, graph, p or graphs.matching_prime(n), "t")
+    basis = graphs._null_space_basis(world, sub, tutte, rank, "b", "trivial")
+    assert (basis is not None) == bool(ok)
+    verdicts = [(rec.rounds, rec.messages) for path, rec in world.ledger.leaves()
+                if path.endswith("verdict")]
+    assert verdicts == [(2, n - rank)]
+    assert [world.stores[node].get("ge_n11_ok") for node in sub[rank:]] == [ok] * (n - rank)
 
 
 def test_matching_prime_is_capped_at_float_prime_max():

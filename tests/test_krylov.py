@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import math
 import random
@@ -9,7 +10,7 @@ import pytest
 
 from cliquealg import cli, detinv, krylov, mm, oracles
 from cliquealg.ff import Polynomial, generating_polynomial, next_prime_at_least
-from cliquealg.sim import CliqueWorld
+from cliquealg.sim import CliqueWorld, GroupRecord, PhaseRecord
 from polytools import divides, poly_mul
 
 warnings.filterwarnings("ignore", message=".*field size.*")
@@ -78,7 +79,6 @@ def test_sequence_uses_expected_product_call_count():
     stage_vector(world, sub, "u", list(range(8)))
     krylov.krylov_sequence(world, sub, dm, "u", 16)
     group = world.ledger.root.children[-1]
-    from cliquealg.sim import GroupRecord
     calls = [child.name for child in group.children
              if isinstance(child, GroupRecord)
              and child.name.startswith(("apply", "square"))]
@@ -90,7 +90,6 @@ def test_sequence_routes_only_bands_below_n():
     world, sub, dm = world_with(np.eye(8, dtype=np.int64), p)
     stage_vector(world, sub, "u", list(range(8)))
     krylov.krylov_sequence(world, sub, dm, "u", 32)
-    from cliquealg.sim import PhaseRecord
     steps = []  # (step, rounds) of every place phase
     local = []
     step = None
@@ -348,44 +347,92 @@ def test_rank_matches_oracle_various():
     assert hits >= 28
 
 
+def _low_rank(n, r, p, seed):
+    rng = random.Random(seed)
+    return (np.array([[rng.randrange(p) for _ in range(r)] for _ in range(n)]) @
+            np.array([[rng.randrange(p) for _ in range(n)] for _ in range(r)])) % p
+
+
 def test_rank_rand_scales_by_its_diagonal_locally():
-    # B D is formed node by node after uav0; no product by D is routed
+    # B = U A V D is formed node by node around two transposes: the only
+    # product call under rank_rand is the minpol of B
     n, r = 8, 3
     p = prime_for(n)
-    rng = random.Random(3)
-    mat = (np.array([[rng.randrange(p) for _ in range(r)] for _ in range(n)]) @
-           np.array([[rng.randrange(p) for _ in range(n)] for _ in range(r)])) % p
+    mat = _low_rank(n, r, p, 3)
     assert oracles.rank_mod(mat, p) == r
     world, sub, dm = world_with(mat, p, seed=3)
     assert krylov.rank_rand(world, sub, dm) == r
     group = next(child for child in world.ledger.root.children
                  if child.name.startswith("rankrand"))
+    products = [child.name for child in group.children if isinstance(child, GroupRecord)]
+    assert [re.sub(r"\d+", "#", name) for name in products] == ["minpol#"]
     names = [child.name for child in group.children]
-    assert "uavd0" not in names
-    assert names.index("diagonal") == names.index("uav0") + 1
+    assert names.index("ua") < names.index("uavd") < names.index(products[0])
+
+
+@pytest.mark.parametrize("r", [3, 8])
+def test_rank_rand_forms_b_by_two_transposes(r):
+    # one generator per attempt and no det_rand pre-check; forming B routes
+    # exactly two transposes of 2 rounds and n(n - 1) messages each
+    n = 8
+    p = prime_for(n)
+    mat = _low_rank(n, r, p, r)
+    world, sub, dm = world_with(mat, p, seed=r)
+    assert krylov.rank_rand(world, sub, dm) == r == oracles.rank_mod(mat, p)
+    groups = [path for path, _ in world.ledger.leaves()]
+    assert not any("detrand" in path for path in groups)
+    (group,) = world.ledger.root.children
+    routed = [(child.name, child.rounds, child.messages) for child in group.children
+              if isinstance(child, PhaseRecord) and child.rounds
+              and not child.name.startswith("share-pre")]
+    assert routed == [("ua-rows", 2, n * (n - 1)), ("uavd-cols", 2, n * (n - 1))]
+
+
+def test_rank_rand_never_underestimates_an_invertible_matrix():
+    # B = U A V D with a nonzero diagonal is invertible with A, so its
+    # generator never has g(0) = 0: the answer is n or InconclusiveError.  A
+    # zero entry of D would make B singular and the answer smaller.
+    n, p = 6, 7
+    answers = collections.Counter()
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        mat = rng.integers(0, p, (n, n))
+        while oracles.det_mod(mat, p) == 0:
+            mat = rng.integers(0, p, (n, n))
+        world, sub, dm = world_with(mat, p, seed=seed)
+        try:
+            answers[krylov.rank_rand(world, sub, dm)] += 1
+        except krylov.InconclusiveError:
+            answers["raised"] += 1
+    assert set(answers) <= {n, "raised"} and answers[n] > 0
+
+
+def test_run_rank_of_a_low_rank_matrix(capsys):
+    argv = ["run", "rank", "--gen", "lowrank:n=16", "--seed", "1"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "verdict: pass" in out
+    assert "total rounds=252 messages=28363" in out
+    assert "detrand" not in out
 
 
 def test_rank_rand_raises_when_no_estimate_is_in_range():
-    # a rank-2 matrix over GF(5) whose determinant attempts are all
-    # inconclusive, so no rank estimate exists; clamping one once gave 4
-    rng = np.random.default_rng(139)
+    # a rank-2 matrix over GF(5) at which all three attempts are inconclusive
+    # (g(0) != 0 and deg g < n); 17 is the first seed in 1..399 that gives one
+    rng = np.random.default_rng(17)
     mat = rng.integers(0, 5, (4, 2)) @ rng.integers(0, 5, (2, 4)) % 5
-    world, sub, dm = world_with(mat, 5, seed=139)
+    assert oracles.rank_mod(mat, 5) == 2
+    world, sub, dm = world_with(mat, 5, seed=17)
     with pytest.raises(krylov.InconclusiveError):
         krylov.rank_rand(world, sub, dm)
 
 
 def test_toeplitz_builder_shapes():
     p = 101
-    world = CliqueWorld(5, seed=0)
-    sub = world.all_nodes()
+    n = 5
     rng = random.Random(0)
     coeffs = np.array([rng.randrange(p) for _ in range(8)])
-    world.run_local(sub, "stage", lambda view: view.put("uv", coeffs.copy()))
-    u_dm, v_dm = krylov.build_unit_toeplitz(world, sub, "uv", p)
-    u_mat = mm.gather_matrix(world, u_dm)
-    v_mat = mm.gather_matrix(world, v_dm)
-    n = 5
+    u_mat, v_mat = krylov.unit_toeplitz(coeffs, n, p)
     for i in range(n):
         assert u_mat[i, i] == 1 and v_mat[i, i] == 1
         for j in range(i + 1, n):
