@@ -474,8 +474,8 @@ def cmd_verify(args) -> int:
 
 
 BENCH_ALGOS = ("mm", "mm-k", "det-deterministic", "inverse-deterministic",
-               "minpol", "det-rand", "distprod", "apsp")
-PER_LOG = {"minpol", "det-rand"}
+               "minpol", "det-rand", "solve", "distprod", "apsp")
+PER_LOG = {"minpol", "det-rand", "solve"}
 
 
 def _bench_once(name: str, n: int, k: int, seed: int, kernel: str) -> CliqueWorld:
@@ -500,12 +500,14 @@ def _bench_once(name: str, n: int, k: int, seed: int, kernel: str) -> CliqueWorl
                 detinv.inverse(world, sub, dm, kernel)
             except detinv.SingularMatrixError:
                 pass  # a singular draw is charged for its char_poly alone
-    elif name == "minpol":
+    elif name in ("minpol", "det-rand", "solve"):
         dm = mm.scatter_matrix(world, sub, _rand_matrix(rng, n, n, p), p)
-        krylov.minpol_monte_carlo(world, sub, dm, f"bench-{seed}", kernel)
-    elif name == "det-rand":
-        dm = mm.scatter_matrix(world, sub, _rand_matrix(rng, n, n, p), p)
-        krylov.det_rand(world, sub, dm, f"bench-{seed}", kernel)
+        if name == "solve":  # the matrix is singular, and solve raises, with chance ~ 1/p
+            b = np.array([rng.randrange(p) for _ in range(n)])
+            krylov.solve(world, sub, dm, b, f"bench-{seed}", kernel)
+        else:
+            run = krylov.minpol_monte_carlo if name == "minpol" else krylov.det_rand
+            run(world, sub, dm, f"bench-{seed}", kernel)
     elif name == "distprod":
         a = distprod.scatter_minplus(world, sub, _rand_minplus(rng, n, n, 3), 3,
                                      has_cols=False)

@@ -1,37 +1,37 @@
 """Randomized distributed linear algebra: minimal polynomial, determinant,
 linear-system solving, and rank.
 
-All four are Monte Carlo.  The probe sequence w A^i v is built by doubling a
-column band (band i holds A^0 u .. A^(2^i - 1) u) and squaring the power of A
-alongside, so 2*log2(L) - 1 batched product calls generate L Krylov columns.
-The L columns are held as a list of n x n column-held chunks, column j being
-column j mod n of chunk j // n, so one `mm_multi` call multiplies a whole band.
-The sequence length is 2n: recovering a linear recurrence of degree up to n
-needs 2n terms.  Every node receives all 2n projected terms and runs
-Berlekamp-Massey itself (node-local work is free), so every node holds the
-generator, and every retry decision det_rand, solve and rank_rand read from
-it is known to all nodes without a broadcast.
+All four are Monte Carlo and rest on the generator of the 2n terms w A^i u
+for random u, w.  Node pos holds row and column pos of A, so A x or y A for a
+vector every node knows is a local dot product and one allgather (2 rounds).
+The terms come by baby and giant steps (Kaltofen, ISSAC 1992, after
+Paterson-Stockmeyer, SIAM J. Comput. 1973): A^s by log2 s squarings through
+`mm_multi`, baby steps x_k = A^k u (k < s), giant steps y_j = w A^(js)
+(j < ceil(2n / s)), and term js + k = y_j x_k at every node.  s is the power
+of two of fewest rounds by `predict_rounds`, which reads the schedule that
+minpol runs: Theta(sqrt(n)) rounds for large n, yet below the paper's Krylov
+doubling, Theta(n^(1/3) log n), at every power of two up to 2^24.  Each node
+runs Berlekamp-Massey, so every retry decision is known to all nodes.
+solve evaluates x = -g(0)^-1 h(A) b, h(z) = (g(z) - g(0)) / z, by
+Paterson-Stockmeyer in the same A^s: baby vectors A^r b (r < s), the inner
+sums z_j = sum_r h_(js+r) A^r b at every node, and Horner in A^s, one
+allgather per block; every node ends up holding x.  rank_rand reads the
+rank from the generator of a preconditioned B = U A V D, formed locally
+around two transposes.
 
-rank_rand needs one generator per attempt: that of B = U A V D for random
-unit Toeplitz U, V and a random nonzero diagonal D, which every node knows,
-so B is formed by two transposes and no routed product.  deg g = n with
-g(0) != 0 certifies full rank; g(0) = 0 gives deg g - 1, a lower bound on
-the rank that equals it whp; anything else retries.
-
-Guarantees assume |F| >= 4 n^2 ceil(log2 n); smaller fields only get a warning
-so that toy instances remain runnable.
+Guarantees assume |F| >= 4 n^2 ceil(log2 n); smaller fields get a warning.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .collective import allgather_scalars, share_random
 from .ff import Polynomial, generating_polynomial, matmul_mod, warn_small_field
-from .mm import DMat, mm_multi
+from .mm import DMat, mm_multi, predict_rounds as product_rounds
 from .sim import CliqueWorld
 
 # Attempts, each with fresh randomness, that minpol_monte_carlo, det_rand,
@@ -52,114 +52,129 @@ def field_size_bound(n: int) -> int:
     return 4 * n * n * max(1, math.ceil(math.log2(max(2, n))))
 
 
-def _check_field_size(p: int, n: int, what: str) -> None:
-    warn_small_field(p, field_size_bound(n), what)
+def _schedule(n: int, s: int) -> tuple[int, int, int]:
+    """minpol's steps for giant step s: log2 s squarings, then s - 1 baby and
+    ceil(2n / s) - 1 giant steps of one allgather each."""
+    return s.bit_length() - 1, s - 1, -(-2 * n // s) - 1
 
 
-def _next_pow2(x: int) -> int:
-    return 1 << max(0, (x - 1).bit_length())
+def _giant_step(n: int, kernel: str) -> tuple[int, int]:
+    """(rounds, s) for the power of two s <= 2n of fewest rounds (the smaller
+    s on a tie) when the first probe succeeds."""
+    square = product_rounds(n, n, 1, kernel)
+    step = CliqueWorld.route_rounds(n - 1, n)  # one scalar to every other node
+    probe = 2 * CliqueWorld.route_rounds(2 * (n - 1), n)  # 2n coins, two per node
+    options = []
+    for s in (1 << e for e in range((2 * n).bit_length())):
+        squarings, babies, giants = _schedule(n, s)
+        options.append((probe + squarings * square + (babies + giants) * step, s))
+    return min(options)
 
 
-def krylov_sequence(world: CliqueWorld, subset: Sequence[int], a: DMat,
-                    u_key, length: int, kernel: str = "trivial") -> list[DMat]:
-    """Column j of the n x length matrix [u, Au, ..., A^(length-1) u] for a
-    power of two `length`, as n x n column-held chunks: column j is column
-    j mod n of chunk j // n, at the node in position j mod n.
+def predict_rounds(n: int, kernel: str = "trivial") -> int:
+    """Rounds of one `minpol_monte_carlo` on n nodes whose first probe succeeds."""
+    return _giant_step(n, kernel)[0]
 
-    Every node must hold the start vector as the first n entries of the
-    vector under u_key; later entries are ignored.  Step i multiplies
-    the chunks the band of 2^i columns occupies by A^(2^i) in one `mm_multi`
-    call.  Once n divides the band, the products are the next chunks as they
-    stand; before that, their columns are routed into chunks zero-filled by
-    the seed step.
-    """
-    subset = tuple(subset)
+
+def _drop(world: CliqueWorld, subset: Sequence[int], phase: str, dm: DMat | None,
+          keys: Sequence = ()) -> None:
+    """Pop dm's rows and columns, if dm is given, and keys at every node."""
+    world.run_local(subset, phase, lambda view: view.pop_many(
+        [*keys, *((dm.row_key(view.pos), dm.col_key(view.pos)) if dm else ())]))
+
+
+def _power(world: CliqueWorld, subset: Sequence[int], a: DMat, s: int, kernel: str) -> DMat:
+    """A^s by squarings; each power but A is dropped once it is squared."""
+    apow = a
+    for i in range(_schedule(len(subset), s)[0]):
+        square = mm_multi(world, subset, [apow], [apow], kernel, phase=f"square{i}")[0]
+        if apow is not a:
+            _drop(world, subset, f"square{i}-drop", apow)
+        apow = square
+    return apow
+
+
+def _allgather_dot(world: CliqueWorld, subset: Sequence[int], phase: str, out_key,
+                   dot: Callable) -> None:
+    """Node pos puts dot(view), entry pos of a vector, under out_key; one
+    allgather (2 rounds, n(n - 1) messages) replaces it by the whole vector."""
+    world.run_local(subset, phase, lambda view: view.put(out_key, dot(view)))
+    allgather_scalars(world, subset, phase, out_key, out_key)
+
+
+def _terms(world: CliqueWorld, subset: Sequence[int], a: DMat, apow: DMat, s: int,
+           probe_key, out_key, suffix: str = "") -> None:
+    """Every node holds u then w under probe_key, and apow is A^s; afterwards
+    every node holds the 2n terms w A^i u under out_key.  Baby step k leaves
+    x_k = A^k u and giant step j leaves y_j = w A^(js) at every node."""
     n = len(subset)
     p = a.p
-    if length & (length - 1):
-        raise ValueError("sequence length must be a power of two")
-    # the chunks that routed steps write into: when n divides length, only chunk 0
-    # (every band below n fits in it, and every later band is whole chunks)
-    filled = 1 if length % n == 0 else -(-length // n)
-    chunks = [DMat(world.fresh_name("K"), n, n, p, subset, has_rows=False)
-              for _ in range(filled)]
-    with world.ledger.group(world.fresh_name("krylov")):
+    _, babies, giants = _schedule(n, s)
 
-        def init(view):
-            for chunk in chunks:
-                view.put(chunk.col_key(view.pos), np.zeros(n, dtype=np.int64))
-            if view.pos == 0:
-                view.put(chunks[0].col_key(0),
-                         np.asarray(view.get(u_key)[:n], dtype=np.int64) % p)
+    def vec(view, key, i):  # step 0 is u or w, the halves of the probe
+        return view.get((key, i)) if i else np.split(view.get(probe_key), 2)[key == "mp_y"]
 
-        world.run_local(subset, "seed", init)
-        apow = a
-        band = 1
-        steps = int(math.log2(length))
-        for i in range(steps):
-            used = -(-band // n)
-            prods = mm_multi(world, subset, [apow] * used, chunks[:used], kernel,
-                             phase=f"apply{i}")
-            if band % n == 0:
-                chunks[used:2 * used] = prods
-            else:
+    for k in range(1, babies + 1):
+        _allgather_dot(world, subset, f"baby{k}{suffix}", ("mp_x", k), lambda view, k=k: int(
+            matmul_mod(view.get(a.row_key(view.pos)), vec(view, "mp_x", k - 1), p)))
+    for j in range(1, giants + 1):
+        _allgather_dot(world, subset, f"giant{j}{suffix}", ("mp_y", j), lambda view, j=j: int(
+            matmul_mod(vec(view, "mp_y", j - 1), view.get(apow.col_key(view.pos)), p)))
 
-                def shift(view):  # product column j0 is sequence column band + j0
-                    for j0 in range(view.pos, band, n):
-                        j1 = band + j0
-                        yield (subset[j1 % n], chunks[j1 // n].col_key(j1 % n),
-                               view.pop(prods[j0 // n].col_key(view.pos)))
+    def form(view):  # term js + k = y_j x_k
+        u, w = np.split(view.get(probe_key), 2)
+        xs = np.stack([u, *view.pop_many(("mp_x", k) for k in range(1, babies + 1))])
+        ys = np.stack([w, *view.pop_many(("mp_y", j) for j in range(1, giants + 1))])
+        view.put(out_key, matmul_mod(ys, xs.T, p).ravel()[:2 * n])
 
-                world.route(subset, "place", shift)
-            band *= 2
-            if i != steps - 1:
-                apow = mm_multi(world, subset, [apow], [apow], kernel,
-                                phase=f"square{i}")[0]
-    return chunks
+    world.run_local(subset, f"terms{suffix}", form)
+
+
+def _generator(world: CliqueWorld, subset: Sequence[int], a: DMat, apow: DMat, s: int,
+               tag: str) -> Polynomial:
+    """minpol_monte_carlo's probes, given A^s."""
+    n = len(subset)
+    p = a.p
+    for attempt in range(RETRIES):
+        suffix = f"-{attempt}" if attempt else ""
+        share_random(world, subset, "draw", f"share-probe{suffix}", f"{tag}-probe{suffix}",
+                     "mp_vw_all", lambda rng: [rng.randrange(p) for _ in range(2 * n)])
+        _terms(world, subset, a, apow, s, "mp_vw_all", "mp_terms", suffix)
+        last = []  # (sequence, generator): Berlekamp-Massey runs once per phase
+
+        def recover(view):
+            seq = view.pop("mp_terms")
+            if not (last and np.array_equal(last[0], seq)):
+                last[:] = seq, generating_polynomial(seq, p)
+            view.put("mp_poly", last[1])
+
+        world.run_local(subset, "recover", recover)
+        poly = world.stores[subset[0]]["mp_poly"]
+        if poly.degree >= 1:
+            return poly
+    raise InconclusiveError(f"minpol: every probe sequence was zero in {RETRIES} attempts")
 
 
 def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
                        tag: str = "minpol", kernel: str = "trivial") -> Polynomial:
-    """Generating polynomial of w A^i v for random v, w; equals minpol(A) whp.
+    """Generating polynomial of w A^i u for random u, w; equals minpol(A) whp.
 
-    Every node receives all 2n projected terms and recovers the generator
-    itself, so the polynomial ends up under mp_poly at every node (and is
-    returned), and every decision read from it is known to all nodes.  Every
-    minimal polynomial has degree >= 1, so a degree-0 generator (an all-zero
-    sequence) redraws v and w; InconclusiveError once the retries are spent.
+    The polynomial ends up under mp_poly at every node (and is returned).
+    Every minimal polynomial has degree >= 1, so a degree-0 generator (an
+    all-zero sequence) redraws u and w; InconclusiveError once the retries
+    are spent.  A^s is formed before the first probe and dropped after the
+    last.
     """
     subset = tuple(subset)
-    nodes = np.array(subset)
-    n = len(subset)
-    p = a.p
-    _check_field_size(p, n, "minpol")
-    length = _next_pow2(2 * n)
+    warn_small_field(a.p, field_size_bound(len(subset)), "minpol")
+    s = _giant_step(len(subset), kernel)[1]
     with world.ledger.group(world.fresh_name("minpol")):
-        for attempt in range(RETRIES):
-            suffix = f"-{attempt}" if attempt else ""
-            share_random(world, subset, "draw", f"share-probe{suffix}", f"{tag}-probe{suffix}",
-                         "mp_vw_all", lambda rng: [rng.randrange(p) for _ in range(2 * n)])
-            chunks = krylov_sequence(world, subset, a, "mp_vw_all", length, kernel)
-
-            def project(view):  # terms j0 = pos and pos + n; w is the probe's tail
-                cols = np.stack([view.get(chunk.col_key(view.pos)) for chunk in chunks[:2]])
-                terms = matmul_mod(cols, view.get("mp_vw_all")[n:], p)
-                yield nodes, ("mp_term", view.node), np.broadcast_to(terms, (n, 2))
-
-            world.route(subset, f"project{suffix}", project)
-            last = []  # (sequence, generator): Berlekamp-Massey runs once per phase
-
-            def recover(view):
-                seq = np.stack(view.pop_many(("mp_term", node) for node in subset)).T.ravel()
-                if not (last and np.array_equal(last[0], seq)):
-                    last[:] = seq, generating_polynomial(seq, p)
-                view.put("mp_poly", last[1])
-
-            world.run_local(subset, "recover", recover)
-            poly = world.stores[subset[0]]["mp_poly"]
-            if poly.degree >= 1:
-                return poly
-    raise InconclusiveError(f"minpol: every probe sequence was zero in {RETRIES} attempts")
+        apow = _power(world, subset, a, s, kernel)
+        try:
+            return _generator(world, subset, a, apow, s, tag)
+        finally:
+            if apow is not a:
+                _drop(world, subset, "drop", apow)
 
 
 def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
@@ -167,16 +182,15 @@ def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
     """Monte Carlo determinant of A from the generator of D A for a random
     invertible diagonal D; known at every node and returned.
 
-    A degree-n generating polynomial, or one with zero constant term, is
-    conclusive.  Every node holds the generator and D, so every node reaches
-    the verdict and the value without further communication.  Anything else
-    triggers a retry with fresh randomness, and InconclusiveError once the
+    A degree-n generator, or one with zero constant term, is conclusive;
+    every node holds it and D, so every node reaches the value alone.
+    Anything else retries with fresh randomness; InconclusiveError once the
     retries are spent.
     """
     subset = tuple(subset)
     n = len(subset)
     p = a.p
-    _check_field_size(p, n, "det_rand")
+    warn_small_field(p, field_size_bound(n), "det_rand")
     with world.ledger.group(world.fresh_name("detrand")):
         for attempt in range(RETRIES):
             share_random(world, subset, "draw", f"share-diag{attempt}", f"{tag}-diag-{attempt}",
@@ -200,65 +214,63 @@ def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
 
 def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
           tag: str = "solve", kernel: str = "trivial") -> np.ndarray:
-    """x with Ax = b, coordinate ell at node ell; self-verifying.
+    """x with Ax = b, known at every node; self-verifying.
 
-    Raises SolveFailedError after the retry budget (singular system or
-    repeated Monte Carlo failure); never returns an unverified answer.
+    b, A^r b (r < s) and A^s are formed once; each attempt with g(0) != 0
+    evaluates x by Paterson-Stockmeyer.  Raises SolveFailedError after the
+    retry budget (singular system or repeated Monte Carlo failure); never
+    returns an unverified answer.
     """
     subset = tuple(subset)
-    nodes = np.array(subset)
     n = len(subset)
     p = a.p
-    _check_field_size(p, n, "solve")
+    warn_small_field(p, field_size_bound(n), "solve")
     b = np.asarray(b, dtype=np.int64) % p
+    s = _giant_step(n, kernel)[1]
+    blocks = -(-n // s)  # h has at most n coefficients
     with world.ledger.group(world.fresh_name("solve")):
+        _allgather_dot(world, subset, "share-b", ("sv_b", 0), lambda view: int(b[view.pos]))
+        apow = _power(world, subset, a, s, kernel)
+        for r in range(1, s):
+            _allgather_dot(world, subset, f"baby-b{r}", ("sv_b", r), lambda view, r=r: int(
+                matmul_mod(view.get(a.row_key(view.pos)), view.get(("sv_b", r - 1)), p)))
 
-        def send_b(view):  # node pos holds b[pos]; the seed reads b at position 0
-            yield subset[0], ("sv_b", view.pos), int(b[view.pos])
+        def inner(view):
+            g = view.get("mp_poly")
+            inv = pow(g(0), -1, p)
+            c = [-coef * inv % p for coef in g.coeffs[1:]] + [0] * (blocks * s - g.degree)
+            powers = np.stack([view.get(("sv_b", r)) for r in range(s)])
+            view.put("sv_z", matmul_mod(np.array(c).reshape(blocks, s), powers, p))
+            view.put(("sv_acc", blocks - 1), view.get("sv_z")[-1])
 
-        world.route(subset, "gather-b", send_b)
+        def horner(view, j):  # entry pos of A^s acc_(j+1) + z_j
+            return (int(matmul_mod(view.get(apow.row_key(view.pos)),
+                                   view.pop(("sv_acc", j + 1)), p))
+                    + int(view.get("sv_z")[j, view.pos])) % p
 
-        def stage_b(view):
-            if view.pos == 0:
-                view.put("sv_b", np.array(view.pop_many(("sv_b", j0) for j0 in range(n))))
+        def check(view):
+            view.pop("sv_z")
+            view.put("sv_x_all", view.pop(("sv_acc", 0)))
+            lhs = int(matmul_mod(view.get(a.row_key(view.pos)), view.get("sv_x_all"), p))
+            view.put("sv_ok", 1 if lhs == int(b[view.pos]) else 0)
 
-        world.run_local(subset, "stage", stage_b)
-        for attempt in range(RETRIES):
-            poly = minpol_monte_carlo(world, subset, a, f"{tag}-mp-{attempt}", kernel)
-            if poly(0) == 0:  # every node reads this from its own mp_poly
-                continue
-            length = _next_pow2(n)
-            chunks = krylov_sequence(world, subset, a, "sv_b", length, kernel)
-
-            def scatter_terms(view):  # length >= n, so column pos is in chunk 0
-                g = view.get("mp_poly")
-                coef = g.coeffs[view.pos + 1] if view.pos < g.degree else 0
-                col = view.get(chunks[0].col_key(view.pos))
-                term = (-coef * pow(g(0), -1, p) % p) * col % p
-                yield nodes, ("sv_part", view.pos), term
-
-            world.route(subset, f"terms{attempt}", scatter_terms)
-
-            def accumulate(view):
-                total = 0
-                for j0 in range(n):
-                    total += int(view.pop(("sv_part", j0), 0))
-                view.put("sv_x", total % p)
-
-            world.run_local(subset, "sum", accumulate)
-            allgather_scalars(world, subset, f"xshare{attempt}", "sv_x", "sv_x_all")
-
-            def check(view):
-                pos = view.pos
-                x_all = view.get("sv_x_all")
-                lhs = int(matmul_mod(view.get(a.row_key(pos)) % p, x_all, p))
-                view.put("sv_ok", 1 if lhs == int(b[pos]) else 0)
-
-            world.run_local(subset, "verify", check)
-            allgather_scalars(world, subset, f"okshare{attempt}", "sv_ok", "sv_ok_all")
-            flags = world.stores[subset[0]]["sv_ok_all"]
-            if int(flags.min()) == 1:
-                return world.stores[subset[0]]["sv_x_all"].copy()
+        try:
+            for attempt in range(RETRIES):
+                with world.ledger.group(world.fresh_name("minpol")):
+                    poly = _generator(world, subset, a, apow, s, f"{tag}-mp-{attempt}")
+                if poly(0) == 0:  # every node reads this from its own mp_poly
+                    continue
+                world.run_local(subset, f"inner{attempt}", inner)
+                for j in range(blocks - 2, -1, -1):
+                    _allgather_dot(world, subset, f"horner{j}-{attempt}", ("sv_acc", j),
+                                   lambda view, j=j: horner(view, j))
+                world.run_local(subset, "verify", check)
+                allgather_scalars(world, subset, f"okshare{attempt}", "sv_ok", "sv_ok_all")
+                if int(world.stores[subset[0]]["sv_ok_all"].min()) == 1:
+                    return world.stores[subset[0]]["sv_x_all"].copy()
+        finally:
+            _drop(world, subset, "drop", apow if apow is not a else None,
+                  [("sv_b", r) for r in range(s)])
     raise SolveFailedError(
         "system unsolved: matrix singular or repeated Monte Carlo failure")
 
@@ -298,14 +310,12 @@ def transpose(world: CliqueWorld, subset: Sequence[int], phase: str, src_key, ds
 
 
 def precondition(world: CliqueWorld, subset: Sequence[int], a: DMat, pre_key) -> DMat:
-    """B = U A V D, rows and columns, for the pair (U, V) of `unit_toeplitz` and
-    D = diag(d).  Every node holds, under pre_key, u_2..u_n, v_2..v_n and then
-    d (D = I when d is absent).
-
-    Every node knows U, V and D, so no product is routed: node pos forms
-    column pos of U A from column pos of A, a transpose gives the rows of U A,
-    node pos multiplies its row by V D, and a second transpose gives the
-    columns of B.  Two routed phases of 2 rounds and n(n - 1) messages each.
+    """B = U A V D, rows and columns, for (U, V) of `unit_toeplitz` and
+    D = diag(d); every node holds u_2..u_n, v_2..v_n, then d (D = I when d is
+    absent) under pre_key.  So no product is routed: node pos forms column pos
+    of U A, a transpose gives the rows of U A, node pos multiplies its row by
+    V D, and a second transpose gives the columns of B.  Two routed phases of
+    2 rounds and n(n - 1) messages each.
     """
     subset = tuple(subset)
     n = len(subset)
@@ -346,12 +356,11 @@ def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
       matrix has rank >= deg minpol - 1 >= deg g - 1) that equals it whp;
     - anything else retries; InconclusiveError once RETRIES attempts are
       spent.  InconclusiveError from minpol_monte_carlo propagates.
-    Every node holds g, so every node reaches the same decision.
     """
     subset = tuple(subset)
     n = len(subset)
     p = a.p
-    _check_field_size(p, n, "rank_rand")
+    warn_small_field(p, field_size_bound(n), "rank_rand")
     with world.ledger.group(world.fresh_name("rankrand")):
         for attempt in range(RETRIES):
             share_random(world, subset, "draw", f"share-pre{attempt}", f"{tag}-pre-{attempt}",

@@ -33,18 +33,6 @@ def parse_entry(token: str) -> int:
     return INF if token.strip().lower() == "inf" else int(token)
 
 
-def write_pair_file(path, a: np.ndarray, b: np.ndarray, bound_m: int) -> None:
-    """'n m M' header, then the n rows of A followed by the m rows of B."""
-    n, m = a.shape
-    assert b.shape == (m, n)
-    with open(path, "w") as fh:
-        fh.write(f"{n} {m} {bound_m}\n")
-        for row in a:
-            fh.write(" ".join(format_entry(v) for v in row) + "\n")
-        for row in b:
-            fh.write(" ".join(format_entry(v) for v in row) + "\n")
-
-
 def read_records(path, header: str):
     """The header line and the later lines of a text file as (line number,
     fields) pairs, blank lines skipped.  A missing header, or one with another

@@ -93,6 +93,15 @@ def test_bench_outputs_csv(tmp_path, capsys):
     assert any(line.startswith("24,1,24,trivial,total,") for line in lines)
 
 
+def test_bench_solve_prints_the_per_log_slope_and_its_phases(tmp_path, capsys):
+    out = tmp_path / "solve.csv"
+    assert run_cli(["bench", "solve", "--sizes", "4,8,12,16", "--out", str(out)]) == 0
+    assert "fitted log-log slope of rounds/log2(n)" in capsys.readouterr().out
+    phases = {line.split(",")[4].split("/")[-1] for line in out.read_text().splitlines()[1:]}
+    assert {"share-b-exchange", "verify", "total"} <= phases
+    assert any(phase.startswith("horner") for phase in phases)
+
+
 def test_plan_outputs(capsys):
     assert run_cli(["plan", "theorem1", "--a", "0", "--b", "1"]) == 0
     assert "0.333333" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cliquealg import distprod, mm, oracles
-from cliquealg.minplus import (INF, entry_bits, read_pair_file, write_pair_file)
+from cliquealg.minplus import INF, entry_bits, format_entry, read_pair_file
 from cliquealg.sim import CliqueWorld
 
 
@@ -171,6 +171,17 @@ def test_oblivious_ledger_across_inputs():
         distprod.dist_prod(world, sub, a, b)
         texts.add(world.ledger.to_text())
     assert len(texts) == 1
+
+
+def write_pair_file(path, a, b, bound_m):
+    """The pair format `read_pair_file` reads: an 'n m M' header, then the n
+    rows of A and the m rows of B."""
+    n, m = a.shape
+    assert b.shape == (m, n)
+    with open(path, "w") as fh:
+        fh.write(f"{n} {m} {bound_m}\n")
+        for row in [*a, *b]:
+            fh.write(" ".join(format_entry(v) for v in row) + "\n")
 
 
 def test_pair_file_roundtrip(tmp_path):

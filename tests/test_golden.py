@@ -25,55 +25,55 @@ GOLDEN = {
         ("distprod", 8): "4a3f0d6865513de0dab3fa77b9f52cb88ac4528cabf24edcdf43554ec09af8d8",
         ("det", 8): "0e3d09495bdd473e562f5d289a36a8c16e0828f4f594fb1348138eb13bf57f0f",
         ("inverse", 8): "45f0892bd6fbc4c4924af5dea827ee369a51b4a91767a9eca91de699b4076bc3",
-        ("minpol", 8): "ff8a7cd2ee873240ff9242849bf0f20fab32456b954e217b5a4ca065e7d4db53",
-        ("solve", 8): "d51245fc59db1bdfab9d41a852934dae98b7686651efecb0c35bf61a0eb6daef",
-        ("rank", 8): "c2367d2403245da552806ec5c2046d5658098d0c18465869087149a68580f11b",
+        ("minpol", 8): "e3c3710a5db86e99e54314bdc7d766dd5994649687226f36df75262cc3de980d",
+        ("solve", 8): "daa10b212202fc5475c1235bdd5b089f952e65f0036372cce4a8739d61916bd3",
+        ("rank", 8): "221f79ca44b61bc5b6d47878aa35f102053fc0c0171af5adfe2055ea37539d47",
         ("apsp", 8): "399efcba7debce58af1dd8d35f3608b2f2858568566129d2844ff42a7b5e59b4",
         ("apsp-zwick", 8): "a77365e2b1a5ae5586693929d9e20a8244fb986884d02f253b66d2da53880ae2",
         ("diameter", 8): "261842b4f4c3c3af2deb8ce4e9fc89ce36142700290efe321b240ad9934a5bb6",
-        ("matching-size", 8): "4ea1d1314a934cc907e638d2d590dd577a10872976e920412415e917bb04d389",
-        ("allowed-edges", 8): "d9e313777cde6340377f9337652fa0a4f8a712f15743328d36943ffb19323abe",
-        ("gallai-edmonds", 8): "6274da3de05f89562cc277e873aa5338ea7f186942cacd628554f9a8a79aa5ab",
+        ("matching-size", 8): "a791415a9f06606d177bc22843a706f600fb25c15531916f4ae46b48cccb549c",
+        ("allowed-edges", 8): "90e80b440e16ce0ee2ec5320dfe9fbf1afce007c2040d7d478ce3de07967ad27",
+        ("gallai-edmonds", 8): "5ac1a83f1feb62a2fba08c41438f5dfd5cd37df73bec2aa7b25297d8d83d32dc",
         ("mm", 16): "fd146d0b7010b4f939d44f78cc6fcf9448dff541b7add9e7d6f3dd944b59ff9b",
         ("distprod", 16): "1a1ed8a9ebef0aa6276116cdf6e0a321cd1ded1037ade439820d083f6481abc1",
         ("det", 16): "6ded598ac22c765d58c55d580487d4fb2d701ac8117249fc6221b26f32b4d12a",
         ("inverse", 16): "ed82c96f28df09988552395d9bdffa5b954c328370a843a7304dc1cfa48aa01c",
-        ("minpol", 16): "3b3c0ac244a0d10b9024c42385f33ff777913565023b58e51d62bb9773efdd35",
-        ("solve", 16): "d6b5ca3408f7f7505e35304aefb9fa64a68ab4601222c01eb2a20405a5f28a01",
-        ("rank", 16): "509b054b939e6f3d8aac7cfef9e87c7b39c6aa9ae0c962e6d2ee9894cdb66aac",
+        ("minpol", 16): "edeff4c39d64b490531e6946ab2a5832e9c82af6253a0c7080b17ec32d8c5563",
+        ("solve", 16): "0d78ab3d8f8c424180b78e04b876730dcf10625e8bc71e23bfcfcab80b8c45a3",
+        ("rank", 16): "75cfa45cebdc49a0b9105ca70bc18bec15a6cf40f3838e509bb07168cf0f582c",
         ("apsp", 16): "228419b0d365e19a8c4983195a7b61c95187331ff3ea634953f2654e60ff5a1e",
         ("apsp-zwick", 16): "8994c8f64d19b769c04c5456fd0221850a5e0c6a289bb6e0217266e61220907b",
         ("diameter", 16): "bef48efcbd14349b668e11df1db4c2298cabac423aeb0c21419936c40acd34c8",
-        ("matching-size", 16): "e2a6fce70088cc6c93f9ec0cdc1d13deb5bb1d6b140f01aec773e59f547e490f",
-        ("allowed-edges", 16): "f415f9b209472b0e0d768fb34185371c0c6b2320465c9632d024a3e2d116221c",
-        ("gallai-edmonds", 16): "44bc1900b4af1179b6ed416a5d2d670a1091979ea7f545eba1c2c23fb7323f21",
+        ("matching-size", 16): "af2822859ee7a8833ad1621db661f71f9e8689e4e391c48af1c5787e856f9602",
+        ("allowed-edges", 16): "f55014d138ac69e8ba6159143216b9a03233a57e0d5d3ada6b5b22eb1f3cbb93",
+        ("gallai-edmonds", 16): "3b344430fe85d1f8ba6def71dbe1ff2a0da87f5af6c81acedf67aff0a97dd1c2",
         ("mm", 64): "6f92efa10d459981b42601d1b3648fefe420fa4aadca3cc9ff9cd3c67dde1a76",
         ("distprod", 64): "6d51dd7ef37a46148deec487d80043a222660ddfa04c8f070f6788e5dbe400f3",
         ("det", 64): "68ab7f34db90bbde19c1d0d1ae346c13837c4c71343bc0de31961211f3d5902d",
         ("inverse", 64): "fd92b141d3f8c7d52cdf9894bbecffee3932d4e37e5b86d2e87f8c20e6ae857c",
-        ("minpol", 64): "de98b1f8e913b1c4d0be157dcb1e9ded2f62f6a3ea12bfbcde949196ce5b390f",
-        ("solve", 64): "58e4697a3c9cbadc3590441c31211a1ce86ca1200e06c81f84eaa8c8238b69d9",
-        ("rank", 64): "500aa0c4a01cc57c13995e7e1f9ba7585238c505063e56da020d0ba521d18e38",
+        ("minpol", 64): "b511a7c755394a7ab8a28054c054a67d818b2f70baf1a989378823bc7c1898fb",
+        ("solve", 64): "13b5f984d4b6ec5fe87746bbea19ce76cd436c30c562c1be958628474ad8db2f",
+        ("rank", 64): "115b6684a4a73a1e1748bc8248ba809552ba9cde8715b7a3c497679b2e91bcae",
         ("apsp", 64): "7769079ef2d5448b205634ff5e9675918d999dd3eccb6d376e97fb08faa7e4a0",
         ("apsp-zwick", 64): "24a0fa43b2e34b189e85d052099785ca3264e14c7ed72d66d99831307898f9e1",
         ("diameter", 64): "23f90ccc4ba92ef9cc69debb3624a4084e64c092d2a30b5ecf7098fe6866610e",
-        ("matching-size", 64): "87a7a61d942cc9949dac38e35ab8080fa1871bfdf2b2427426f6acd93da54318",
-        ("allowed-edges", 64): "ef721af779d81addb171e140be7462de2920dac6ccc92b8f8337f4c15a75c922",
-        ("gallai-edmonds", 64): "9ad3a6788e5e589fb8adc8ab7bfb62b9a12a7bd7ecdb00996d4f542546fbd3dd",
+        ("matching-size", 64): "08def2111a2b7652b961ef4f2920c8753f1448a6573520c32d0d50975e00f8ba",
+        ("allowed-edges", 64): "52f4f64ea73b7c8b68c287fdcb0d709ba5834efc5aefda5d12a256f3952272d2",
+        ("gallai-edmonds", 64): "105f32bbbbad42cdda08bb5122a9a2563882aea948f4ecae5cf29eaae6772481",
     },
     "strassen": {
         ("mm", 8): "5dbed297cb06c22e8f75e67540794e2d7a7b9575b9ecda388d3aea8fa3366070",
         ("det", 8): "0e3d09495bdd473e562f5d289a36a8c16e0828f4f594fb1348138eb13bf57f0f",
         ("inverse", 8): "45f0892bd6fbc4c4924af5dea827ee369a51b4a91767a9eca91de699b4076bc3",
-        ("minpol", 8): "ff8a7cd2ee873240ff9242849bf0f20fab32456b954e217b5a4ca065e7d4db53",
+        ("minpol", 8): "e3c3710a5db86e99e54314bdc7d766dd5994649687226f36df75262cc3de980d",
         ("mm", 16): "c34620eea56d8cae29b762f9cfa9d712abcf667eb52b9b0549a05e152c73fa28",
         ("det", 16): "256852f80d96275401b14fb7e3821da0f8c8848660833032d96c951416210032",
         ("inverse", 16): "f105ac6f863b1ff5c9ed5c5a361e85d7a69eae1342189bf0e70f66e7d099105e",
-        ("minpol", 16): "a8254ce249c07fe5b028a7c1aeafadf13ca094716e38aca782fb8d23071636e9",
+        ("minpol", 16): "d5a39bbd0baa58bdc82a910d2dead4ff8451e451191b6d16cd14374d77d903e7",
         ("mm", 64): "4fef6c69d85f83fea15cc120b2f9448e928967ae3e6f88ef6175fead93ac3600",
         ("det", 64): "695e69edb9ae08be7b887cbda6c519743a1f91f1300d8152ccb37284ab4a427c",
         ("inverse", 64): "8080812d8d0f20147f112ccc995830de77071a1dba2f8bd88901785389a4370a",
-        ("minpol", 64): "7d68d45ce0a34a03b30f81b8e822e920d58edec30d40867162ba08e120010431",
+        ("minpol", 64): "8e456e0363883d69ed6f0e01d49e7f85734a2ccb14d4b06a61827a81a0d2602a",
     },
 }
 

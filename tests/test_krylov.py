@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cliquealg import cli, detinv, krylov, mm, oracles
-from cliquealg.ff import Polynomial, generating_polynomial, next_prime_at_least
+from cliquealg.ff import Polynomial, generating_polynomial, matmul_mod, next_prime_at_least
 from cliquealg.sim import CliqueWorld, GroupRecord, PhaseRecord
 from polytools import divides, poly_mul
 
@@ -32,77 +32,92 @@ def stage_vector(world, sub, key, vec):
     world.run_local(sub, "stage", lambda view: view.put(key, np.array(vec)))
 
 
-# -------------------------------------------------------- krylov sequence
+# ------------------------------------------------- baby and giant steps
+
+def _check_terms(mat, p, probe):
+    """Every power of two s <= 2n leaves w A^i u, i < 2n, at every node
+    (u, w the halves of the probe); returns those terms."""
+    n = mat.shape[0]
+    vec, want = probe[:n] % p, []
+    for _ in range(2 * n):
+        want.append(int(matmul_mod(probe[n:], vec, p)))
+        vec = oracles.mat_mult(mat, vec.reshape(-1, 1), p).ravel()
+    for s in [1 << e for e in range((2 * n).bit_length())]:
+        world, sub, dm = world_with(mat, p)
+        stage_vector(world, sub, "probe", probe)
+        apow = krylov._power(world, sub, dm, s, "trivial")
+        krylov._terms(world, sub, dm, apow, s, "probe", "terms")
+        for node in sub:
+            assert world.stores[node]["terms"].tolist() == want, (n, s, node)
+    return want
+
+
+TERM_SIZES = [1, 2, 3, 5, 8, 12]
+
 
 def test_sequence_identity_matrix():
-    p = prime_for(4)
-    world, sub, dm = world_with(np.eye(4, dtype=np.int64), p)
-    stage_vector(world, sub, "u", [3, 1, 4, 1])
-    chunks = krylov.krylov_sequence(world, sub, dm, "u", 8)
-    for j0 in range(8):
-        col = world.stores[sub[j0 % 4]][chunks[j0 // 4].col_key(j0 % 4)]
-        assert list(col) == [3, 1, 4, 1]
+    for n in TERM_SIZES:
+        p = prime_for(n)
+        probe = np.arange(1, 2 * n + 1)
+        assert _check_terms(np.eye(n, dtype=np.int64), p, probe) == [
+            int(probe[:n] @ probe[n:]) % p] * (2 * n)
 
 
 def test_sequence_shift_matrix_walks_basis():
-    p = prime_for(4)
-    shift = np.zeros((4, 4), dtype=np.int64)
-    for i in range(3):
-        shift[i, i + 1] = 1
-    world, sub, dm = world_with(shift, p)
-    stage_vector(world, sub, "u", [0, 0, 0, 1])
-    chunks = krylov.krylov_sequence(world, sub, dm, "u", 4)
-    expect = [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
-    for j0 in range(4):
-        assert list(world.stores[sub[j0 % 4]][chunks[j0 // 4].col_key(j0 % 4)]) == expect[j0]
+    # S^i e_(n-1) = e_(n-1-i), so the terms read w backwards, then zeros
+    for n in TERM_SIZES:
+        p = prime_for(n)
+        probe = np.concatenate([np.eye(n, dtype=np.int64)[-1], np.arange(1, n + 1)])
+        assert _check_terms(np.eye(n, k=1, dtype=np.int64), p, probe) == (
+            list(range(n, 0, -1)) + [0] * n)
 
 
-@pytest.mark.parametrize("n,length", [(8, 16), (8, 32), (6, 16), (1, 4), (5, 32), (12, 64)])
-def test_sequence_matches_iterated_multiplication(n, length):
+@pytest.mark.parametrize("n", TERM_SIZES)
+def test_terms_equal_projected_powers_for_every_giant_step(n):
     p = prime_for(n)
-    rng = random.Random(n + length)
+    rng = random.Random(n)
     mat = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
-    u = np.array([rng.randrange(p) for _ in range(n)])
-    world, sub, dm = world_with(mat, p)
-    stage_vector(world, sub, "u", u)
-    chunks = krylov.krylov_sequence(world, sub, dm, "u", length)
-    vec = u % p
-    for j0 in range(length):
-        col = world.stores[sub[j0 % n]][chunks[j0 // n].col_key(j0 % n)]
-        assert np.array_equal(col, vec), j0
-        vec = oracles.mat_mult(mat, vec.reshape(-1, 1), p).ravel()
+    _check_terms(mat, p, np.array([rng.randrange(p) for _ in range(2 * n)]))
 
 
-def test_sequence_uses_expected_product_call_count():
-    p = prime_for(8)
-    world, sub, dm = world_with(np.eye(8, dtype=np.int64), p)
-    stage_vector(world, sub, "u", list(range(8)))
-    krylov.krylov_sequence(world, sub, dm, "u", 16)
-    group = world.ledger.root.children[-1]
-    calls = [child.name for child in group.children
-             if isinstance(child, GroupRecord)
-             and child.name.startswith(("apply", "square"))]
-    assert len(calls) == 2 * 4 - 1  # 2 log2(L) - 1 product calls
+def test_sequence_uses_expected_product_call_count(monkeypatch):
+    # log2 s squarings, made once before the first probe: A^s does not
+    # depend on the coins, so a redraw repeats the steps and not the squarings
+    n = 16
+    p = prime_for(n)
+    world, sub, dm = world_with(np.eye(n, dtype=np.int64), p)
+    degrees = iter([0, 1])
+    monkeypatch.setattr(krylov, "generating_polynomial",
+                        lambda seq, q: Polynomial([0] * next(degrees) + [1], q))
+    krylov.minpol_monte_carlo(world, sub, dm)
+    (group,) = world.ledger.root.children
+    names = [child.name for child in group.children]
+    products = [child.name for child in group.children if isinstance(child, GroupRecord)]
+    assert products == ["square0"] and krylov._giant_step(n, "trivial")[1] == 2
+    assert names.index("square0") < names.index("share-probe-scatter")
+    assert [name for name in names if name.startswith("terms")] == ["terms", "terms-1"]
 
 
-def test_sequence_routes_only_bands_below_n():
-    p = prime_for(8)
-    world, sub, dm = world_with(np.eye(8, dtype=np.int64), p)
-    stage_vector(world, sub, "u", list(range(8)))
-    krylov.krylov_sequence(world, sub, dm, "u", 32)
-    steps = []  # (step, rounds) of every place phase
-    local = []
-    step = None
-    for child in world.ledger.root.children[-1].children:
-        if not isinstance(child, PhaseRecord):
-            step = int(child.name.removeprefix("apply").removeprefix("square"))
-        elif child.name == "place":
-            steps.append((step, child.rounds))
-        else:
-            local.append(child.name)
-    # bands 1, 2 and 4 are routed within chunk 0; bands 8 and 16 are whole chunks
-    assert steps == [(0, 2), (1, 2), (2, 2)]
-    assert local == ["seed"]
+@pytest.mark.parametrize("kernel", ["trivial", "strassen"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33])
+def test_predict_rounds_equals_the_minpol_ledger(n, kernel):
+    # at n = 1 and 2 every self-addressed row is free, so steps cost 0 and 2
+    world = cli._bench_once("minpol", n, 1, 0, kernel)
+    assert world.ledger.total_rounds == krylov.predict_rounds(n, kernel)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_minpol_leaves_only_its_probe_and_generator(n):
+    # the baby and giant vectors, the terms, A^s and (at n = 64, s = 4) A^2
+    # are popped after their last use
+    p = prime_for(n)
+    mat = np.random.default_rng(n).integers(0, p, (n, n))
+    world, sub, dm = world_with(mat, p, seed=1)
+    assert krylov._giant_step(n, "trivial")[1] > 1  # so A^s is a product
+    krylov.minpol_monte_carlo(world, sub, dm)
+    for pos, node in enumerate(sub):
+        assert set(world.stores[node]) == {dm.row_key(pos), dm.col_key(pos),
+                                           "mp_vw_all", "mp_poly"}
 
 
 # ----------------------------------------------------------------- minpol
@@ -146,7 +161,7 @@ def test_minpol_redraws_a_zero_probe(seed, capsys):
             "--seed", str(seed)]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
-    assert "verdict: pass" in out and "/project-1 " in out
+    assert "verdict: pass" in out and "/terms-1 " in out
 
 
 @pytest.mark.parametrize("n,p,seed,attempts", [(8, None, 1, 1), (1, 101, 44, 2), (1, 101, 57, 2)])
@@ -172,9 +187,9 @@ def test_minpol_inconclusive_once_every_probe_is_zero(monkeypatch):
     monkeypatch.setattr(krylov, "generating_polynomial", lambda seq, q: Polynomial([1], q))
     with pytest.raises(krylov.InconclusiveError):
         krylov.minpol_monte_carlo(world, sub, dm)
-    projects = [path for path, _ in world.ledger.leaves()
-                if path.split("/")[-1].startswith("project")]
-    assert len(projects) == krylov.RETRIES
+    terms = [path for path, _ in world.ledger.leaves()
+             if path.split("/")[-1].startswith("terms")]
+    assert len(terms) == krylov.RETRIES
 
 
 def test_minpol_divides_charpol():
@@ -275,10 +290,11 @@ def test_solve_random_systems_always_verified():
         assert np.array_equal(x, oracles.solve_mod(mat, b, p))
 
 
-@pytest.mark.parametrize("n", [2, 8])
+@pytest.mark.parametrize("n", [2, 8, 16])
 def test_solve_gathers_b_and_reads_its_coefficients_locally(n):
-    # node pos sends b[pos] to position 0, where the Krylov seed reads b; each
-    # node then takes its coefficient of the generator from its own mp_poly
+    # node pos holds b[pos]; one allgather gives every node b.  Each node reads
+    # the generator's coefficients from its own mp_poly, and its baby vectors
+    # A^r b (r < s) and Horner in A^s leave x at every node
     p = prime_for(n)
     rng = random.Random(n)
     mat = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
@@ -286,12 +302,24 @@ def test_solve_gathers_b_and_reads_its_coefficients_locally(n):
     world, sub, dm = world_with(mat, p, seed=n)
     x = krylov.solve(world, sub, dm, b)
     assert np.array_equal(oracles.mat_mult(mat, x.reshape(-1, 1), p).ravel(), b % p)
-    group = world.ledger.root.children[-1]
-    gather, stage = group.children[:2]
-    assert (gather.name, gather.rounds, gather.messages) == ("gather-b", 2, n - 1)
-    assert stage.name == "stage"
-    assert [node for node in sub if "sv_b" in world.stores[node]] == [sub[0]]
-    assert not any(child.name.startswith("coeffs") for child in group.children)
+    assert all(np.array_equal(world.stores[node]["sv_x_all"], x) for node in sub)
+    (group,) = world.ledger.root.children
+    share = next(child for child in group.children if child.name == "share-b-exchange")
+    assert (share.rounds, share.messages) == (2, n * (n - 1))
+    assert not any(child.name.startswith(("gather-b", "terms", "sum", "xshare"))
+                   for child in group.children)
+    s = krylov._giant_step(n, "trivial")[1]
+    steps = [child.name for child in group.children
+             if isinstance(child, PhaseRecord) and child.rounds]
+    assert len([name for name in steps if name.startswith("baby-b")]) == s - 1
+    assert len([name for name in steps if name.startswith("horner")]) == -(-n // s) - 1
+    # the allgather of b, the baby vectors, Horner and the verdict, after one minpol
+    tail = 2 * (1 + (s - 1) + (-(-n // s) - 1) + 1)
+    assert world.ledger.total_rounds == krylov.predict_rounds(n) + tail
+    # b, its baby vectors, A^s and the Horner accumulators are popped
+    for pos, node in enumerate(sub):
+        assert set(world.stores[node]) == {dm.row_key(pos), dm.col_key(pos), "mp_vw_all",
+                                           "mp_poly", "sv_x_all", "sv_ok", "sv_ok_all"}
 
 
 def test_solve_singular_system_raises():
@@ -412,7 +440,7 @@ def test_run_rank_of_a_low_rank_matrix(capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert "verdict: pass" in out
-    assert "total rounds=252 messages=28363" in out
+    assert "total rounds=80 messages=8443" in out
     assert "detrand" not in out
 
 
