@@ -1,7 +1,7 @@
 """Small collective-communication idioms built on the routing primitive.
 
-Each helper is a constant number of routed phases with per-node load O(L/n + n)
-for an L-element payload, so every one of them finishes in O(ceil(L/n)) rounds.
+Each helper is one routed phase with per-node load O(L + n) for an L-element
+result, so every one of them finishes in O(ceil(L/n)) rounds.
 """
 
 from __future__ import annotations
@@ -11,56 +11,46 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sim import CliqueWorld
+from .sim import CliqueWorld, NodeView
 
 
-def share_random(world: CliqueWorld, subset: Sequence[int], draw_phase: str, phase: str,
-                 label: str, out_key, draw: Callable[[random.Random], Sequence[int]]) -> None:
-    """Random coins drawn at one node -> full copy at every node.
-
-    The node at position 0 draws the integers draw(view.rng(label)) in the
-    local phase `draw_phase`; a scatter of ceil(L/n)-element chunks and an
-    allgather then leave them, as an int64 vector, under out_key at every
-    node of the subset.
-    """
+def allgather_vectors(world: CliqueWorld, subset: Sequence[int], phase: str, out_key,
+                      part: Callable[[NodeView], Sequence[int]]) -> None:
+    """Node pos contributes the int64 vector part(view); afterwards every node
+    of the subset holds their concatenation, in subset order, under out_key.
+    One routed phase, then a 0-round assemble."""
     subset = tuple(subset)
     nodes = np.array(subset)
-    n = len(subset)
-    drawn = (out_key, "drawn")
 
-    def draw_step(view):
-        if view.pos == 0:
-            view.put(drawn, np.asarray(draw(view.rng(label)), dtype=np.int64))
+    def spread(view):
+        vec = np.asarray(part(view), dtype=np.int64)
+        yield nodes, (out_key, "part", view.node), np.broadcast_to(vec, (len(subset), vec.size))
 
-    world.run_local(subset, draw_phase, draw_step)
+    world.route(subset, f"{phase}-allgather", spread)
 
-    def scatter(view):
-        vec = view.pop(drawn, None)
-        if vec is None or vec.size == 0:
-            return
-        chunk = -(-vec.size // n)  # ceil
-        full = vec.size // chunk  # equal chunks, then at most one shorter one
-        yield nodes[:full], (out_key, "chunk"), vec[:full * chunk].reshape(full, chunk)
-        if vec.size % chunk:
-            yield subset[full], (out_key, "chunk"), vec[full * chunk:]
-
-    world.route(subset, f"{phase}-scatter", scatter)
-
-    def allgather(view):
-        part = view.get((out_key, "chunk"))
-        if part is None:
-            return
-        yield nodes, (out_key, "part", view.node), np.broadcast_to(part, (n, part.size))
-
-    world.route(subset, f"{phase}-allgather", allgather)
-
-    def assemble(view):
-        pieces = [part for part in (view.pop((out_key, "part", node), None) for node in subset)
-                  if part is not None]
-        view.pop((out_key, "chunk"), None)
+    def assemble(view):  # an empty part is never delivered
+        pieces = [piece for piece in (view.pop((out_key, "part", node), None) for node in subset)
+                  if piece is not None]
         view.put(out_key, np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64))
 
     world.run_local(subset, f"{phase}-assemble", assemble)
+
+
+def share_random(world: CliqueWorld, subset: Sequence[int], phase: str, label: str, out_key,
+                 length: int, coin: Callable[[random.Random, int], int]) -> None:
+    """`length` random coins -> full copy at every node, under out_key.
+
+    With c = ceil(length / n), the node at position j draws coins i in
+    [j c, min((j + 1) c, length)) itself, as coin(view.rng(label), i), and
+    one allgather leaves the int64 vector at every node of the subset.
+    """
+    chunk = -(-length // len(subset))
+
+    def draw(view):
+        rng = view.rng(label)
+        return [coin(rng, i) for i in range(view.pos * chunk, min((view.pos + 1) * chunk, length))]
+
+    allgather_vectors(world, subset, phase, out_key, draw)
 
 
 def allgather_scalars(world: CliqueWorld, subset: Sequence[int], phase: str,
@@ -80,4 +70,3 @@ def allgather_scalars(world: CliqueWorld, subset: Sequence[int], phase: str,
         view.put(out_key, vec)
 
     world.run_local(subset, f"{phase}-assemble", assemble)
-

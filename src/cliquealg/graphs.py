@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import detinv, krylov
-from .collective import allgather_scalars, share_random
+from .collective import allgather_scalars, allgather_vectors, share_random
 from .distprod import MinPlusMatrix, dist_prod, scatter_minplus
 from .ff import capped_prime, matmul_mod
 from .krylov import precondition, transpose, unit_toeplitz
@@ -140,8 +140,7 @@ def apsp_zwick(world: CliqueWorld, graph: WeightedGraph, kernel: str = "trivial"
         for it in range(1, iters + 1):
             s = 1.5 ** it
             size = min(n, math.ceil(ZWICK_SAMPLE_C * n * math.log(n) / s))
-            share_random(world, subset, f"draw{it}", f"sample{it}", f"{tag}-sample-{it}",
-                         "zw_sample_all", lambda rng: sorted(rng.sample(range(n), size)))
+            share_sample(world, subset, f"sample{it}", f"{tag}-sample-{it}", "zw_sample_all", size)
             cap = math.ceil(s * bound_m)
             left = MinPlusMatrix(world.fresh_name("ZL"), n, size, cap, subset,
                                  has_cols=False)
@@ -151,10 +150,8 @@ def apsp_zwick(world: CliqueWorld, graph: WeightedGraph, kernel: str = "trivial"
             def build_sub(view):
                 pos = view.pos
                 ids = view.get("zw_sample_all")
-                row = view.get(dist.row_key(pos))[ids]
+                row = view.get(dist.row_key(pos))[ids]  # indexing by ids copies
                 col = view.get(dist.col_key(pos))[ids]
-                row = row.copy()
-                col = col.copy()
                 row[np.abs(row) > cap] = INF
                 col[np.abs(col) > cap] = INF
                 view.put(left.row_key(pos), row)
@@ -175,6 +172,24 @@ def apsp_zwick(world: CliqueWorld, graph: WeightedGraph, kernel: str = "trivial"
 
             world.run_local(subset, f"merge{it}", merge)
     return dist
+
+
+def share_sample(world: CliqueWorld, subset: Sequence[int], phase: str, label: str,
+                 out_key, size: int) -> None:
+    """`size` distinct positions drawn uniformly from range(n), sorted, under
+    out_key at every node: coin i is uniform in [0, n - i), and every node runs
+    the same partial Fisher-Yates shuffle on the shared coins."""
+    n = len(subset)
+    share_random(world, subset, phase, label, out_key, size,
+                 lambda rng, i: rng.randrange(n - i))
+
+    def shuffle(view):
+        ids = list(range(n))
+        for i, step in enumerate(view.get(out_key).tolist()):
+            ids[i], ids[i + step] = ids[i + step], ids[i]
+        view.put(out_key, np.array(sorted(ids[:size]), dtype=np.int64))
+
+    world.run_local(subset, f"{phase}-shuffle", shuffle)
 
 
 def diameter(world: CliqueWorld, graph: WeightedGraph,
@@ -306,7 +321,6 @@ def _share_incidence(world: CliqueWorld, graph: WeightedGraph, inv: DMat,
                      tag: str) -> set[frozenset[int]]:
     """All-to-all exchange of packed per-row allowed-edge bitmasks."""
     subset = world.all_nodes()
-    nodes = np.array(subset)
     n = graph.n
     word_bits = message_bits(n)
     words = math.ceil(n / word_bits)
@@ -317,29 +331,18 @@ def _share_incidence(world: CliqueWorld, graph: WeightedGraph, inv: DMat,
         row = view.get(inv.row_key(pos))
         bits = np.zeros(words * word_bits, dtype=np.int64)
         bits[:n] = (np.asarray(row) % inv.p != 0) & (graph.adj[pos] < INF_THRESHOLD)
-        view.put("ae_packed", (bits.reshape(words, word_bits) << shifts).sum(axis=1))
+        return (bits.reshape(words, word_bits) << shifts).sum(axis=1)
 
-    world.run_local(subset, f"{tag}-pack", pack)
-
-    def spread(view):
-        packed = view.get("ae_packed")
-        yield nodes, ("ae_from", view.node), np.broadcast_to(packed, (n, words))
-
-    world.route(subset, f"{tag}-exchange", spread)
+    allgather_vectors(world, subset, tag, "ae_packed_all", pack)
 
     def unpack(view):
-        packed = np.stack(view.pop_many(("ae_from", node) for node in subset))
-        bits = packed[:, :, None] >> shifts & 1
+        bits = view.pop("ae_packed_all").reshape(n, words)[:, :, None] >> shifts & 1
         view.put("ae_all", bits.reshape(n, words * word_bits)[:, :n].astype(bool))
 
     world.run_local(subset, f"{tag}-unpack", unpack)
     allowed = world.stores[subset[0]]["ae_all"]
-    out: set[frozenset[int]] = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if allowed[i, j] or allowed[j, i]:
-                out.add(frozenset((i + 1, j + 1)))
-    return out
+    pairs = np.argwhere(np.triu(allowed | allowed.T, 1)).tolist()  # i < j, either allowed
+    return {frozenset((i + 1, j + 1)) for i, j in pairs}
 
 
 # ------------------------------------------------- criticality decomposition
@@ -399,8 +402,8 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
     nodes = np.array(subset)
     p = tutte.p
 
-    share_random(world, subset, "draw", f"{tag}-uv", f"{tag}-uv", "ge_uv_all",
-                 lambda rng: [rng.randrange(p) for _ in range(2 * (n - 1))])
+    share_random(world, subset, f"{tag}-uv", f"{tag}-uv", "ge_uv_all", 2 * (n - 1),
+                 lambda rng, i: rng.randrange(p))
     basis = DMat(world.fresh_name("basis"), n, n, p, subset)
 
     if rank == 0:

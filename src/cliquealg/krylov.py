@@ -63,7 +63,7 @@ def _giant_step(n: int, kernel: str) -> tuple[int, int]:
     s on a tie) when the first probe succeeds."""
     square = product_rounds(n, n, 1, kernel)
     step = CliqueWorld.route_rounds(n - 1, n)  # one scalar to every other node
-    probe = 2 * CliqueWorld.route_rounds(2 * (n - 1), n)  # 2n coins, two per node
+    probe = CliqueWorld.route_rounds(2 * (n - 1), n)  # 2n coins, each node allgathers two
     options = []
     for s in (1 << e for e in range((2 * n).bit_length())):
         squarings, babies, giants = _schedule(n, s)
@@ -137,8 +137,8 @@ def _generator(world: CliqueWorld, subset: Sequence[int], a: DMat, apow: DMat, s
     p = a.p
     for attempt in range(RETRIES):
         suffix = f"-{attempt}" if attempt else ""
-        share_random(world, subset, "draw", f"share-probe{suffix}", f"{tag}-probe{suffix}",
-                     "mp_vw_all", lambda rng: [rng.randrange(p) for _ in range(2 * n)])
+        share_random(world, subset, f"share-probe{suffix}", f"{tag}-probe{suffix}",
+                     "mp_vw_all", 2 * n, lambda rng, i: rng.randrange(p))
         _terms(world, subset, a, apow, s, "mp_vw_all", "mp_terms", suffix)
         last = []  # (sequence, generator): Berlekamp-Massey runs once per phase
 
@@ -193,8 +193,8 @@ def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
     warn_small_field(p, field_size_bound(n), "det_rand")
     with world.ledger.group(world.fresh_name("detrand")):
         for attempt in range(RETRIES):
-            share_random(world, subset, "draw", f"share-diag{attempt}", f"{tag}-diag-{attempt}",
-                         "dr_d_all", lambda rng: [1 + rng.randrange(p - 1) for _ in range(n)])
+            share_random(world, subset, f"share-diag{attempt}", f"{tag}-diag-{attempt}",
+                         "dr_d_all", n, lambda rng, i: 1 + rng.randrange(p - 1))
             da = DMat(world.fresh_name("DA"), n, n, p, subset)
 
             def scale(view):
@@ -204,7 +204,10 @@ def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
                 view.put(da.col_key(pos), view.get(a.col_key(pos)) * d % p)
 
             world.run_local(subset, "scale", scale)
-            poly = minpol_monte_carlo(world, subset, da, f"{tag}-mp-{attempt}", kernel)
+            try:
+                poly = minpol_monte_carlo(world, subset, da, f"{tag}-mp-{attempt}", kernel)
+            finally:
+                _drop(world, subset, "drop", da)
             m0 = poly(0)
             if poly.degree == n or m0 == 0:
                 d = world.stores[subset[0]]["dr_d_all"].tolist()
@@ -363,12 +366,15 @@ def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
     warn_small_field(p, field_size_bound(n), "rank_rand")
     with world.ledger.group(world.fresh_name("rankrand")):
         for attempt in range(RETRIES):
-            share_random(world, subset, "draw", f"share-pre{attempt}", f"{tag}-pre-{attempt}",
-                         "rk_pre_all",  # u, v, then the diagonal
-                         lambda rng: ([rng.randrange(p) for _ in range(2 * (n - 1))]
-                                      + [1 + rng.randrange(p - 1) for _ in range(n)]))
+            share_random(world, subset, f"share-pre{attempt}", f"{tag}-pre-{attempt}",
+                         "rk_pre_all", 3 * n - 2,  # u, v, then the diagonal
+                         lambda rng, i: (rng.randrange(p) if i < 2 * (n - 1)
+                                         else 1 + rng.randrange(p - 1)))
             b = precondition(world, subset, a, "rk_pre_all")
-            poly = minpol_monte_carlo(world, subset, b, f"{tag}-mp-{attempt}", kernel)
+            try:
+                poly = minpol_monte_carlo(world, subset, b, f"{tag}-mp-{attempt}", kernel)
+            finally:
+                _drop(world, subset, "drop", b)
             if poly(0) == 0:
                 return poly.degree - 1
             if poly.degree == n:

@@ -157,8 +157,10 @@ def test_strategy_refused_outside_distprod(capsys):
 
 
 def test_verify_counts_an_inconclusive_trial_as_a_miss(capsys):
+    # seed 22 is the first of 1..399 at which every rank_rand attempt is
+    # inconclusive (the same run as test_refused_inputs_give_one_error_line's)
     code = run_cli(["verify", "rank", "--gen", "matrix:n=3", "--field-prime", "3",
-                    "--trials", "1", "--seed", "1"])
+                    "--trials", "1", "--seed", "22"])
     assert code == 1
     assert capsys.readouterr().out == "trial 0: MISMATCH\n0/1 passed\n"
 
@@ -298,8 +300,8 @@ def test_refused_inputs_give_one_error_line(tmp_path, capsys):
         (["plan", "theorem1", "--curve", "omega:1.5"], 2, "below 2"),
         # no verified answer exists: the verification-failure code
         (["run", "solve", "--input", str(singular)], 1, "system unsolved"),
-        # seed 11 is the first of 1..399 at which every attempt is inconclusive
-        (["run", "rank", "--gen", "matrix:n=3", "--field-prime", "3", "--seed", "11"], 1,
+        # seed 22 is the first of 1..399 at which every attempt is inconclusive
+        (["run", "rank", "--gen", "matrix:n=3", "--field-prime", "3", "--seed", "22"], 1,
          "rank_rand: no conclusive attempt"),
     )
     for argv, want, message in cases:

@@ -25,55 +25,55 @@ GOLDEN = {
         ("distprod", 8): "4a3f0d6865513de0dab3fa77b9f52cb88ac4528cabf24edcdf43554ec09af8d8",
         ("det", 8): "0e3d09495bdd473e562f5d289a36a8c16e0828f4f594fb1348138eb13bf57f0f",
         ("inverse", 8): "45f0892bd6fbc4c4924af5dea827ee369a51b4a91767a9eca91de699b4076bc3",
-        ("minpol", 8): "e3c3710a5db86e99e54314bdc7d766dd5994649687226f36df75262cc3de980d",
-        ("solve", 8): "daa10b212202fc5475c1235bdd5b089f952e65f0036372cce4a8739d61916bd3",
-        ("rank", 8): "221f79ca44b61bc5b6d47878aa35f102053fc0c0171af5adfe2055ea37539d47",
+        ("minpol", 8): "984f574c55d047c71aa132b7e31a2eab60f0524f166cc91d5b9d0802ac6402aa",
+        ("solve", 8): "4ef744665d8fa13e92ddb797f3dd84f3ecb0a69531a0307b0e99118daca638c9",
+        ("rank", 8): "9735d528d4e7b4e56fc93bf053d2f0cdf7f94ffcacb71a8c521a9428805e250f",
         ("apsp", 8): "399efcba7debce58af1dd8d35f3608b2f2858568566129d2844ff42a7b5e59b4",
-        ("apsp-zwick", 8): "a77365e2b1a5ae5586693929d9e20a8244fb986884d02f253b66d2da53880ae2",
+        ("apsp-zwick", 8): "6bd4686cf8c404878920a57f784cbdc767187cb070c885e9c251ab0c5bb4d398",
         ("diameter", 8): "261842b4f4c3c3af2deb8ce4e9fc89ce36142700290efe321b240ad9934a5bb6",
-        ("matching-size", 8): "a791415a9f06606d177bc22843a706f600fb25c15531916f4ae46b48cccb549c",
-        ("allowed-edges", 8): "90e80b440e16ce0ee2ec5320dfe9fbf1afce007c2040d7d478ce3de07967ad27",
-        ("gallai-edmonds", 8): "5ac1a83f1feb62a2fba08c41438f5dfd5cd37df73bec2aa7b25297d8d83d32dc",
+        ("matching-size", 8): "6bbed421536493ce07efcaee402fe457369494f15eb51a300afe1e9a8b7662ab",
+        ("allowed-edges", 8): "3ebb4b69ecb279f794cad0ffdae57ea26443a01ccbf2bc552664fbba9fcac121",
+        ("gallai-edmonds", 8): "b0f9fab64b8b9a50cae22c5d8b46c16e42b7b924b2d112659d219e0cc428bfca",
         ("mm", 16): "fd146d0b7010b4f939d44f78cc6fcf9448dff541b7add9e7d6f3dd944b59ff9b",
         ("distprod", 16): "1a1ed8a9ebef0aa6276116cdf6e0a321cd1ded1037ade439820d083f6481abc1",
         ("det", 16): "6ded598ac22c765d58c55d580487d4fb2d701ac8117249fc6221b26f32b4d12a",
         ("inverse", 16): "ed82c96f28df09988552395d9bdffa5b954c328370a843a7304dc1cfa48aa01c",
-        ("minpol", 16): "edeff4c39d64b490531e6946ab2a5832e9c82af6253a0c7080b17ec32d8c5563",
-        ("solve", 16): "0d78ab3d8f8c424180b78e04b876730dcf10625e8bc71e23bfcfcab80b8c45a3",
-        ("rank", 16): "75cfa45cebdc49a0b9105ca70bc18bec15a6cf40f3838e509bb07168cf0f582c",
+        ("minpol", 16): "c89f897b46b69547c619378ace6df92b8a4dba73d2f6efe5c2ef3a823e612362",
+        ("solve", 16): "0b3be55b9635b93e7ab2aeacd59b80a2febb72befbd72675f9a15ad295984463",
+        ("rank", 16): "9b58d49dfa763eb74a91bd283db114fdf04ec3f71d6755c4395dfbe87cef24d3",
         ("apsp", 16): "228419b0d365e19a8c4983195a7b61c95187331ff3ea634953f2654e60ff5a1e",
-        ("apsp-zwick", 16): "8994c8f64d19b769c04c5456fd0221850a5e0c6a289bb6e0217266e61220907b",
+        ("apsp-zwick", 16): "e9ebcc0ada6609b517c0702fe7b0ce0ca7033a6f88b3166a87282990231fddce",
         ("diameter", 16): "bef48efcbd14349b668e11df1db4c2298cabac423aeb0c21419936c40acd34c8",
-        ("matching-size", 16): "af2822859ee7a8833ad1621db661f71f9e8689e4e391c48af1c5787e856f9602",
-        ("allowed-edges", 16): "f55014d138ac69e8ba6159143216b9a03233a57e0d5d3ada6b5b22eb1f3cbb93",
-        ("gallai-edmonds", 16): "3b344430fe85d1f8ba6def71dbe1ff2a0da87f5af6c81acedf67aff0a97dd1c2",
+        ("matching-size", 16): "2cf1ba974a2b4702a022ef4068c1d557a2dfe91c462f573e662a405a28a5287c",
+        ("allowed-edges", 16): "7c48767395a3b0d4ea23ea5c21ba23e0a6984571d7f3d60e65a81a35341aea6d",
+        ("gallai-edmonds", 16): "8d87101f23ce48f45137c74495644b99e4db63e4c9502602ada367d988e03d03",
         ("mm", 64): "6f92efa10d459981b42601d1b3648fefe420fa4aadca3cc9ff9cd3c67dde1a76",
         ("distprod", 64): "6d51dd7ef37a46148deec487d80043a222660ddfa04c8f070f6788e5dbe400f3",
         ("det", 64): "68ab7f34db90bbde19c1d0d1ae346c13837c4c71343bc0de31961211f3d5902d",
         ("inverse", 64): "fd92b141d3f8c7d52cdf9894bbecffee3932d4e37e5b86d2e87f8c20e6ae857c",
-        ("minpol", 64): "b511a7c755394a7ab8a28054c054a67d818b2f70baf1a989378823bc7c1898fb",
-        ("solve", 64): "13b5f984d4b6ec5fe87746bbea19ce76cd436c30c562c1be958628474ad8db2f",
-        ("rank", 64): "115b6684a4a73a1e1748bc8248ba809552ba9cde8715b7a3c497679b2e91bcae",
+        ("minpol", 64): "562d79c0d430ff74503af5a55ce304f5a40c1bdf1ac29077e42df26952c1cb10",
+        ("solve", 64): "1e64a2d581cea4468bbe91cb5b357486c7f612f7e4b70cdb42e81955343b2477",
+        ("rank", 64): "e952747165c501deb62a4a6a617c2e0c457129f1e86aff18303cd64eb4be0c15",
         ("apsp", 64): "7769079ef2d5448b205634ff5e9675918d999dd3eccb6d376e97fb08faa7e4a0",
-        ("apsp-zwick", 64): "24a0fa43b2e34b189e85d052099785ca3264e14c7ed72d66d99831307898f9e1",
+        ("apsp-zwick", 64): "f65ccd3cf5d174aecf5dcbfa3ed6d2b0f08fe1cc68e14e2583f38ae30dfa38da",
         ("diameter", 64): "23f90ccc4ba92ef9cc69debb3624a4084e64c092d2a30b5ecf7098fe6866610e",
-        ("matching-size", 64): "08def2111a2b7652b961ef4f2920c8753f1448a6573520c32d0d50975e00f8ba",
-        ("allowed-edges", 64): "52f4f64ea73b7c8b68c287fdcb0d709ba5834efc5aefda5d12a256f3952272d2",
-        ("gallai-edmonds", 64): "105f32bbbbad42cdda08bb5122a9a2563882aea948f4ecae5cf29eaae6772481",
+        ("matching-size", 64): "004395969bf2127dc6bebaf3fd6cf429e91a534d1b49e6cc8bc00cc001f9488a",
+        ("allowed-edges", 64): "a2914c475b65001a14da4d2c6c7190d884c04efd29f17eef77db5c1cbacd4469",
+        ("gallai-edmonds", 64): "6c9bce3aadaa85fcd63e93f0200203b1a911e3c2132a3a0123facd4ad429a2fa",
     },
     "strassen": {
         ("mm", 8): "5dbed297cb06c22e8f75e67540794e2d7a7b9575b9ecda388d3aea8fa3366070",
         ("det", 8): "0e3d09495bdd473e562f5d289a36a8c16e0828f4f594fb1348138eb13bf57f0f",
         ("inverse", 8): "45f0892bd6fbc4c4924af5dea827ee369a51b4a91767a9eca91de699b4076bc3",
-        ("minpol", 8): "e3c3710a5db86e99e54314bdc7d766dd5994649687226f36df75262cc3de980d",
+        ("minpol", 8): "984f574c55d047c71aa132b7e31a2eab60f0524f166cc91d5b9d0802ac6402aa",
         ("mm", 16): "c34620eea56d8cae29b762f9cfa9d712abcf667eb52b9b0549a05e152c73fa28",
         ("det", 16): "256852f80d96275401b14fb7e3821da0f8c8848660833032d96c951416210032",
         ("inverse", 16): "f105ac6f863b1ff5c9ed5c5a361e85d7a69eae1342189bf0e70f66e7d099105e",
-        ("minpol", 16): "d5a39bbd0baa58bdc82a910d2dead4ff8451e451191b6d16cd14374d77d903e7",
+        ("minpol", 16): "d9f241795adee56e460a7415822b299b20a6c6548ab3c2b4f4c03dbe7a90cc2e",
         ("mm", 64): "4fef6c69d85f83fea15cc120b2f9448e928967ae3e6f88ef6175fead93ac3600",
         ("det", 64): "695e69edb9ae08be7b887cbda6c519743a1f91f1300d8152ccb37284ab4a427c",
         ("inverse", 64): "8080812d8d0f20147f112ccc995830de77071a1dba2f8bd88901785389a4370a",
-        ("minpol", 64): "8e456e0363883d69ed6f0e01d49e7f85734a2ccb14d4b06a61827a81a0d2602a",
+        ("minpol", 64): "1b5083bc3f0f26e9c4b1e28e2e2f2b74578db9d277b2cc3325877bc3067e7349",
     },
 }
 

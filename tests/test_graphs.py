@@ -1,3 +1,4 @@
+import collections
 import random
 import warnings
 
@@ -83,6 +84,29 @@ def test_zwick_single_edge():
     world = CliqueWorld(2, seed=3)
     dist = distprod.gather_minplus(world, graphs.apsp_zwick(world, g))
     assert dist[0, 1] == 5 and dist[1, 0] >= INF_THRESHOLD
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_zwick_sample_is_sorted_distinct_and_shared(n):
+    for size in range(n + 1):
+        world = CliqueWorld(n, seed=size)
+        sub = world.all_nodes()
+        graphs.share_sample(world, sub, "sample", "label", "ids", size)
+        assert world.stores[sub[0]]["ids"].dtype == np.int64  # the ids index arrays
+        ids = world.stores[sub[0]]["ids"].tolist()
+        assert ids == sorted(set(ids)) and len(ids) == size
+        assert all(0 <= i < n for i in ids)
+        assert all(world.stores[node]["ids"].tolist() == ids for node in sub)
+
+
+def test_zwick_sample_reaches_every_subset():
+    # size 2 of 4: partial Fisher-Yates on coins uniform in [0, n - i)
+    seen = collections.Counter()
+    for seed in range(120):
+        world = CliqueWorld(4, seed=seed)
+        graphs.share_sample(world, world.all_nodes(), "sample", "label", "ids", 2)
+        seen[tuple(world.stores[1]["ids"].tolist())] += 1
+    assert set(seen) == {(i, j) for i in range(4) for j in range(i + 1, 4)}
 
 
 def test_zwick_matches_squaring_and_oracle():
@@ -249,13 +273,13 @@ def test_rank_evenness_enforced():
 
 def test_matching_size_raises_after_odd_ranks():
     # G(6, 0.5) over GF(7): every attempt ends on an odd rank or an
-    # inconclusive rank_rand.  Seed 20 is the first of 1..399 at which a graph
+    # inconclusive rank_rand.  Seed 49 is the first of 1..399 at which a graph
     # with maximum matching 2 makes matching_size raise.
-    rng = random.Random(20)
+    rng = random.Random(49)
     pairs = [(i, j) for i in range(6) for j in range(i + 1, 6) if rng.random() < 0.5]
     assert oracles.max_matching_size(oracles.graph_adj_sets(6, pairs)) == 2
     with pytest.raises(krylov.InconclusiveError):
-        graphs.matching_size(CliqueWorld(6, seed=20), unweighted(6, pairs), p=7)
+        graphs.matching_size(CliqueWorld(6, seed=49), unweighted(6, pairs), p=7)
 
 
 @pytest.mark.parametrize("p,seed,ok", [(None, 1, 1), (7, 1, 0)])

@@ -94,7 +94,7 @@ def test_sequence_uses_expected_product_call_count(monkeypatch):
     names = [child.name for child in group.children]
     products = [child.name for child in group.children if isinstance(child, GroupRecord)]
     assert products == ["square0"] and krylov._giant_step(n, "trivial")[1] == 2
-    assert names.index("square0") < names.index("share-probe-scatter")
+    assert names.index("square0") < names.index("share-probe-allgather")
     assert [name for name in names if name.startswith("terms")] == ["terms", "terms-1"]
 
 
@@ -117,6 +117,20 @@ def test_minpol_leaves_only_its_probe_and_generator(n):
     krylov.minpol_monte_carlo(world, sub, dm)
     for pos, node in enumerate(sub):
         assert set(world.stores[node]) == {dm.row_key(pos), dm.col_key(pos),
+                                           "mp_vw_all", "mp_poly"}
+
+
+@pytest.mark.parametrize("routine,coins", [(krylov.det_rand, "dr_d_all"),
+                                           (krylov.rank_rand, "rk_pre_all")])
+def test_det_and_rank_leave_only_their_coins_probe_and_generator(routine, coins):
+    # D A and U A V D are popped once their generator is read
+    n = 16
+    p = prime_for(n)
+    mat = np.random.default_rng(n).integers(0, p, (n, n))
+    world, sub, dm = world_with(mat, p, seed=1)
+    routine(world, sub, dm)
+    for pos, node in enumerate(sub):
+        assert set(world.stores[node]) == {dm.row_key(pos), dm.col_key(pos), coins,
                                            "mp_vw_all", "mp_poly"}
 
 
@@ -230,10 +244,11 @@ def test_det_rand_matches_oracle():
     assert hits >= 38
 
 
-@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("seed", [17, 25])
 def test_det_rand_raises_when_every_attempt_is_inconclusive(seed):
-    # over GF(5) these draws leave all three attempts inconclusive; the last
-    # attempt's value (3 and 4) is not the determinant (0 and 2)
+    # over GF(5) these draws leave all three attempts inconclusive; 17 and 25
+    # are the first two seeds in 1..399 that do.  At 25 the last attempt's
+    # value (3) is not the determinant (1).
     mat = np.random.default_rng(seed).integers(0, 5, (4, 4))
     world, sub, dm = world_with(mat, 5, seed=seed)
     with pytest.raises(krylov.InconclusiveError):
@@ -241,19 +256,22 @@ def test_det_rand_raises_when_every_attempt_is_inconclusive(seed):
 
 
 @pytest.mark.parametrize("n,p,seed,attempts", [(8, None, 1, 1), (4, 5, 5, 3)])
-def test_det_rand_routes_nothing_after_its_generator(n, p, seed, attempts):
+def test_det_rand_routes_nothing_after_its_generator(n, p, seed, attempts, monkeypatch):
     # every node holds the generator and the diagonal, so each reaches the
-    # verdict and the value alone; the GF(5) case spends all three attempts
+    # verdict and the value alone; the GF(5) case is made to spend all three
+    # attempts by a generator x + 1, of degree below n and with g(0) != 0
     p = p or prime_for(n)
     mat = np.random.default_rng(seed).integers(0, p, (n, n))
     world, sub, dm = world_with(mat, p, seed=seed)
     inconclusive = attempts == krylov.RETRIES
+    if inconclusive:
+        monkeypatch.setattr(krylov, "generating_polynomial", lambda seq, q: Polynomial([1, 1], q))
     with pytest.raises(krylov.InconclusiveError) if inconclusive else contextlib.nullcontext():
         assert krylov.det_rand(world, sub, dm) == oracles.det_mod(mat, p)
     group = world.ledger.root.children[-1]
     names = [re.sub(r"\d+", "#", child.name) for child in group.children]
-    assert names == ["draw", "share-diag#-scatter", "share-diag#-allgather",
-                     "share-diag#-assemble", "scale", "minpol#"] * attempts
+    assert names == ["share-diag#-allgather", "share-diag#-assemble", "scale", "minpol#",
+                     "drop"] * attempts
 
 
 # ----------------------------------------------------------------- solve
@@ -440,17 +458,17 @@ def test_run_rank_of_a_low_rank_matrix(capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert "verdict: pass" in out
-    assert "total rounds=80 messages=8443" in out
+    assert "total rounds=70 messages=8370" in out
     assert "detrand" not in out
 
 
 def test_rank_rand_raises_when_no_estimate_is_in_range():
     # a rank-2 matrix over GF(5) at which all three attempts are inconclusive
-    # (g(0) != 0 and deg g < n); 17 is the first seed in 1..399 that gives one
-    rng = np.random.default_rng(17)
+    # (g(0) != 0 and deg g < n); 45 is the first seed in 1..399 that gives one
+    rng = np.random.default_rng(45)
     mat = rng.integers(0, 5, (4, 2)) @ rng.integers(0, 5, (2, 4)) % 5
     assert oracles.rank_mod(mat, 5) == 2
-    world, sub, dm = world_with(mat, 5, seed=17)
+    world, sub, dm = world_with(mat, 5, seed=45)
     with pytest.raises(krylov.InconclusiveError):
         krylov.rank_rand(world, sub, dm)
 
