@@ -502,7 +502,9 @@ def _bench_once(name: str, n: int, k: int, seed: int, kernel: str) -> CliqueWorl
                 pass  # a singular draw is charged for its char_poly alone
     elif name in ("minpol", "det-rand", "solve"):
         dm = mm.scatter_matrix(world, sub, _rand_matrix(rng, n, n, p), p)
-        if name == "solve":  # the matrix is singular, and solve raises, with chance ~ 1/p
+        # solve raises, with chance ~ 1/p, only if the draw is singular and b
+        # outside its image, or b's annihilator has a zero constant term
+        if name == "solve":
             b = np.array([rng.randrange(p) for _ in range(n)])
             krylov.solve(world, sub, dm, b, f"bench-{seed}", kernel)
         else:

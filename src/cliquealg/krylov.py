@@ -6,16 +6,19 @@ for random u, w.  Node pos holds row and column pos of A, so A x or y A for a
 vector every node knows is a local dot product and one allgather (2 rounds).
 The terms come by baby and giant steps (Kaltofen, ISSAC 1992, after
 Paterson-Stockmeyer, SIAM J. Comput. 1973): A^s by log2 s squarings through
-`mm_multi`, baby steps x_k = A^k u (k < s), giant steps y_j = w A^(js)
-(j < ceil(2n / s)), and term js + k = y_j x_k at every node.  s is the power
-of two of fewest rounds by `predict_rounds`, which reads the schedule that
-minpol runs: Theta(sqrt(n)) rounds for large n, yet below the paper's Krylov
-doubling, Theta(n^(1/3) log n), at every power of two up to 2^24.  Each node
-runs Berlekamp-Massey, so every retry decision is known to all nodes.
-solve evaluates x = -g(0)^-1 h(A) b, h(z) = (g(z) - g(0)) / z, by
-Paterson-Stockmeyer in the same A^s: baby vectors A^r b (r < s), the inner
-sums z_j = sum_r h_(js+r) A^r b at every node, and Horner in A^s, one
-allgather per block; every node ends up holding x.  rank_rand reads the
+`mm_multi`, baby steps y_r = w A^r (r < s) from A's columns, giant steps
+x_j = A^(js) u (j < ceil(2n / s)) from the rows of A^s, and term js + r =
+y_r x_j at every node.  s is the power of two of fewest rounds by
+`predict_rounds`, which reads the schedule that minpol runs: Theta(sqrt(n))
+rounds for large n, yet below the paper's Krylov doubling,
+Theta(n^(1/3) log n), at every power of two up to 2^24.  Each node runs
+Berlekamp-Massey, so every retry decision is known to all nodes.  solve
+starts from u = b (Wiedemann, IEEE Trans. Inf. Theory 1986), so its giant
+vectors A^(js) b are formed once per call and a retry redraws only w; it
+evaluates x = -g(0)^-1 h(A) b, h(z) = (g(z) - g(0)) / z, from the sums
+v_r = sum_j h_(js+r) A^(js) b at every node and Horner in A, s - 1
+allgathers, so every node ends up holding x.  Its s is chosen by
+`predict_solve_rounds` from the same schedule.  rank_rand reads the
 rank from the generator of a preconditioned B = U A V D, formed locally
 around two transposes.
 
@@ -53,27 +56,35 @@ def field_size_bound(n: int) -> int:
 
 
 def _schedule(n: int, s: int) -> tuple[int, int, int]:
-    """minpol's steps for giant step s: log2 s squarings, then s - 1 baby and
+    """The steps for giant step s: log2 s squarings, then s - 1 baby and
     ceil(2n / s) - 1 giant steps of one allgather each."""
     return s.bit_length() - 1, s - 1, -(-2 * n // s) - 1
 
 
-def _giant_step(n: int, kernel: str) -> tuple[int, int]:
+def _giant_step(n: int, kernel: str, solve: bool = False) -> tuple[int, int]:
     """(rounds, s) for the power of two s <= 2n of fewest rounds (the smaller
-    s on a tie) when the first probe succeeds."""
+    s on a tie) when the first probe succeeds, for minpol or, with solve, for
+    `solve`."""
     square = product_rounds(n, n, 1, kernel)
     step = CliqueWorld.route_rounds(n - 1, n)  # one scalar to every other node
     probe = CliqueWorld.route_rounds(2 * (n - 1), n)  # 2n coins, each node allgathers two
     options = []
     for s in (1 << e for e in range((2 * n).bit_length())):
         squarings, babies, giants = _schedule(n, s)
-        options.append((probe + squarings * square + (babies + giants) * step, s))
+        # solve allgathers b, n coins, s - 1 Horner steps and its verdict
+        extra = (3 + babies) * step if solve else probe
+        options.append((extra + squarings * square + (babies + giants) * step, s))
     return min(options)
 
 
 def predict_rounds(n: int, kernel: str = "trivial") -> int:
     """Rounds of one `minpol_monte_carlo` on n nodes whose first probe succeeds."""
     return _giant_step(n, kernel)[0]
+
+
+def predict_solve_rounds(n: int, kernel: str = "trivial") -> int:
+    """Rounds of one `solve` on n nodes whose first attempt is verified."""
+    return _giant_step(n, kernel, solve=True)[0]
 
 
 def _drop(world: CliqueWorld, subset: Sequence[int], phase: str, dm: DMat | None,
@@ -102,57 +113,66 @@ def _allgather_dot(world: CliqueWorld, subset: Sequence[int], phase: str, out_ke
     allgather_scalars(world, subset, phase, out_key, out_key)
 
 
-def _terms(world: CliqueWorld, subset: Sequence[int], a: DMat, apow: DMat, s: int,
-           probe_key, out_key, suffix: str = "") -> None:
-    """Every node holds u then w under probe_key, and apow is A^s; afterwards
-    every node holds the 2n terms w A^i u under out_key.  Baby step k leaves
-    x_k = A^k u and giant step j leaves y_j = w A^(js) at every node."""
+def _chain(world: CliqueWorld, subset: Sequence[int], phase: str, suffix: str, key,
+           count: int, start: Callable, step: Callable) -> None:
+    """Steps i = 1..count, one allgather each, leave vector i of a chain under
+    (key, i) at every node: vector 0 is start(view), and entry pos of vector i
+    is step(view, i, vector i - 1)."""
+    for i in range(1, count + 1):
+        _allgather_dot(world, subset, f"{phase}{i}{suffix}", (key, i), lambda view, i=i: int(
+            step(view, i, view.get((key, i - 1)) if i > 1 else start(view))))
+
+
+def _giants(world: CliqueWorld, subset: Sequence[int], apow: DMat, count: int,
+            u: Callable, suffix: str = "") -> None:
+    """Giant steps x_j = A^(js) u (0 < j <= count) under ("kr_x", j), from the
+    rows of apow = A^s; u(view) is u."""
+    _chain(world, subset, "giant", suffix, "kr_x", count, u, lambda view, j, x: matmul_mod(
+        view.get(apow.row_key(view.pos)), x, apow.p))
+
+
+def _terms(world: CliqueWorld, subset: Sequence[int], a: DMat, s: int, u: Callable,
+           w: Callable, out_key, suffix: str = "", apow: DMat | None = None) -> None:
+    """The 2n terms w A^i u under out_key at every node; u(view) and w(view)
+    are u and w.
+
+    Baby steps y_r = w A^r (0 < r < s) use A's columns.  With apow = A^s,
+    the giant steps x_j = A^(js) u follow and are popped with the baby
+    vectors; without it, every node already holds the x_j (j < ceil(2n / s))
+    and keeps them.  Term js + r = y_r x_j is formed at every node.
+    """
     n = len(subset)
     p = a.p
     _, babies, giants = _schedule(n, s)
+    _chain(world, subset, "baby", suffix, "kr_y", babies, w, lambda view, r, y: matmul_mod(
+        y, view.get(a.col_key(view.pos)), p))
+    if apow is not None:
+        _giants(world, subset, apow, giants, u, suffix)
 
-    def vec(view, key, i):  # step 0 is u or w, the halves of the probe
-        return view.get((key, i)) if i else np.split(view.get(probe_key), 2)[key == "mp_y"]
-
-    for k in range(1, babies + 1):
-        _allgather_dot(world, subset, f"baby{k}{suffix}", ("mp_x", k), lambda view, k=k: int(
-            matmul_mod(view.get(a.row_key(view.pos)), vec(view, "mp_x", k - 1), p)))
-    for j in range(1, giants + 1):
-        _allgather_dot(world, subset, f"giant{j}{suffix}", ("mp_y", j), lambda view, j=j: int(
-            matmul_mod(vec(view, "mp_y", j - 1), view.get(apow.col_key(view.pos)), p)))
-
-    def form(view):  # term js + k = y_j x_k
-        u, w = np.split(view.get(probe_key), 2)
-        xs = np.stack([u, *view.pop_many(("mp_x", k) for k in range(1, babies + 1))])
-        ys = np.stack([w, *view.pop_many(("mp_y", j) for j in range(1, giants + 1))])
-        view.put(out_key, matmul_mod(ys, xs.T, p).ravel()[:2 * n])
+    def form(view):
+        ys = np.stack([w(view), *view.pop_many(("kr_y", r) for r in range(1, s))])
+        keys = [("kr_x", j) for j in range(1, giants + 1)]
+        vecs = view.pop_many(keys) if apow is not None else map(view.get, keys)
+        xs = np.stack([u(view), *vecs])
+        view.put(out_key, matmul_mod(xs, ys.T, p).ravel()[:2 * n])
 
     world.run_local(subset, f"terms{suffix}", form)
 
 
-def _generator(world: CliqueWorld, subset: Sequence[int], a: DMat, apow: DMat, s: int,
-               tag: str) -> Polynomial:
-    """minpol_monte_carlo's probes, given A^s."""
-    n = len(subset)
-    p = a.p
-    for attempt in range(RETRIES):
-        suffix = f"-{attempt}" if attempt else ""
-        share_random(world, subset, f"share-probe{suffix}", f"{tag}-probe{suffix}",
-                     "mp_vw_all", 2 * n, lambda rng, i: rng.randrange(p))
-        _terms(world, subset, a, apow, s, "mp_vw_all", "mp_terms", suffix)
-        last = []  # (sequence, generator): Berlekamp-Massey runs once per phase
+def _recover(world: CliqueWorld, subset: Sequence[int], p: int, terms_key,
+             out_key) -> Polynomial:
+    """Every node pops its terms and leaves their generator under out_key;
+    returns it."""
+    last = []  # (sequence, generator): Berlekamp-Massey runs once per phase
 
-        def recover(view):
-            seq = view.pop("mp_terms")
-            if not (last and np.array_equal(last[0], seq)):
-                last[:] = seq, generating_polynomial(seq, p)
-            view.put("mp_poly", last[1])
+    def recover(view):
+        seq = view.pop(terms_key)
+        if not (last and np.array_equal(last[0], seq)):
+            last[:] = seq, generating_polynomial(seq, p)
+        view.put(out_key, last[1])
 
-        world.run_local(subset, "recover", recover)
-        poly = world.stores[subset[0]]["mp_poly"]
-        if poly.degree >= 1:
-            return poly
-    raise InconclusiveError(f"minpol: every probe sequence was zero in {RETRIES} attempts")
+    world.run_local(subset, "recover", recover)
+    return world.stores[subset[0]][out_key]
 
 
 def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
@@ -166,15 +186,32 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
     last.
     """
     subset = tuple(subset)
-    warn_small_field(a.p, field_size_bound(len(subset)), "minpol")
-    s = _giant_step(len(subset), kernel)[1]
+    n = len(subset)
+    p = a.p
+    warn_small_field(p, field_size_bound(n), "minpol")
+    s = _giant_step(n, kernel)[1]
+
+    def u(view):  # the probe is u, then w
+        return view.get("mp_vw_all")[:n]
+
+    def w(view):
+        return view.get("mp_vw_all")[n:]
+
     with world.ledger.group(world.fresh_name("minpol")):
         apow = _power(world, subset, a, s, kernel)
         try:
-            return _generator(world, subset, a, apow, s, tag)
+            for attempt in range(RETRIES):
+                suffix = f"-{attempt}" if attempt else ""
+                share_random(world, subset, f"share-probe{suffix}", f"{tag}-probe{suffix}",
+                             "mp_vw_all", 2 * n, lambda rng, i: rng.randrange(p))
+                _terms(world, subset, a, s, u, w, "mp_terms", suffix, apow)
+                poly = _recover(world, subset, p, "mp_terms", "mp_poly")
+                if poly.degree >= 1:
+                    return poly
         finally:
             if apow is not a:
                 _drop(world, subset, "drop", apow)
+    raise InconclusiveError(f"minpol: every probe sequence was zero in {RETRIES} attempts")
 
 
 def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
@@ -219,63 +256,74 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
           tag: str = "solve", kernel: str = "trivial") -> np.ndarray:
     """x with Ax = b, known at every node; self-verifying.
 
-    b, A^r b (r < s) and A^s are formed once; each attempt with g(0) != 0
-    evaluates x by Paterson-Stockmeyer.  Raises SolveFailedError after the
-    retry budget (singular system or repeated Monte Carlo failure); never
-    returns an unverified answer.
+    b is the start vector (Wiedemann): the generator g of w A^i b
+    annihilates b whp, and when g(0) != 0, x = -g(0)^-1 h(A) b with
+    h(z) = (g(z) - g(0)) / z solves Ax = b, singular A included.  So b is
+    allgathered, its giant vectors A^(js) b are formed once per call, and A^s
+    is dropped before the first probe.  Each attempt draws w alone (n coins),
+    runs the baby steps on it and recovers g; if g(0) != 0 (b = 0 gives
+    g = 1 and x = 0), every node forms v_r = sum_j h_(js+r) A^(js) b, and
+    x = v_0 + A(v_1 + A(... v_(s-1))) takes s - 1 allgathers.  Raises
+    SolveFailedError after the retry budget (inconsistent system, g(0) = 0,
+    or repeated Monte Carlo failure); never returns an unverified answer.
     """
     subset = tuple(subset)
     n = len(subset)
     p = a.p
     warn_small_field(p, field_size_bound(n), "solve")
     b = np.asarray(b, dtype=np.int64) % p
-    s = _giant_step(n, kernel)[1]
+    s = _giant_step(n, kernel, solve=True)[1]
+    giants = _schedule(n, s)[2]
     blocks = -(-n // s)  # h has at most n coefficients
+    held = [("kr_x", j) for j in range(1, giants + 1)]
+
+    def start(view):
+        return view.get("sv_b")
+
+    def sums(view):  # v_r = sum_j h_(js+r) x_j, h_i = -g_(i+1) / g(0)
+        g = view.get("sv_poly")
+        inv = pow(g(0), -1, p)
+        h = [-coef * inv % p for coef in g.coeffs[1:]] + [0] * (blocks * s - g.degree)
+        xs = np.stack([start(view), *map(view.get, held[:blocks - 1])])
+        view.put("sv_v", matmul_mod(np.array(h).reshape(blocks, s).T, xs, p))
+
+    def horner(view, i, acc):  # entry pos of A acc + v_(s-1-i)
+        return (int(matmul_mod(view.get(a.row_key(view.pos)), acc, p))
+                + int(view.get("sv_v")[s - 1 - i, view.pos])) % p
+
+    def check(view):
+        v = view.pop("sv_v")
+        x = [v[-1], *view.pop_many(("sv_acc", i) for i in range(1, s))][-1]
+        view.put("sv_x_all", x)
+        lhs = int(matmul_mod(view.get(a.row_key(view.pos)), x, p))
+        view.put("sv_ok", 1 if lhs == int(b[view.pos]) else 0)
+
     with world.ledger.group(world.fresh_name("solve")):
-        _allgather_dot(world, subset, "share-b", ("sv_b", 0), lambda view: int(b[view.pos]))
+        _allgather_dot(world, subset, "share-b", "sv_b", lambda view: int(b[view.pos]))
         apow = _power(world, subset, a, s, kernel)
-        for r in range(1, s):
-            _allgather_dot(world, subset, f"baby-b{r}", ("sv_b", r), lambda view, r=r: int(
-                matmul_mod(view.get(a.row_key(view.pos)), view.get(("sv_b", r - 1)), p)))
-
-        def inner(view):
-            g = view.get("mp_poly")
-            inv = pow(g(0), -1, p)
-            c = [-coef * inv % p for coef in g.coeffs[1:]] + [0] * (blocks * s - g.degree)
-            powers = np.stack([view.get(("sv_b", r)) for r in range(s)])
-            view.put("sv_z", matmul_mod(np.array(c).reshape(blocks, s), powers, p))
-            view.put(("sv_acc", blocks - 1), view.get("sv_z")[-1])
-
-        def horner(view, j):  # entry pos of A^s acc_(j+1) + z_j
-            return (int(matmul_mod(view.get(apow.row_key(view.pos)),
-                                   view.pop(("sv_acc", j + 1)), p))
-                    + int(view.get("sv_z")[j, view.pos])) % p
-
-        def check(view):
-            view.pop("sv_z")
-            view.put("sv_x_all", view.pop(("sv_acc", 0)))
-            lhs = int(matmul_mod(view.get(a.row_key(view.pos)), view.get("sv_x_all"), p))
-            view.put("sv_ok", 1 if lhs == int(b[view.pos]) else 0)
-
         try:
+            _giants(world, subset, apow, giants, start)
+            if apow is not a:
+                _drop(world, subset, "power-drop", apow)
             for attempt in range(RETRIES):
-                with world.ledger.group(world.fresh_name("minpol")):
-                    poly = _generator(world, subset, a, apow, s, f"{tag}-mp-{attempt}")
-                if poly(0) == 0:  # every node reads this from its own mp_poly
-                    continue
-                world.run_local(subset, f"inner{attempt}", inner)
-                for j in range(blocks - 2, -1, -1):
-                    _allgather_dot(world, subset, f"horner{j}-{attempt}", ("sv_acc", j),
-                                   lambda view, j=j: horner(view, j))
-                world.run_local(subset, "verify", check)
-                allgather_scalars(world, subset, f"okshare{attempt}", "sv_ok", "sv_ok_all")
+                suffix = f"-{attempt}" if attempt else ""
+                share_random(world, subset, f"share-w{suffix}", f"{tag}-w{suffix}", "sv_w_all",
+                             n, lambda rng, i: rng.randrange(p))
+                _terms(world, subset, a, s, start, lambda view: view.get("sv_w_all"),
+                       "sv_terms", suffix)
+                if _recover(world, subset, p, "sv_terms", "sv_poly")(0) == 0:
+                    continue  # every node reads this from its own sv_poly
+                world.run_local(subset, f"sums{suffix}", sums)
+                _chain(world, subset, "horner", suffix, "sv_acc", s - 1,
+                       lambda view: view.get("sv_v")[-1], horner)
+                world.run_local(subset, f"verify{suffix}", check)
+                allgather_scalars(world, subset, f"okshare{suffix}", "sv_ok", "sv_ok_all")
                 if int(world.stores[subset[0]]["sv_ok_all"].min()) == 1:
                     return world.stores[subset[0]]["sv_x_all"].copy()
         finally:
-            _drop(world, subset, "drop", apow if apow is not a else None,
-                  [("sv_b", r) for r in range(s)])
+            _drop(world, subset, "drop", None, ["sv_b", *held])
     raise SolveFailedError(
-        "system unsolved: matrix singular or repeated Monte Carlo failure")
+        "system unsolved: inconsistent or singular system, or repeated Monte Carlo failure")
 
 
 def unit_toeplitz(pre: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ GOLDEN = {
         ("det", 8): "0e3d09495bdd473e562f5d289a36a8c16e0828f4f594fb1348138eb13bf57f0f",
         ("inverse", 8): "45f0892bd6fbc4c4924af5dea827ee369a51b4a91767a9eca91de699b4076bc3",
         ("minpol", 8): "984f574c55d047c71aa132b7e31a2eab60f0524f166cc91d5b9d0802ac6402aa",
-        ("solve", 8): "4ef744665d8fa13e92ddb797f3dd84f3ecb0a69531a0307b0e99118daca638c9",
+        ("solve", 8): "c89582a0f3a0b0cf70d45ccd6d9b7dd348022b2f8c4ad625657908264ffc8dae",
         ("rank", 8): "9735d528d4e7b4e56fc93bf053d2f0cdf7f94ffcacb71a8c521a9428805e250f",
         ("apsp", 8): "399efcba7debce58af1dd8d35f3608b2f2858568566129d2844ff42a7b5e59b4",
         ("apsp-zwick", 8): "6bd4686cf8c404878920a57f784cbdc767187cb070c885e9c251ab0c5bb4d398",
@@ -39,7 +39,7 @@ GOLDEN = {
         ("det", 16): "6ded598ac22c765d58c55d580487d4fb2d701ac8117249fc6221b26f32b4d12a",
         ("inverse", 16): "ed82c96f28df09988552395d9bdffa5b954c328370a843a7304dc1cfa48aa01c",
         ("minpol", 16): "c89f897b46b69547c619378ace6df92b8a4dba73d2f6efe5c2ef3a823e612362",
-        ("solve", 16): "0b3be55b9635b93e7ab2aeacd59b80a2febb72befbd72675f9a15ad295984463",
+        ("solve", 16): "689a11ec3f96e58c9750e039f9981ec66f2768c48bb7c645e51aa888d618d9b3",
         ("rank", 16): "9b58d49dfa763eb74a91bd283db114fdf04ec3f71d6755c4395dfbe87cef24d3",
         ("apsp", 16): "228419b0d365e19a8c4983195a7b61c95187331ff3ea634953f2654e60ff5a1e",
         ("apsp-zwick", 16): "e9ebcc0ada6609b517c0702fe7b0ce0ca7033a6f88b3166a87282990231fddce",
@@ -52,7 +52,7 @@ GOLDEN = {
         ("det", 64): "68ab7f34db90bbde19c1d0d1ae346c13837c4c71343bc0de31961211f3d5902d",
         ("inverse", 64): "fd92b141d3f8c7d52cdf9894bbecffee3932d4e37e5b86d2e87f8c20e6ae857c",
         ("minpol", 64): "562d79c0d430ff74503af5a55ce304f5a40c1bdf1ac29077e42df26952c1cb10",
-        ("solve", 64): "1e64a2d581cea4468bbe91cb5b357486c7f612f7e4b70cdb42e81955343b2477",
+        ("solve", 64): "0065ba7d93529f426be5a8844500ea3b9680a06f49a182859bd352a10f106b3a",
         ("rank", 64): "e952747165c501deb62a4a6a617c2e0c457129f1e86aff18303cd64eb4be0c15",
         ("apsp", 64): "7769079ef2d5448b205634ff5e9675918d999dd3eccb6d376e97fb08faa7e4a0",
         ("apsp-zwick", 64): "f65ccd3cf5d174aecf5dcbfa3ed6d2b0f08fe1cc68e14e2583f38ae30dfa38da",

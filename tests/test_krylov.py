@@ -36,19 +36,35 @@ def stage_vector(world, sub, key, vec):
 
 def _check_terms(mat, p, probe):
     """Every power of two s <= 2n leaves w A^i u, i < 2n, at every node
-    (u, w the halves of the probe); returns those terms."""
+    (u, w the halves of the probe), whether the giant steps on u run inside
+    `_terms`, as in minpol, or before it, as in solve; returns those terms."""
     n = mat.shape[0]
     vec, want = probe[:n] % p, []
     for _ in range(2 * n):
         want.append(int(matmul_mod(probe[n:], vec, p)))
         vec = oracles.mat_mult(mat, vec.reshape(-1, 1), p).ravel()
+
+    def u(view):
+        return view.get("probe")[:n]
+
+    def w(view):
+        return view.get("probe")[n:]
+
     for s in [1 << e for e in range((2 * n).bit_length())]:
-        world, sub, dm = world_with(mat, p)
-        stage_vector(world, sub, "probe", probe)
-        apow = krylov._power(world, sub, dm, s, "trivial")
-        krylov._terms(world, sub, dm, apow, s, "probe", "terms")
-        for node in sub:
-            assert world.stores[node]["terms"].tolist() == want, (n, s, node)
+        giants = [("kr_x", j) for j in range(1, krylov._schedule(n, s)[2] + 1)]
+        for held in (False, True):
+            world, sub, dm = world_with(mat, p)
+            stage_vector(world, sub, "probe", probe)
+            apow = krylov._power(world, sub, dm, s, "trivial")
+            if held:
+                krylov._giants(world, sub, apow, len(giants), u)
+            krylov._terms(world, sub, dm, s, u, w, "terms", apow=None if held else apow)
+            for node in sub:
+                assert world.stores[node]["terms"].tolist() == want, (n, s, held, node)
+                # only held giant vectors outlive the terms
+                assert all((key in world.stores[node]) == held for key in giants)
+                assert not any(key[0] == "kr_y" for key in world.stores[node]
+                               if isinstance(key, tuple))
     return want
 
 
@@ -308,11 +324,11 @@ def test_solve_random_systems_always_verified():
         assert np.array_equal(x, oracles.solve_mod(mat, b, p))
 
 
-@pytest.mark.parametrize("n", [2, 8, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
 def test_solve_gathers_b_and_reads_its_coefficients_locally(n):
-    # node pos holds b[pos]; one allgather gives every node b.  Each node reads
-    # the generator's coefficients from its own mp_poly, and its baby vectors
-    # A^r b (r < s) and Horner in A^s leave x at every node
+    # node pos holds b[pos]; one allgather gives every node b.  Its giant
+    # vectors A^(js) b are formed once, each node reads the generator's
+    # coefficients from its own sv_poly, and Horner in A leaves x at every node
     p = prime_for(n)
     rng = random.Random(n)
     mat = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
@@ -321,23 +337,80 @@ def test_solve_gathers_b_and_reads_its_coefficients_locally(n):
     x = krylov.solve(world, sub, dm, b)
     assert np.array_equal(oracles.mat_mult(mat, x.reshape(-1, 1), p).ravel(), b % p)
     assert all(np.array_equal(world.stores[node]["sv_x_all"], x) for node in sub)
+    assert world.ledger.total_rounds == krylov.predict_solve_rounds(n)
     (group,) = world.ledger.root.children
     share = next(child for child in group.children if child.name == "share-b-exchange")
-    assert (share.rounds, share.messages) == (2, n * (n - 1))
-    assert not any(child.name.startswith(("gather-b", "terms", "sum", "xshare"))
-                   for child in group.children)
-    s = krylov._giant_step(n, "trivial")[1]
-    steps = [child.name for child in group.children
-             if isinstance(child, PhaseRecord) and child.rounds]
-    assert len([name for name in steps if name.startswith("baby-b")]) == s - 1
-    assert len([name for name in steps if name.startswith("horner")]) == -(-n // s) - 1
-    # the allgather of b, the baby vectors, Horner and the verdict, after one minpol
-    tail = 2 * (1 + (s - 1) + (-(-n // s) - 1) + 1)
-    assert world.ledger.total_rounds == krylov.predict_rounds(n) + tail
-    # b, its baby vectors, A^s and the Horner accumulators are popped
+    assert (share.rounds, share.messages) == (2 if n > 1 else 0, n * (n - 1))
+    s = krylov._giant_step(n, "trivial", solve=True)[1]
+    names = [child.name for child in group.children]
+    assert not any(name.startswith("baby-b") for name in names)
+    assert len([name for name in names if re.fullmatch(r"horner\d+", name)]) == s - 1
+    assert len([name for name in names if re.fullmatch(r"giant\d+", name)]) == -(-2 * n // s) - 1
+    # b, its giant vectors, A^s and the Horner vectors are popped
     for pos, node in enumerate(sub):
-        assert set(world.stores[node]) == {dm.row_key(pos), dm.col_key(pos), "mp_vw_all",
-                                           "mp_poly", "sv_x_all", "sv_ok", "sv_ok_all"}
+        assert set(world.stores[node]) == {dm.row_key(pos), dm.col_key(pos), "sv_w_all",
+                                           "sv_poly", "sv_x_all", "sv_ok", "sv_ok_all"}
+
+
+def test_solve_picks_its_own_giant_step():
+    # solve forms its giant vectors once and runs s - 1 Horner steps per
+    # attempt, so its best s can be smaller than minpol's
+    assert krylov._giant_step(128, "trivial")[1] == 8
+    assert krylov._giant_step(128, "trivial", solve=True)[1] == 4
+
+
+def test_solve_forms_giants_once_and_redraws_only_w(monkeypatch):
+    # the first generator has g(0) = 0, so nothing is evaluated; the second,
+    # 1 + z, evaluates x = -b, which verify refuses; the third is real
+    n = 64
+    p = prime_for(n)
+    rng = random.Random(3)
+    mat = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+    b = np.array([rng.randrange(p) for _ in range(n)])
+    world, sub, dm = world_with(mat, p, seed=3)
+    fakes = iter([Polynomial([0, 1], p), Polynomial([1, 1], p)])
+    monkeypatch.setattr(krylov, "generating_polynomial",
+                        lambda seq, q: next(fakes, None) or generating_polynomial(seq, q))
+    x = krylov.solve(world, sub, dm, b)
+    assert np.array_equal(x, oracles.solve_mod(mat, b, p))
+    (group,) = world.ledger.root.children
+    names = [re.sub(r"\d+", "#", child.name) for child in group.children
+             if isinstance(child, GroupRecord) or child.rounds]
+    s = krylov._giant_step(n, "trivial", solve=True)[1]
+    assert s == 4
+    giants = ["giant#-exchange"] * (-(-2 * n // s) - 1)
+    attempt = ["share-w{}-allgather"] + ["baby#{}-exchange"] * (s - 1)
+    evaluate = ["horner#{}-exchange"] * (s - 1) + ["okshare{}-exchange"]
+    assert names == (["share-b-exchange", "square#", "square#"] + giants
+                     + [name.format("") for name in attempt]
+                     + [name.format("-#") for name in attempt + evaluate] * 2)
+    # A^s is dropped after the giant steps, before the first probe
+    every = [child.name for child in group.children]
+    assert (every.index(f"giant{len(giants)}-assemble") < every.index("power-drop")
+            < every.index("share-w-allgather"))
+    for pos, node in enumerate(sub):
+        assert set(world.stores[node]) == {dm.row_key(pos), dm.col_key(pos), "sv_w_all",
+                                           "sv_poly", "sv_x_all", "sv_ok", "sv_ok_all"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_solve_of_a_zero_right_hand_side_is_zero(n):
+    # b = 0 gives an all-zero sequence, so g = 1 and x = 0, which verifies
+    p = prime_for(n)
+    rng = random.Random(n)
+    mat = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+    world, sub, dm = world_with(mat, p)
+    assert krylov.solve(world, sub, dm, np.zeros(n, dtype=np.int64)).tolist() == [0] * n
+    names = [child.name for child in world.ledger.root.children[0].children]
+    assert "share-w-allgather" in names and "share-w-1-allgather" not in names
+
+
+def test_solve_singular_consistent_system():
+    # the annihilator of b is (z - 1)(z - 2), whose constant term is nonzero
+    mat = np.diag([1, 2, 0, 0]).astype(np.int64)
+    world, sub, dm = world_with(mat, 101)
+    x = krylov.solve(world, sub, dm, np.array([3, 4, 0, 0]))
+    assert x.tolist() == [3, 2, 0, 0]
 
 
 def test_solve_singular_system_raises():
