@@ -17,8 +17,8 @@ from . import detinv, krylov
 from .collective import allgather_scalars, allgather_vectors, share_random
 from .distprod import MinPlusMatrix, dist_prod, scatter_minplus
 from .ff import capped_prime, matmul_mod
-from .krylov import precondition, transpose, unit_toeplitz
-from .mm import DMat, mm_multi
+from .krylov import drop, transpose, unit_toeplitz
+from .mm import DMat, identity_dmat, mm_multi
 from .minplus import INF, INF_THRESHOLD, parse_fields, read_records
 from .sim import CliqueWorld, message_bits
 
@@ -358,66 +358,59 @@ class GEDecomposition:
 
 def gallai_edmonds(world: CliqueWorld, graph: WeightedGraph, tag: str = "ge",
                    kernel: str = "trivial") -> GEDecomposition:
-    """Criticality decomposition via a null-space basis of the edge matrix.
+    """Criticality decomposition via a null-space basis of the edge matrix T
+    (Cheriyan, SIAM J. Comput. 1997); correct whp at p >= 4 n^4.
 
-    Self-checking: the candidate basis must annihilate the matrix, and the
-    leading block inversion must succeed; failures retry with fresh
-    randomness.  Correct with high probability at p >= 4 n^4.
+    Each of the GE_RETRIES attempts is one ledger group: a fresh T and one
+    `krylov.rank_attempt` on it, whose B and coins give the basis at an even
+    rank below n.  An inconclusive or odd rank, a singular leading block, or
+    a basis that fails to annihilate T starts the next attempt.
     """
     n = graph.n
     p = matching_prime(n)
     subset = world.all_nodes()
     for attempt in range(GE_RETRIES):
-        tutte = build_tutte_instance(world, graph, p, f"{tag}-t{attempt}")
-        try:
-            rank = krylov.rank_rand(world, subset, tutte, f"{tag}-r{attempt}", kernel)
-        except krylov.InconclusiveError:
-            continue
-        if rank % 2 != 0:
-            continue
-        if rank >= n:
-            return GEDecomposition(frozenset(), frozenset(),
-                                   frozenset(range(1, n + 1)))
-        basis = _null_space_basis(world, subset, tutte, rank,
-                                  f"{tag}-b{attempt}", kernel)
-        if basis is None:
-            continue
-        if not _verify_null_basis(world, subset, tutte, basis, rank, kernel):
-            continue
-        return _classify(world, graph, basis, n - rank)
+        with world.ledger.group(world.fresh_name("geattempt")):
+            tutte = build_tutte_instance(world, graph, p, f"{tag}-t{attempt}")
+            try:
+                rank, b = krylov.rank_attempt(world, subset, tutte, f"{tag}-r{attempt}", 0,
+                                              kernel)
+            except krylov.InconclusiveError:
+                continue
+            try:
+                if rank is None or rank % 2 != 0:
+                    continue
+                if rank == n:
+                    return GEDecomposition(frozenset(), frozenset(),
+                                           frozenset(range(1, n + 1)))
+                basis = _null_space_basis(world, subset, b, rank, kernel)
+            finally:
+                drop(world, subset, "drop", [b])
+            if basis is not None and _verify_null_basis(world, subset, tutte, basis, rank,
+                                                        kernel):
+                return _classify(world, graph, basis, n - rank)
     raise DecompositionFailedError("decomposition failed after retries")
 
 
-def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
-                      rank: int, tag: str, kernel: str) -> Optional[DMat]:
-    """n x (n - rank) matrix whose columns span the right null space (whp).
+def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], b: DMat,
+                      rank: int, kernel: str) -> Optional[DMat]:
+    """n x (n - rank) matrix whose columns span null(T) = V D null(B) (whp),
+    for the B = U T V D of a `krylov.rank_attempt` and its coins rk_pre_all
+    at every node; padded to n columns, distributed rows+cols.
 
-    Returns the matrix padded to n columns, distributed rows+cols; None when
-    the leading block N11 of the preconditioned matrix U A V is singular.
-    Only the first rank nodes invert N11, so a routed `verdict` phase tells
-    the others the outcome either way.  Every node knows V, so the basis
-    V [[-X], [I]] is formed column by column and transposed for its rows.
+    None when the leading block N11 of B is singular.  Only the first rank
+    nodes invert N11, so a routed `verdict` phase tells the others the
+    outcome either way.  Column pos of the basis is V (d o y) for column pos
+    y of Y = [[-X], [I]], X = N11^-1 N12, formed where y is and transposed
+    for the rows; at rank 0 it is the identity.  N11, its inverse, N12 and
+    X are dropped once used.
     """
     n = len(subset)
     nodes = np.array(subset)
-    p = tutte.p
-
-    share_random(world, subset, f"{tag}-uv", f"{tag}-uv", "ge_uv_all", 2 * (n - 1),
-                 lambda rng, i: rng.randrange(p))
-    basis = DMat(world.fresh_name("basis"), n, n, p, subset)
-
+    p = b.p
     if rank == 0:
-        # null space is everything; V itself is a basis, and every node knows it
-
-        def toeplitz(view):
-            v = unit_toeplitz(view.get("ge_uv_all"), n, p)[1]
-            view.put(basis.row_key(view.pos), v[view.pos])
-            view.put(basis.col_key(view.pos), v[:, view.pos])
-
-        world.run_local(subset, "toeplitz", toeplitz)
-        return basis
-
-    nmat = precondition(world, subset, tutte, "ge_uv_all")
+        return identity_dmat(world, subset, n, p)
+    basis = DMat(world.fresh_name("basis"), n, n, p, subset)
     sub_r = subset[:rank]
     tail = n - rank
     n11 = DMat(world.fresh_name("N11"), rank, rank, p, sub_r)
@@ -429,8 +422,8 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
         pos = view.pos
         if pos >= rank:
             return
-        view.put(n11.row_key(pos), view.get(nmat.row_key(pos))[:rank])
-        view.put(n11.col_key(pos), view.get(nmat.col_key(pos))[:rank])
+        view.put(n11.row_key(pos), view.get(b.row_key(pos))[:rank])
+        view.put(n11.col_key(pos), view.get(b.col_key(pos))[:rank])
         for chunk in n12:
             view.put(chunk.col_key(pos), np.zeros(rank, dtype=np.int64))
 
@@ -446,6 +439,7 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
 
     world.route(subset, "verdict", send_verdict)
     if inv11 is None:
+        drop(world, sub_r, "drop", [n11, *n12])
         return None
 
     def send_n12(view):
@@ -453,7 +447,7 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
         if pos < rank:
             return
         g, j0 = divmod(pos - rank, rank)
-        yield sub_r[j0], n12[g].col_key(j0), view.get(nmat.col_key(pos))[:rank]
+        yield sub_r[j0], n12[g].col_key(j0), view.get(b.col_key(pos))[:rank]
 
     world.route(subset, "moveN12", send_n12)
     x_chunks = mm_multi(world, sub_r, [inv11] * len(n12), n12, kernel, phase="solve-tail")
@@ -467,16 +461,17 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
                                       for g in range(len(dsts))])
 
     world.route(subset, "moveX", send_x)
+    drop(world, sub_r, "drop", [n11, inv11, *n12, *x_chunks])
 
-    def build_basis(view):  # column pos of V Y, Y = [[-X], [I]] padded to n columns
+    def build_basis(view):  # column pos of V (d o y)
         pos = view.pos
-        col = np.zeros(n, dtype=np.int64)
+        y = np.zeros(n, dtype=np.int64)
         if pos < tail:
-            xcol = view.pop("ge_x")
-            col[:rank] = (-xcol) % p
-            col[rank + pos] = 1
-        v = unit_toeplitz(view.get("ge_uv_all"), n, p)[1]
-        view.put(basis.col_key(pos), matmul_mod(v, col, p))
+            y[:rank] = -view.pop("ge_x")
+            y[rank + pos] = 1
+        pre = view.get("rk_pre_all")
+        v = unit_toeplitz(pre, n, p)[1]
+        view.put(basis.col_key(pos), matmul_mod(v, y * pre[2 * (n - 1):] % p, p))
 
     world.run_local(subset, "basis", build_basis)
     transpose(world, subset, "basis-rows", basis.col_key, basis.row_key)

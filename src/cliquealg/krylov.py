@@ -18,9 +18,9 @@ vectors A^(js) b are formed once per call and a retry redraws only w; it
 evaluates x = -g(0)^-1 h(A) b, h(z) = (g(z) - g(0)) / z, from the sums
 v_r = sum_j h_(js+r) A^(js) b at every node and Horner in A, s - 1
 allgathers, so every node ends up holding x.  Its s is chosen by
-`predict_solve_rounds` from the same schedule.  rank_rand reads the
-rank from the generator of a preconditioned B = U A V D, formed locally
-around two transposes.
+`predict_solve_rounds` from the same schedule.  rank_rand reads the rank
+from the generator of B = U A V D, formed around two transposes; the B of
+one `rank_attempt` also gives Gallai-Edmonds null(A) = V D null(B).
 
 Guarantees assume |F| >= 4 n^2 ceil(log2 n); smaller fields get a warning.
 """
@@ -87,11 +87,15 @@ def predict_solve_rounds(n: int, kernel: str = "trivial") -> int:
     return _giant_step(n, kernel, solve=True)[0]
 
 
-def _drop(world: CliqueWorld, subset: Sequence[int], phase: str, dm: DMat | None,
-          keys: Sequence = ()) -> None:
-    """Pop dm's rows and columns, if dm is given, and keys at every node."""
-    world.run_local(subset, phase, lambda view: view.pop_many(
-        [*keys, *((dm.row_key(view.pos), dm.col_key(view.pos)) if dm else ())]))
+def drop(world: CliqueWorld, subset: Sequence[int], phase: str, mats: Sequence[DMat],
+         keys: Sequence = ()) -> None:
+    """Pop keys, and the rows and columns that mats hold, at every node."""
+    def pop(view):
+        pos = view.pos
+        view.pop_many([*keys, *(dm.row_key(pos) for dm in mats if dm.has_rows),
+                       *(dm.col_key(pos) for dm in mats if dm.has_cols)])
+
+    world.run_local(subset, phase, pop)
 
 
 def _power(world: CliqueWorld, subset: Sequence[int], a: DMat, s: int, kernel: str) -> DMat:
@@ -100,7 +104,7 @@ def _power(world: CliqueWorld, subset: Sequence[int], a: DMat, s: int, kernel: s
     for i in range(_schedule(len(subset), s)[0]):
         square = mm_multi(world, subset, [apow], [apow], kernel, phase=f"square{i}")[0]
         if apow is not a:
-            _drop(world, subset, f"square{i}-drop", apow)
+            drop(world, subset, f"square{i}-drop", [apow])
         apow = square
     return apow
 
@@ -210,7 +214,7 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
                     return poly
         finally:
             if apow is not a:
-                _drop(world, subset, "drop", apow)
+                drop(world, subset, "drop", [apow])
     raise InconclusiveError(f"minpol: every probe sequence was zero in {RETRIES} attempts")
 
 
@@ -244,7 +248,7 @@ def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
             try:
                 poly = minpol_monte_carlo(world, subset, da, f"{tag}-mp-{attempt}", kernel)
             finally:
-                _drop(world, subset, "drop", da)
+                drop(world, subset, "drop", [da])
             m0 = poly(0)
             if poly.degree == n or m0 == 0:
                 d = world.stores[subset[0]]["dr_d_all"].tolist()
@@ -304,7 +308,7 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
         try:
             _giants(world, subset, apow, giants, start)
             if apow is not a:
-                _drop(world, subset, "power-drop", apow)
+                drop(world, subset, "power-drop", [apow])
             for attempt in range(RETRIES):
                 suffix = f"-{attempt}" if attempt else ""
                 share_random(world, subset, f"share-w{suffix}", f"{tag}-w{suffix}", "sv_w_all",
@@ -321,7 +325,7 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
                 if int(world.stores[subset[0]]["sv_ok_all"].min()) == 1:
                     return world.stores[subset[0]]["sv_x_all"].copy()
         finally:
-            _drop(world, subset, "drop", None, ["sv_b", *held])
+            drop(world, subset, "drop", [], ["sv_b", *held])
     raise SolveFailedError(
         "system unsolved: inconsistent or singular system, or repeated Monte Carlo failure")
 
@@ -360,22 +364,33 @@ def transpose(world: CliqueWorld, subset: Sequence[int], phase: str, src_key, ds
     world.run_local(subset, f"{phase}-stack", stack)
 
 
-def precondition(world: CliqueWorld, subset: Sequence[int], a: DMat, pre_key) -> DMat:
-    """B = U A V D, rows and columns, for (U, V) of `unit_toeplitz` and
-    D = diag(d); every node holds u_2..u_n, v_2..v_n, then d (D = I when d is
-    absent) under pre_key.  So no product is routed: node pos forms column pos
-    of U A, a transpose gives the rows of U A, node pos multiplies its row by
-    V D, and a second transpose gives the columns of B.  Two routed phases of
-    2 rounds and n(n - 1) messages each.
+def rank_attempt(world: CliqueWorld, subset: Sequence[int], a: DMat, tag: str,
+                 attempt: int, kernel: str = "trivial") -> tuple[int | None, DMat]:
+    """One attempt of `rank_rand`: (rank, B) for B = U A V D, which has the
+    rank of A, with (U, V) of `unit_toeplitz` and D = diag(d) from fresh
+    coins u_2..u_n, v_2..v_n, d (d nonzero) under rk_pre_all at every node.
+
+    No product is routed: node pos forms column pos of U A, a transpose gives
+    the rows of U A, node pos multiplies its row by V D, and a second
+    transpose gives the columns of B.  For the generator g of B:
+    - deg g = n and g(0) != 0: B, hence A, is invertible; rank n, certified
+      (g divides the minimal polynomial of B);
+    - g(0) = 0: rank deg g - 1, a lower bound (a singular matrix has rank
+      >= deg minpol - 1 >= deg g - 1) that equals it whp;
+    - otherwise rank None.
+    B and the coins stay at every node for the caller; if minpol_monte_carlo
+    raises, B is dropped and the error propagates.
     """
-    subset = tuple(subset)
     n = len(subset)
     p = a.p
+    share_random(world, subset, f"share-pre{attempt}", f"{tag}-pre-{attempt}",
+                 "rk_pre_all", 3 * n - 2,  # u, v, then the diagonal
+                 lambda rng, i: rng.randrange(p) if i < 2 * (n - 1) else 1 + rng.randrange(p - 1))
     ua = DMat(world.fresh_name("UA"), n, n, p, subset)
-    out = DMat(world.fresh_name("B"), n, n, p, subset)
+    b = DMat(world.fresh_name("B"), n, n, p, subset)
 
     def left(view):
-        u = unit_toeplitz(view.get(pre_key), n, p)[0]
+        u = unit_toeplitz(view.get("rk_pre_all"), n, p)[0]
         view.put(ua.col_key(view.pos), matmul_mod(u, view.get(a.col_key(view.pos)), p))
 
     world.run_local(subset, "ua", left)
@@ -383,48 +398,35 @@ def precondition(world: CliqueWorld, subset: Sequence[int], a: DMat, pre_key) ->
 
     def right(view):
         pos = view.pos
-        pre = view.get(pre_key)
-        d = pre[2 * (n - 1):] if len(pre) > 2 * (n - 1) else 1
+        pre = view.get("rk_pre_all")
         view.pop(ua.col_key(pos))
         row = matmul_mod(view.pop(ua.row_key(pos)), unit_toeplitz(pre, n, p)[1], p)
-        view.put(out.row_key(pos), row * d % p)
+        view.put(b.row_key(pos), row * pre[2 * (n - 1):] % p)
 
     world.run_local(subset, "uavd", right)
-    transpose(world, subset, "uavd-cols", out.row_key, out.col_key)
-    return out
+    transpose(world, subset, "uavd-cols", b.row_key, b.col_key)
+    try:
+        poly = minpol_monte_carlo(world, subset, b, f"{tag}-mp-{attempt}", kernel)
+    except BaseException:
+        drop(world, subset, "drop", [b])
+        raise
+    if poly(0) == 0:
+        return poly.degree - 1, b
+    return (n if poly.degree == n else None), b
 
 
 def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
               tag: str = "rank", kernel: str = "trivial") -> int:
-    """Monte Carlo rank from the generator g of B = U A V D, for random unit
-    Toeplitz U, V and a random diagonal D with nonzero entries, so that B has
-    the rank of A.
-
-    Each attempt draws fresh coins and runs one `minpol_monte_carlo` on B:
-    - deg g = n and g(0) != 0: B, hence A, is invertible, and n is returned
-      (certified: g divides the minimal polynomial of B);
-    - g(0) = 0: deg g - 1 is returned, a lower bound on the rank (a singular
-      matrix has rank >= deg minpol - 1 >= deg g - 1) that equals it whp;
-    - anything else retries; InconclusiveError once RETRIES attempts are
-      spent.  InconclusiveError from minpol_monte_carlo propagates.
+    """Monte Carlo rank of A: the first rank read by up to RETRIES
+    `rank_attempt`s, each with fresh coins and B dropped after it.
+    InconclusiveError once they are spent, or from minpol_monte_carlo.
     """
     subset = tuple(subset)
-    n = len(subset)
-    p = a.p
-    warn_small_field(p, field_size_bound(n), "rank_rand")
+    warn_small_field(a.p, field_size_bound(len(subset)), "rank_rand")
     with world.ledger.group(world.fresh_name("rankrand")):
         for attempt in range(RETRIES):
-            share_random(world, subset, f"share-pre{attempt}", f"{tag}-pre-{attempt}",
-                         "rk_pre_all", 3 * n - 2,  # u, v, then the diagonal
-                         lambda rng, i: (rng.randrange(p) if i < 2 * (n - 1)
-                                         else 1 + rng.randrange(p - 1)))
-            b = precondition(world, subset, a, "rk_pre_all")
-            try:
-                poly = minpol_monte_carlo(world, subset, b, f"{tag}-mp-{attempt}", kernel)
-            finally:
-                _drop(world, subset, "drop", b)
-            if poly(0) == 0:
-                return poly.degree - 1
-            if poly.degree == n:
-                return n
+            rank, b = rank_attempt(world, subset, a, tag, attempt, kernel)
+            drop(world, subset, "drop", [b])
+            if rank is not None:
+                return rank
     raise InconclusiveError(f"rank_rand: no conclusive attempt in {RETRIES}")

@@ -33,7 +33,7 @@ GOLDEN = {
         ("diameter", 8): "261842b4f4c3c3af2deb8ce4e9fc89ce36142700290efe321b240ad9934a5bb6",
         ("matching-size", 8): "6bbed421536493ce07efcaee402fe457369494f15eb51a300afe1e9a8b7662ab",
         ("allowed-edges", 8): "3ebb4b69ecb279f794cad0ffdae57ea26443a01ccbf2bc552664fbba9fcac121",
-        ("gallai-edmonds", 8): "b0f9fab64b8b9a50cae22c5d8b46c16e42b7b924b2d112659d219e0cc428bfca",
+        ("gallai-edmonds", 8): "2f2e65a2b4b32fa8340d1ef36a4739c02be221b6a0b3cb8eb94f1ae770fb9280",
         ("mm", 16): "fd146d0b7010b4f939d44f78cc6fcf9448dff541b7add9e7d6f3dd944b59ff9b",
         ("distprod", 16): "1a1ed8a9ebef0aa6276116cdf6e0a321cd1ded1037ade439820d083f6481abc1",
         ("det", 16): "6ded598ac22c765d58c55d580487d4fb2d701ac8117249fc6221b26f32b4d12a",
@@ -46,7 +46,7 @@ GOLDEN = {
         ("diameter", 16): "bef48efcbd14349b668e11df1db4c2298cabac423aeb0c21419936c40acd34c8",
         ("matching-size", 16): "2cf1ba974a2b4702a022ef4068c1d557a2dfe91c462f573e662a405a28a5287c",
         ("allowed-edges", 16): "7c48767395a3b0d4ea23ea5c21ba23e0a6984571d7f3d60e65a81a35341aea6d",
-        ("gallai-edmonds", 16): "8d87101f23ce48f45137c74495644b99e4db63e4c9502602ada367d988e03d03",
+        ("gallai-edmonds", 16): "91cc43f4f46553b0c578847ad97f2c558ee111cd3655a2c49da59b82bb020758",
         ("mm", 64): "6f92efa10d459981b42601d1b3648fefe420fa4aadca3cc9ff9cd3c67dde1a76",
         ("distprod", 64): "6d51dd7ef37a46148deec487d80043a222660ddfa04c8f070f6788e5dbe400f3",
         ("det", 64): "68ab7f34db90bbde19c1d0d1ae346c13837c4c71343bc0de31961211f3d5902d",
@@ -59,7 +59,7 @@ GOLDEN = {
         ("diameter", 64): "23f90ccc4ba92ef9cc69debb3624a4084e64c092d2a30b5ecf7098fe6866610e",
         ("matching-size", 64): "004395969bf2127dc6bebaf3fd6cf429e91a534d1b49e6cc8bc00cc001f9488a",
         ("allowed-edges", 64): "a2914c475b65001a14da4d2c6c7190d884c04efd29f17eef77db5c1cbacd4469",
-        ("gallai-edmonds", 64): "6c9bce3aadaa85fcd63e93f0200203b1a911e3c2132a3a0123facd4ad429a2fa",
+        ("gallai-edmonds", 64): "efee4dfdc41c5f06af923a0dd18c61a6b0ca9d764f1b410d8a13b43f86c9ea0c",
     },
     "strassen": {
         ("mm", 8): "5dbed297cb06c22e8f75e67540794e2d7a7b9575b9ecda388d3aea8fa3366070",

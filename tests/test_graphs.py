@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cliquealg import distprod, ff, graphs, krylov, mm, oracles
+from cliquealg import detinv, distprod, ff, graphs, krylov, mm, oracles
 from cliquealg.minplus import INF, INF_THRESHOLD
 from cliquealg.sim import CliqueWorld
 
@@ -222,6 +222,10 @@ def test_gallai_edmonds_examples():
     ge = graphs.gallai_edmonds(CliqueWorld(4, seed=0), c4)
     assert ge.d_set == frozenset() and ge.k_set == frozenset()
     assert ge.c_set == {1, 2, 3, 4}
+    for n in (2, 3, 4):  # rank 0: the identity is the basis, and D is every vertex
+        ge = graphs.gallai_edmonds(CliqueWorld(n, seed=0), unweighted(n, []))
+        assert (ge.d_set, ge.k_set, ge.c_set) == (frozenset(range(1, n + 1)), frozenset(),
+                                                  frozenset())
 
 
 def test_gallai_edmonds_random_graphs():
@@ -283,21 +287,99 @@ def test_matching_size_raises_after_odd_ranks():
 
 
 @pytest.mark.parametrize("p,seed,ok", [(None, 1, 1), (7, 1, 0)])
-def test_null_space_basis_charges_its_verdict(p, seed, ok):
+def test_null_space_basis_charges_its_verdict(p, seed, ok, monkeypatch):
     # only the first rank nodes invert N11; one routed phase tells the other
-    # n - rank nodes the outcome, whichever it is (over GF(7) at seed 1 the
-    # leading block of the rank-4 instance is singular)
+    # n - rank nodes the outcome, whichever it is (ok = 0 forces N11 singular)
     n, rank = 6, 4
     world = CliqueWorld(n, seed=seed)
     sub = world.all_nodes()
     graph = unweighted(n, [(0, 1), (1, 2), (3, 4)])
     tutte = graphs.build_tutte_instance(world, graph, p or graphs.matching_prime(n), "t")
-    basis = graphs._null_space_basis(world, sub, tutte, rank, "b", "trivial")
+    got, b = krylov.rank_attempt(world, sub, tutte, "r", 0)
+    assert got == rank
+    if not ok:
+        def singular(*args):
+            raise detinv.SingularMatrixError("forced")
+
+        monkeypatch.setattr(detinv, "inverse", singular)
+    basis = graphs._null_space_basis(world, sub, b, rank, "trivial")
     assert (basis is not None) == bool(ok)
     verdicts = [(rec.rounds, rec.messages) for path, rec in world.ledger.leaves()
                 if path.endswith("verdict")]
     assert verdicts == [(2, n - rank)]
     assert [world.stores[node].get("ge_n11_ok") for node in sub[rank:]] == [ok] * (n - rank)
+    leftover = [key for node in sub for key in world.stores[node]
+                if isinstance(key, str) and key.startswith(("N11", "N12"))]
+    assert leftover == []
+
+
+def test_gallai_edmonds_preconditions_once_per_attempt(monkeypatch):
+    # no perfect matching (rank 4 of 6): each attempt is one ledger group
+    # that draws coins and forms B = U T V D once, and the null space reuses
+    # them.  The first attempt is forced to an odd rank, so a second attempt
+    # draws a fresh Tutte matrix and fresh coins.  B, N11, its inverse, N12
+    # and X are all dropped.
+    n = 6
+    pairs = [(0, 1), (1, 2), (3, 4)]
+    world = CliqueWorld(n, seed=1)
+    real_attempt, real_mm = krylov.rank_attempt, graphs.mm_multi
+    draws, dropped = [], []
+
+    def first_odd(world, subset, a, *args):
+        rank, b = real_attempt(world, subset, a, *args)
+        store = world.stores[subset[0]]
+        draws.append((store[a.row_key(0)].copy(), store["rk_pre_all"].copy()))
+        dropped.append(b.name)
+        return (1 if len(draws) == 1 else rank), b
+
+    def spy(*args, phase=None, **kwargs):
+        out = real_mm(*args, phase=phase, **kwargs)
+        if phase == "solve-tail":
+            dropped.extend(dm.name for dm in out)
+        return out
+
+    monkeypatch.setattr(krylov, "rank_attempt", first_odd)
+    monkeypatch.setattr(graphs, "mm_multi", spy)
+    ge = graphs.gallai_edmonds(world, unweighted(n, pairs))
+    dw, kw, cw = oracles.gallai_edmonds_oracle(n, pairs)
+    assert (ge.d_set, ge.k_set, ge.c_set) == tuple(frozenset(v + 1 for v in s)
+                                                   for s in (dw, kw, cw))
+    assert len(draws) == 2
+    assert all(not np.array_equal(x, y) for x, y in zip(*draws))
+    attempts = collections.defaultdict(list)
+    for path, _ in world.ledger.leaves():
+        group, _, name = path.partition("/")
+        attempts[group].append(name)
+    assert [group.rstrip("0123456789") for group in attempts] == ["geattempt"] * 2
+    for names in attempts.values():
+        assert sum(name.startswith("share-pre") and name.endswith("-allgather")
+                   for name in names) == 1
+        assert names.count("ua-rows") == names.count("uavd-cols") == 1
+        assert not any("-uv" in name for name in names)
+    prefixes = (*(f"{name}:" for name in dropped), "N11", "N12", "Ainv")
+    assert not [key for store in world.stores for key in store
+                if isinstance(key, str) and key.startswith(prefixes)]
+
+
+def test_gallai_edmonds_runs_one_generator_per_attempt(monkeypatch):
+    # every rank attempt forced inconclusive: GE_RETRIES attempts, one
+    # generator each, then DecompositionFailedError, with every B dropped
+    real_attempt = krylov.rank_attempt
+    names = []
+
+    def inconclusive(*args):
+        b = real_attempt(*args)[1]
+        names.append(f"{b.name}:")
+        return None, b
+
+    monkeypatch.setattr(krylov, "rank_attempt", inconclusive)
+    world = CliqueWorld(6, seed=1)
+    with pytest.raises(graphs.DecompositionFailedError):
+        graphs.gallai_edmonds(world, unweighted(6, [(0, 1), (1, 2), (3, 4)]))
+    generators = [path for path, _ in world.ledger.leaves() if path.endswith("/recover")]
+    assert len(names) == len(generators) == graphs.GE_RETRIES
+    assert not [key for store in world.stores for key in store
+                if isinstance(key, str) and key.startswith(tuple(names))]
 
 
 def test_matching_prime_is_capped_at_float_prime_max():
