@@ -264,63 +264,68 @@ def char_poly(world: CliqueWorld, subset: Sequence[int], a: DMat,
 
 def det(world: CliqueWorld, subset: Sequence[int], a: DMat,
         kernel: str = "trivial") -> int:
-    """(-1)^n times the constant characteristic coefficient; held by all nodes."""
-    state = char_poly(world, subset, a, kernel)
+    """(-1)^n times the constant characteristic coefficient; held by all nodes.
+    Beside A, the stores keep nothing."""
+    with world.frame():
+        state = char_poly(world, subset, a, kernel)
     n = len(subset)
     return int((-1) ** n * int(state.coeffs[n - 1])) % a.p
 
 
 def inverse(world: CliqueWorld, subset: Sequence[int], a: DMat,
             kernel: str = "trivial") -> DMat:
-    """Exact inverse via coefficient-weighted power sums; A must be invertible."""
+    """Exact inverse via coefficient-weighted power sums; A must be invertible.
+    Beside A, the stores keep only the inverse; every power is popped."""
     subset = tuple(subset)
     n = len(subset)
     p = a.p
-    state = char_poly(world, subset, a, kernel)
-    cn = int(state.coeffs[n - 1])
-    if cn == 0:
-        raise SingularMatrixError("matrix is not invertible (zero determinant)")
-    pc = state.pc
-    coeffs = state.coeffs
+    with world.frame() as keep:
+        state = char_poly(world, subset, a, kernel)
+        cn = int(state.coeffs[n - 1])
+        if cn == 0:
+            raise SingularMatrixError("matrix is not invertible (zero determinant)")
+        pc = state.pc
+        coeffs = state.coeffs
 
-    def chat(j: int) -> int:
-        if j == 0:
-            return 1
-        if 1 <= j <= n - 1:
-            return int(coeffs[j - 1])
-        return 0
+        def chat(j: int) -> int:
+            if j == 0:
+                return 1
+            if 1 <= j <= n - 1:
+                return int(coeffs[j - 1])
+            return 0
 
-    with world.ledger.group(world.fresh_name("inverse")):
-        stride_mats = [state.identity] + state.strides
-        e_mats = [DMat(world.fresh_name("E"), n, n, p, subset, has_cols=False)
-                  for _ in range(pc)]
+        with world.ledger.group(world.fresh_name("inverse")):
+            stride_mats = [state.identity] + state.strides
+            e_mats = [DMat(world.fresh_name("E"), n, n, p, subset, has_cols=False)
+                      for _ in range(pc)]
 
-        # weights[a2, a1] multiplies A^(a1*pc) in the row of E_a2
-        weights = np.array([[chat(n - 1 - (a1 * pc + a2)) for a1 in range(pc)]
-                            for a2 in range(pc)], dtype=np.int64)
+            # weights[a2, a1] multiplies A^(a1*pc) in the row of E_a2
+            weights = np.array([[chat(n - 1 - (a1 * pc + a2)) for a1 in range(pc)]
+                                for a2 in range(pc)], dtype=np.int64)
 
-        def build_e(view):
-            pos = view.pos
-            rows = np.stack([view.get(dm.row_key(pos)) for dm in stride_mats])
-            e_rows = matmul_mod(weights, rows, p)
-            for a2 in range(pc):
-                view.put(e_mats[a2].row_key(pos), e_rows[a2])
+            def build_e(view):
+                pos = view.pos
+                rows = np.stack([view.get(dm.row_key(pos)) for dm in stride_mats])
+                e_rows = matmul_mod(weights, rows, p)
+                for a2 in range(pc):
+                    view.put(e_mats[a2].row_key(pos), e_rows[a2])
 
-        world.run_local(subset, "weights", build_e)
-        rhs = [state.identity] + state.lows[:pc - 1]  # A^0 .. A^(pc-1)
-        prods = mm_multi(world, subset, e_mats, rhs, kernel)
-        out = DMat(world.fresh_name("Ainv"), n, n, p, subset)
-        scale = (-pow(cn, -1, p)) % p
+            world.run_local(subset, "weights", build_e)
+            rhs = [state.identity] + state.lows[:pc - 1]  # A^0 .. A^(pc-1)
+            prods = mm_multi(world, subset, e_mats, rhs, kernel)
+            out = DMat(world.fresh_name("Ainv"), n, n, p, subset)
+            scale = (-pow(cn, -1, p)) % p
 
-        def assemble(view):
-            pos = view.pos
-            row = np.zeros(n, dtype=np.int64)
-            col = np.zeros(n, dtype=np.int64)
-            for prod in prods:
-                row = (row + view.get(prod.row_key(pos))) % p
-                col = (col + view.get(prod.col_key(pos))) % p
-            view.put(out.row_key(pos), row * scale % p)
-            view.put(out.col_key(pos), col * scale % p)
+            def assemble(view):
+                pos = view.pos
+                row = np.zeros(n, dtype=np.int64)
+                col = np.zeros(n, dtype=np.int64)
+                for prod in prods:
+                    row = (row + view.get(prod.row_key(pos))) % p
+                    col = (col + view.get(prod.col_key(pos))) % p
+                view.put(out.row_key(pos), row * scale % p)
+                view.put(out.col_key(pos), col * scale % p)
 
-        world.run_local(subset, "scale", assemble)
+            world.run_local(subset, "scale", assemble)
+        keep(out)
     return out

@@ -17,7 +17,7 @@ from . import detinv, krylov
 from .collective import allgather_scalars, allgather_vectors, share_random
 from .distprod import MinPlusMatrix, dist_prod, scatter_minplus
 from .ff import capped_prime, matmul_mod
-from .krylov import drop, transpose, unit_toeplitz
+from .krylov import transpose, unit_toeplitz
 from .mm import DMat, identity_dmat, mm_multi
 from .minplus import INF, INF_THRESHOLD, parse_fields, read_records
 from .sim import CliqueWorld, message_bits
@@ -70,13 +70,6 @@ class WeightedGraph:
                     out.append((i + 1, j + 1, int(self.adj[i, j])))
         return out
 
-    def save(self, path) -> None:
-        kind = "directed" if self.directed else "undirected"
-        with open(path, "w") as fh:
-            fh.write(f"{self.n} {kind} {self.bound}\n")
-            for u, v, w in self.edges():
-                fh.write(f"{u} {v} {w}\n")
-
     @staticmethod
     def load(path) -> "WeightedGraph":
         """'n directed|undirected M' header, then edge lines 'u v w' with u != v
@@ -109,17 +102,20 @@ def distribute_graph(world: CliqueWorld, graph: WeightedGraph) -> MinPlusMatrix:
 
 def apsp_minplus_squaring(world: CliqueWorld, graph: WeightedGraph,
                           kernel: str = "trivial") -> MinPlusMatrix:
-    """Exact distances by repeated distance-product squaring (deterministic)."""
+    """Exact distances by repeated distance-product squaring (deterministic);
+    the distance matrix is all the stores keep."""
     subset = world.all_nodes()
     n = graph.n
-    dist = distribute_graph(world, graph)
     reps = math.ceil(math.log2(n)) if n > 1 else 0
-    with world.ledger.group(world.fresh_name("apsp")):
-        for i in range(reps):
-            # entries after i squarings are min-weight walks of <= 2^i edges
-            bound = min(2 ** i, n) * max(1, graph.bound)
-            dist = dist_prod(world, subset, dist, dist, bound=bound,
-                             kernel=kernel, phase=f"square{i}")
+    with world.frame() as keep:
+        dist = distribute_graph(world, graph)
+        with world.ledger.group(world.fresh_name("apsp")):
+            for i in range(reps):
+                # entries after i squarings are min-weight walks of <= 2^i edges
+                bound = min(2 ** i, n) * max(1, graph.bound)
+                dist = dist_prod(world, subset, dist, dist, bound=bound,
+                                 kernel=kernel, phase=f"square{i}")
+        keep(dist)
     return dist
 
 
@@ -129,14 +125,15 @@ def apsp_zwick(world: CliqueWorld, graph: WeightedGraph, kernel: str = "trivial"
 
     Each iteration samples about c*n*ln(n)/s vertices, caps the connecting
     submatrices at s*M (overflowing entries become infinite), and relaxes
-    through one rectangular distance product.
+    through one rectangular distance product.  The distributed graph turns
+    into the distance matrix in place; it is all the stores keep.
     """
     subset = world.all_nodes()
     n = graph.n
     bound_m = max(1, graph.bound)
     dist = distribute_graph(world, graph)
     iters = math.ceil(math.log(n) / math.log(1.5)) if n > 1 else 0
-    with world.ledger.group(world.fresh_name("apspzwick")):
+    with world.ledger.group(world.fresh_name("apspzwick")), world.frame():
         for it in range(1, iters + 1):
             s = 1.5 ** it
             size = min(n, math.ceil(ZWICK_SAMPLE_C * n * math.log(n) / s))
@@ -194,26 +191,28 @@ def share_sample(world: CliqueWorld, subset: Sequence[int], phase: str, label: s
 
 def diameter(world: CliqueWorld, graph: WeightedGraph,
              kernel: str = "trivial") -> int:
-    """Largest pairwise distance; INF when some pair is unreachable."""
+    """Largest pairwise distance; INF when some pair is unreachable.  The
+    stores keep nothing."""
     subset = world.all_nodes()
     n = graph.n
-    dist = apsp_minplus_squaring(world, graph, kernel)
-    with world.ledger.group(world.fresh_name("diameter")):
+    with world.frame():
+        dist = apsp_minplus_squaring(world, graph, kernel)
+        with world.ledger.group(world.fresh_name("diameter")):
 
-        def local_max(view):
-            pos = view.pos
-            row = view.get(dist.row_key(pos))
-            others = np.delete(row, pos)
-            if others.size == 0:
-                view.put("diam_own", 0)
-            elif bool((others >= INF_THRESHOLD).any()):
-                view.put("diam_own", INF)
-            else:
-                view.put("diam_own", int(others.max()))
+            def local_max(view):
+                pos = view.pos
+                row = view.get(dist.row_key(pos))
+                others = np.delete(row, pos)
+                if others.size == 0:
+                    view.put("diam_own", 0)
+                elif bool((others >= INF_THRESHOLD).any()):
+                    view.put("diam_own", INF)
+                else:
+                    view.put("diam_own", int(others.max()))
 
-        world.run_local(subset, "row-max", local_max)
-        allgather_scalars(world, subset, "diam", "diam_own", "diam_all")
-    value = int(world.stores[subset[0]]["diam_all"].max(initial=0))
+            world.run_local(subset, "row-max", local_max)
+            allgather_scalars(world, subset, "diam", "diam_own", "diam_all")
+        value = int(world.stores[subset[0]]["diam_all"].max(initial=0))
     return INF if value >= INF_THRESHOLD else value
 
 
@@ -278,16 +277,18 @@ def matching_size(world: CliqueWorld, graph: WeightedGraph, p: Optional[int] = N
     An odd rank estimate, or a rank_rand that raises InconclusiveError,
     signals failure (skew-symmetric matrices have even rank) and triggers a
     retry with a fresh substitution; InconclusiveError once they are spent.
+    Each attempt runs in one frame, so the stores keep nothing.
     """
     n = graph.n
     p = p or matching_prime(n)
     subset = world.all_nodes()
     for attempt in range(MATCHING_RETRIES):
-        tutte = build_tutte_instance(world, graph, p, f"{tag}-t{attempt}")
-        try:
-            rank = krylov.rank_rand(world, subset, tutte, f"{tag}-r{attempt}", kernel)
-        except krylov.InconclusiveError:
-            continue
+        with world.frame():
+            tutte = build_tutte_instance(world, graph, p, f"{tag}-t{attempt}")
+            try:
+                rank = krylov.rank_rand(world, subset, tutte, f"{tag}-r{attempt}", kernel)
+            except krylov.InconclusiveError:
+                continue
         if rank % 2 == 0:
             return rank // 2
     raise krylov.InconclusiveError(
@@ -299,7 +300,8 @@ def allowed_edges(world: CliqueWorld, graph: WeightedGraph, tag: str = "allowed"
     """Edges lying in at least one perfect matching (whp); 1-based endpoints.
 
     Requires the graph to have a perfect matching; raises
-    NoPerfectMatchingError otherwise.
+    NoPerfectMatchingError otherwise.  Each attempt runs in one frame, so the
+    stores keep nothing.
     """
     n = graph.n
     p = matching_prime(n)
@@ -307,12 +309,13 @@ def allowed_edges(world: CliqueWorld, graph: WeightedGraph, tag: str = "allowed"
     if n % 2 != 0 or matching_size(world, graph, p, f"{tag}-nu", kernel) != n // 2:
         raise NoPerfectMatchingError("graph has no perfect matching")
     for attempt in range(MATCHING_RETRIES):
-        tutte = build_tutte_instance(world, graph, p, f"{tag}-t{attempt}")
-        try:
-            inv = detinv.inverse(world, subset, tutte, kernel)
-        except detinv.SingularMatrixError:
-            continue
-        return _share_incidence(world, graph, inv, tag=f"{tag}-share{attempt}")
+        with world.frame():
+            tutte = build_tutte_instance(world, graph, p, f"{tag}-t{attempt}")
+            try:
+                inv = detinv.inverse(world, subset, tutte, kernel)
+            except detinv.SingularMatrixError:
+                continue
+            return _share_incidence(world, graph, inv, tag=f"{tag}-share{attempt}")
     raise NoPerfectMatchingError(
         "substituted edge matrix stayed singular; no perfect matching (whp)")
 
@@ -364,28 +367,25 @@ def gallai_edmonds(world: CliqueWorld, graph: WeightedGraph, tag: str = "ge",
     Each of the GE_RETRIES attempts is one ledger group: a fresh T and one
     `krylov.rank_attempt` on it, whose B and coins give the basis at an even
     rank below n.  An inconclusive or odd rank, a singular leading block, or
-    a basis that fails to annihilate T starts the next attempt.
+    a basis that fails to annihilate T starts the next attempt.  Each attempt
+    also runs in one frame, so the stores keep nothing.
     """
     n = graph.n
     p = matching_prime(n)
     subset = world.all_nodes()
     for attempt in range(GE_RETRIES):
-        with world.ledger.group(world.fresh_name("geattempt")):
+        with world.ledger.group(world.fresh_name("geattempt")), world.frame():
             tutte = build_tutte_instance(world, graph, p, f"{tag}-t{attempt}")
             try:
                 rank, b = krylov.rank_attempt(world, subset, tutte, f"{tag}-r{attempt}", 0,
                                               kernel)
             except krylov.InconclusiveError:
                 continue
-            try:
-                if rank is None or rank % 2 != 0:
-                    continue
-                if rank == n:
-                    return GEDecomposition(frozenset(), frozenset(),
-                                           frozenset(range(1, n + 1)))
-                basis = _null_space_basis(world, subset, b, rank, kernel)
-            finally:
-                drop(world, subset, "drop", [b])
+            if rank is None or rank % 2 != 0:
+                continue
+            if rank == n:
+                return GEDecomposition(frozenset(), frozenset(), frozenset(range(1, n + 1)))
+            basis = _null_space_basis(world, subset, b, rank, kernel)
             if basis is not None and _verify_null_basis(world, subset, tutte, basis, rank,
                                                         kernel):
                 return _classify(world, graph, basis, n - rank)
@@ -403,7 +403,7 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], b: DMat,
     outcome either way.  Column pos of the basis is V (d o y) for column pos
     y of Y = [[-X], [I]], X = N11^-1 N12, formed where y is and transposed
     for the rows; at rank 0 it is the identity.  N11, its inverse, N12 and
-    X are dropped once used.
+    X stay in the stores until the caller's frame ends.
     """
     n = len(subset)
     nodes = np.array(subset)
@@ -439,7 +439,6 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], b: DMat,
 
     world.route(subset, "verdict", send_verdict)
     if inv11 is None:
-        drop(world, sub_r, "drop", [n11, *n12])
         return None
 
     def send_n12(view):
@@ -461,7 +460,6 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], b: DMat,
                                       for g in range(len(dsts))])
 
     world.route(subset, "moveX", send_x)
-    drop(world, sub_r, "drop", [n11, inv11, *n12, *x_chunks])
 
     def build_basis(view):  # column pos of V (d o y)
         pos = view.pos

@@ -87,25 +87,11 @@ def predict_solve_rounds(n: int, kernel: str = "trivial") -> int:
     return _giant_step(n, kernel, solve=True)[0]
 
 
-def drop(world: CliqueWorld, subset: Sequence[int], phase: str, mats: Sequence[DMat],
-         keys: Sequence = ()) -> None:
-    """Pop keys, and the rows and columns that mats hold, at every node."""
-    def pop(view):
-        pos = view.pos
-        view.pop_many([*keys, *(dm.row_key(pos) for dm in mats if dm.has_rows),
-                       *(dm.col_key(pos) for dm in mats if dm.has_cols)])
-
-    world.run_local(subset, phase, pop)
-
-
 def _power(world: CliqueWorld, subset: Sequence[int], a: DMat, s: int, kernel: str) -> DMat:
-    """A^s by squarings; each power but A is dropped once it is squared."""
+    """A^s by squarings; every power stays until the caller's frame ends."""
     apow = a
     for i in range(_schedule(len(subset), s)[0]):
-        square = mm_multi(world, subset, [apow], [apow], kernel, phase=f"square{i}")[0]
-        if apow is not a:
-            drop(world, subset, f"square{i}-drop", [apow])
-        apow = square
+        apow = mm_multi(world, subset, [apow], [apow], kernel, phase=f"square{i}")[0]
     return apow
 
 
@@ -183,11 +169,11 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
                        tag: str = "minpol", kernel: str = "trivial") -> Polynomial:
     """Generating polynomial of w A^i u for random u, w; equals minpol(A) whp.
 
-    The polynomial ends up under mp_poly at every node (and is returned).
-    Every minimal polynomial has degree >= 1, so a degree-0 generator (an
-    all-zero sequence) redraws u and w; InconclusiveError once the retries
-    are spent.  A^s is formed before the first probe and dropped after the
-    last.
+    The polynomial ends up under mp_poly at every node (and is returned),
+    beside the last probe under mp_vw_all; the routine's frame pops all else,
+    A^s included.  Every minimal polynomial has degree >= 1, so a degree-0
+    generator (an all-zero sequence) redraws u and w; InconclusiveError once
+    the retries are spent.  A^s is formed once, before the first probe.
     """
     subset = tuple(subset)
     n = len(subset)
@@ -201,20 +187,17 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
     def w(view):
         return view.get("mp_vw_all")[n:]
 
-    with world.ledger.group(world.fresh_name("minpol")):
+    with world.ledger.group(world.fresh_name("minpol")), world.frame() as keep:
+        keep("mp_vw_all", "mp_poly")
         apow = _power(world, subset, a, s, kernel)
-        try:
-            for attempt in range(RETRIES):
-                suffix = f"-{attempt}" if attempt else ""
-                share_random(world, subset, f"share-probe{suffix}", f"{tag}-probe{suffix}",
-                             "mp_vw_all", 2 * n, lambda rng, i: rng.randrange(p))
-                _terms(world, subset, a, s, u, w, "mp_terms", suffix, apow)
-                poly = _recover(world, subset, p, "mp_terms", "mp_poly")
-                if poly.degree >= 1:
-                    return poly
-        finally:
-            if apow is not a:
-                drop(world, subset, "drop", [apow])
+        for attempt in range(RETRIES):
+            suffix = f"-{attempt}" if attempt else ""
+            share_random(world, subset, f"share-probe{suffix}", f"{tag}-probe{suffix}",
+                         "mp_vw_all", 2 * n, lambda rng, i: rng.randrange(p))
+            _terms(world, subset, a, s, u, w, "mp_terms", suffix, apow)
+            poly = _recover(world, subset, p, "mp_terms", "mp_poly")
+            if poly.degree >= 1:
+                return poly
     raise InconclusiveError(f"minpol: every probe sequence was zero in {RETRIES} attempts")
 
 
@@ -226,13 +209,15 @@ def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
     A degree-n generator, or one with zero constant term, is conclusive;
     every node holds it and D, so every node reaches the value alone.
     Anything else retries with fresh randomness; InconclusiveError once the
-    retries are spent.
+    retries are spent.  D (dr_d_all) and minpol's probe and generator stay at
+    every node; D A is popped.
     """
     subset = tuple(subset)
     n = len(subset)
     p = a.p
     warn_small_field(p, field_size_bound(n), "det_rand")
-    with world.ledger.group(world.fresh_name("detrand")):
+    with world.ledger.group(world.fresh_name("detrand")), world.frame() as keep:
+        keep("dr_d_all", "mp_vw_all", "mp_poly")
         for attempt in range(RETRIES):
             share_random(world, subset, f"share-diag{attempt}", f"{tag}-diag-{attempt}",
                          "dr_d_all", n, lambda rng, i: 1 + rng.randrange(p - 1))
@@ -245,10 +230,7 @@ def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
                 view.put(da.col_key(pos), view.get(a.col_key(pos)) * d % p)
 
             world.run_local(subset, "scale", scale)
-            try:
-                poly = minpol_monte_carlo(world, subset, da, f"{tag}-mp-{attempt}", kernel)
-            finally:
-                drop(world, subset, "drop", [da])
+            poly = minpol_monte_carlo(world, subset, da, f"{tag}-mp-{attempt}", kernel)
             m0 = poly(0)
             if poly.degree == n or m0 == 0:
                 d = world.stores[subset[0]]["dr_d_all"].tolist()
@@ -264,12 +246,14 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
     annihilates b whp, and when g(0) != 0, x = -g(0)^-1 h(A) b with
     h(z) = (g(z) - g(0)) / z solves Ax = b, singular A included.  So b is
     allgathered, its giant vectors A^(js) b are formed once per call, and A^s
-    is dropped before the first probe.  Each attempt draws w alone (n coins),
+    is popped before the first probe.  Each attempt draws w alone (n coins),
     runs the baby steps on it and recovers g; if g(0) != 0 (b = 0 gives
     g = 1 and x = 0), every node forms v_r = sum_j h_(js+r) A^(js) b, and
     x = v_0 + A(v_1 + A(... v_(s-1))) takes s - 1 allgathers.  Raises
     SolveFailedError after the retry budget (inconsistent system, g(0) = 0,
     or repeated Monte Carlo failure); never returns an unverified answer.
+    The last attempt's w, g, x and verdicts (sv_w_all, sv_poly, sv_x_all,
+    sv_ok, sv_ok_all) stay at every node; the routine's frame pops all else.
     """
     subset = tuple(subset)
     n = len(subset)
@@ -302,30 +286,27 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
         lhs = int(matmul_mod(view.get(a.row_key(view.pos)), x, p))
         view.put("sv_ok", 1 if lhs == int(b[view.pos]) else 0)
 
-    with world.ledger.group(world.fresh_name("solve")):
+    with world.ledger.group(world.fresh_name("solve")), world.frame() as keep:
+        keep("sv_w_all", "sv_poly", "sv_x_all", "sv_ok", "sv_ok_all")
         _allgather_dot(world, subset, "share-b", "sv_b", lambda view: int(b[view.pos]))
-        apow = _power(world, subset, a, s, kernel)
-        try:
-            _giants(world, subset, apow, giants, start)
-            if apow is not a:
-                drop(world, subset, "power-drop", [apow])
-            for attempt in range(RETRIES):
-                suffix = f"-{attempt}" if attempt else ""
-                share_random(world, subset, f"share-w{suffix}", f"{tag}-w{suffix}", "sv_w_all",
-                             n, lambda rng, i: rng.randrange(p))
-                _terms(world, subset, a, s, start, lambda view: view.get("sv_w_all"),
-                       "sv_terms", suffix)
-                if _recover(world, subset, p, "sv_terms", "sv_poly")(0) == 0:
-                    continue  # every node reads this from its own sv_poly
-                world.run_local(subset, f"sums{suffix}", sums)
-                _chain(world, subset, "horner", suffix, "sv_acc", s - 1,
-                       lambda view: view.get("sv_v")[-1], horner)
-                world.run_local(subset, f"verify{suffix}", check)
-                allgather_scalars(world, subset, f"okshare{suffix}", "sv_ok", "sv_ok_all")
-                if int(world.stores[subset[0]]["sv_ok_all"].min()) == 1:
-                    return world.stores[subset[0]]["sv_x_all"].copy()
-        finally:
-            drop(world, subset, "drop", [], ["sv_b", *held])
+        with world.frame() as keep_giants:  # A^s goes before the first probe
+            keep_giants(*held)
+            _giants(world, subset, _power(world, subset, a, s, kernel), giants, start)
+        for attempt in range(RETRIES):
+            suffix = f"-{attempt}" if attempt else ""
+            share_random(world, subset, f"share-w{suffix}", f"{tag}-w{suffix}", "sv_w_all",
+                         n, lambda rng, i: rng.randrange(p))
+            _terms(world, subset, a, s, start, lambda view: view.get("sv_w_all"),
+                   "sv_terms", suffix)
+            if _recover(world, subset, p, "sv_terms", "sv_poly")(0) == 0:
+                continue  # every node reads this from its own sv_poly
+            world.run_local(subset, f"sums{suffix}", sums)
+            _chain(world, subset, "horner", suffix, "sv_acc", s - 1,
+                   lambda view: view.get("sv_v")[-1], horner)
+            world.run_local(subset, f"verify{suffix}", check)
+            allgather_scalars(world, subset, f"okshare{suffix}", "sv_ok", "sv_ok_all")
+            if int(world.stores[subset[0]]["sv_ok_all"].min()) == 1:
+                return world.stores[subset[0]]["sv_x_all"].copy()
     raise SolveFailedError(
         "system unsolved: inconsistent or singular system, or repeated Monte Carlo failure")
 
@@ -378,8 +359,8 @@ def rank_attempt(world: CliqueWorld, subset: Sequence[int], a: DMat, tag: str,
     - g(0) = 0: rank deg g - 1, a lower bound (a singular matrix has rank
       >= deg minpol - 1 >= deg g - 1) that equals it whp;
     - otherwise rank None.
-    B and the coins stay at every node for the caller; if minpol_monte_carlo
-    raises, B is dropped and the error propagates.
+    B, the coins and minpol's probe and generator stay at every node; the
+    caller's frame pops them.
     """
     n = len(subset)
     p = a.p
@@ -405,11 +386,7 @@ def rank_attempt(world: CliqueWorld, subset: Sequence[int], a: DMat, tag: str,
 
     world.run_local(subset, "uavd", right)
     transpose(world, subset, "uavd-cols", b.row_key, b.col_key)
-    try:
-        poly = minpol_monte_carlo(world, subset, b, f"{tag}-mp-{attempt}", kernel)
-    except BaseException:
-        drop(world, subset, "drop", [b])
-        raise
+    poly = minpol_monte_carlo(world, subset, b, f"{tag}-mp-{attempt}", kernel)
     if poly(0) == 0:
         return poly.degree - 1, b
     return (n if poly.degree == n else None), b
@@ -418,15 +395,17 @@ def rank_attempt(world: CliqueWorld, subset: Sequence[int], a: DMat, tag: str,
 def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
               tag: str = "rank", kernel: str = "trivial") -> int:
     """Monte Carlo rank of A: the first rank read by up to RETRIES
-    `rank_attempt`s, each with fresh coins and B dropped after it.
-    InconclusiveError once they are spent, or from minpol_monte_carlo.
+    `rank_attempt`s, each with fresh coins.  InconclusiveError once they are
+    spent, or from minpol_monte_carlo.  The last attempt's coins
+    (rk_pre_all) and minpol's probe and generator stay at every node; each
+    B is popped.
     """
     subset = tuple(subset)
     warn_small_field(a.p, field_size_bound(len(subset)), "rank_rand")
-    with world.ledger.group(world.fresh_name("rankrand")):
+    with world.ledger.group(world.fresh_name("rankrand")), world.frame() as keep:
+        keep("rk_pre_all", "mp_vw_all", "mp_poly")
         for attempt in range(RETRIES):
-            rank, b = rank_attempt(world, subset, a, tag, attempt, kernel)
-            drop(world, subset, "drop", [b])
+            rank = rank_attempt(world, subset, a, tag, attempt, kernel)[0]
             if rank is not None:
                 return rank
     raise InconclusiveError(f"rank_rand: no conclusive attempt in {RETRIES}")

@@ -127,23 +127,6 @@ class CostLedger:
         walk(self.root, "")
         return out
 
-    def find(self, path: str):
-        """Locate a group or phase by slash-separated path (first match)."""
-        parts = path.split("/")
-
-        def walk(node: GroupRecord, idx: int):
-            for child in node.children:
-                if child.name == parts[idx]:
-                    if idx == len(parts) - 1:
-                        return child
-                    if isinstance(child, GroupRecord):
-                        found = walk(child, idx + 1)
-                        if found is not None:
-                            return found
-            return None
-
-        return walk(self.root, 0)
-
     def to_text(self) -> str:
         lines = ["# congested-clique cost ledger",
                  "# unit rule: one field element = 1 unit; b-bit values cost ceil(b/ceil(2*log2(n))) units"]
@@ -208,6 +191,32 @@ class CliqueWorld:
 
     def all_nodes(self) -> tuple[int, ...]:
         return tuple(range(1, self.n + 1))
+
+    @contextmanager
+    def frame(self):
+        """Scope of a routine's stores: on exit, by return or by exception,
+        every key put inside the frame is popped, except those passed to the
+        `keep(*items)` it yields.  An item is a key, or a `RowColMatrix`,
+        whose rows and columns are kept.  A key that existed before the frame
+        stays, overwritten or not.  The pops are driver-side, like `place`
+        and `read`, so the ledger does not see them."""
+        before = [set(store) for store in self.stores]
+        kept: set = set()
+
+        def keep(*items):
+            for item in items:
+                if hasattr(item, "row_key"):
+                    kept.update(map(item.row_key, range(item.rows)))
+                    kept.update(map(item.col_key, range(item.cols)))
+                else:
+                    kept.add(item)
+
+        try:
+            yield keep
+        finally:
+            for store, old in zip(self.stores, before):
+                for key in store.keys() - old - kept:
+                    del store[key]
 
     def fresh_name(self, prefix: str) -> str:
         self._name_counter += 1

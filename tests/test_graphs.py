@@ -302,7 +302,9 @@ def test_null_space_basis_charges_its_verdict(p, seed, ok, monkeypatch):
             raise detinv.SingularMatrixError("forced")
 
         monkeypatch.setattr(detinv, "inverse", singular)
-    basis = graphs._null_space_basis(world, sub, b, rank, "trivial")
+    with world.frame() as keep:  # N11 and N12 live until the caller's frame ends
+        basis = graphs._null_space_basis(world, sub, b, rank, "trivial")
+        keep("ge_n11_ok")
     assert (basis is not None) == bool(ok)
     verdicts = [(rec.rounds, rec.messages) for path, rec in world.ledger.leaves()
                 if path.endswith("verdict")]
@@ -318,24 +320,24 @@ def test_gallai_edmonds_preconditions_once_per_attempt(monkeypatch):
     # that draws coins and forms B = U T V D once, and the null space reuses
     # them.  The first attempt is forced to an odd rank, so a second attempt
     # draws a fresh Tutte matrix and fresh coins.  B, N11, its inverse, N12
-    # and X are all dropped.
+    # and X are all popped.
     n = 6
     pairs = [(0, 1), (1, 2), (3, 4)]
     world = CliqueWorld(n, seed=1)
     real_attempt, real_mm = krylov.rank_attempt, graphs.mm_multi
-    draws, dropped = [], []
+    draws, popped = [], []
 
     def first_odd(world, subset, a, *args):
         rank, b = real_attempt(world, subset, a, *args)
         store = world.stores[subset[0]]
         draws.append((store[a.row_key(0)].copy(), store["rk_pre_all"].copy()))
-        dropped.append(b.name)
+        popped.append(b.name)
         return (1 if len(draws) == 1 else rank), b
 
     def spy(*args, phase=None, **kwargs):
         out = real_mm(*args, phase=phase, **kwargs)
         if phase == "solve-tail":
-            dropped.extend(dm.name for dm in out)
+            popped.extend(dm.name for dm in out)
         return out
 
     monkeypatch.setattr(krylov, "rank_attempt", first_odd)
@@ -356,14 +358,14 @@ def test_gallai_edmonds_preconditions_once_per_attempt(monkeypatch):
                    for name in names) == 1
         assert names.count("ua-rows") == names.count("uavd-cols") == 1
         assert not any("-uv" in name for name in names)
-    prefixes = (*(f"{name}:" for name in dropped), "N11", "N12", "Ainv")
+    prefixes = (*(f"{name}:" for name in popped), "N11", "N12", "Ainv")
     assert not [key for store in world.stores for key in store
                 if isinstance(key, str) and key.startswith(prefixes)]
 
 
 def test_gallai_edmonds_runs_one_generator_per_attempt(monkeypatch):
     # every rank attempt forced inconclusive: GE_RETRIES attempts, one
-    # generator each, then DecompositionFailedError, with every B dropped
+    # generator each, then DecompositionFailedError, with every B popped
     real_attempt = krylov.rank_attempt
     names = []
 
@@ -392,7 +394,9 @@ def test_graph_file_roundtrip(tmp_path):
     g = graphs.WeightedGraph.from_edges(
         5, [(1, 2, 3), (2, 5, 1), (4, 5, 2)], directed=True, bound=3)
     path = tmp_path / "g.graph"
-    g.save(path)
+    with open(path, "w") as fh:
+        fh.write("5 directed 3\n")
+        fh.writelines(f"{u} {v} {w}\n" for u, v, w in g.edges())
     g2 = graphs.WeightedGraph.load(path)
     assert g2.n == 5 and g2.directed and g2.bound == 3
     assert np.array_equal(g2.adj, g.adj)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliquealg.mm import scatter_matrix
 from cliquealg.sim import (CliqueWorld, DisjointnessError, RoutingViolation,
                            wide_value_units)
 
@@ -205,7 +206,51 @@ def test_ledger_export_forms():
     text = world.ledger.to_text()
     assert "phase=outer/a subset=4 rounds=2 messages=16" in text
     assert "total rounds=6 messages=24" in text
-    assert world.ledger.find("outer/a").rounds == 2
+    assert dict(world.ledger.leaves())["outer/a"].rounds == 2
+
+
+def test_frame_pops_what_it_made_and_keeps_what_it_is_told():
+    # a kept matrix keeps its rows and columns and a kept key stays at every
+    # node that holds it; a key from before the frame stays, even overwritten.
+    # The pops add no ledger line.
+    world = CliqueWorld(3)
+    sub = world.all_nodes()
+    world.stores[1]["old"] = 1
+    with world.frame() as keep:
+        kept = scatter_matrix(world, sub, np.eye(3, dtype=np.int64), 5)
+        scatter_matrix(world, sub, np.eye(3, dtype=np.int64), 5)
+        world.run_local(sub, "put", lambda view: view.put("mine", view.node))
+        world.stores[1]["old"] = 2
+        world.stores[2]["scratch"] = 0
+        keep(kept, "mine")
+    assert world.stores[1]["old"] == 2
+    for pos, node in enumerate(sub):
+        assert set(world.stores[node]) == ({kept.row_key(pos), kept.col_key(pos), "mine"}
+                                           | ({"old"} if node == 1 else set()))
+    assert [path for path, _ in world.ledger.leaves()] == ["put"]
+
+
+def test_nested_frames_keep_only_what_each_level_keeps():
+    world = CliqueWorld(2)
+    store = world.stores[1]
+    with world.frame() as keep_outer:
+        store["outer"] = 0
+        with world.frame() as keep:
+            store["inner"] = store["passed"] = store["temp"] = 0
+            keep("inner", "passed")
+        assert set(store) == {"outer", "inner", "passed"}
+        keep_outer("passed")
+    assert set(store) == {"passed"}
+
+
+def test_frame_pops_its_keys_when_the_body_raises():
+    world = CliqueWorld(2)
+    with pytest.raises(RuntimeError, match="inside"):
+        with world.frame() as keep:
+            world.stores[2]["made"] = world.stores[2]["kept"] = 0
+            keep("kept")
+            raise RuntimeError("inside")
+    assert world.stores == [{}, {}, {"kept": 0}]
 
 
 def test_wide_value_units():
