@@ -103,7 +103,17 @@ def distribute_graph(world: CliqueWorld, graph: WeightedGraph) -> MinPlusMatrix:
 def apsp_minplus_squaring(world: CliqueWorld, graph: WeightedGraph,
                           kernel: str = "trivial") -> MinPlusMatrix:
     """Exact distances by repeated distance-product squaring (deterministic);
-    the distance matrix is all the stores keep."""
+    the distance matrix is all the stores keep.
+
+    At most ceil(log2 n) squarings.  After squaring i, for 1 <= i <
+    ceil(log2 n) - 1, every node compares its row with the one before the
+    squaring (0 rounds) and one allgather of that bit (2 rounds) tells every
+    node whether any row changed; if none did, D (x) D = D, so every later
+    squaring would return D as it is and the loop ends.  The rounds depend on
+    the input: about ceil(log2 h) + 1 squarings for shortest paths of at most
+    h edges, and at most 2 (ceil(log2 n) - 2) rounds more than the full
+    schedule when no row settles early (long paths, a negative cycle).
+    """
     subset = world.all_nodes()
     n = graph.n
     reps = math.ceil(math.log2(n)) if n > 1 else 0
@@ -113,8 +123,23 @@ def apsp_minplus_squaring(world: CliqueWorld, graph: WeightedGraph,
             for i in range(reps):
                 # entries after i squarings are min-weight walks of <= 2^i edges
                 bound = min(2 ** i, n) * max(1, graph.bound)
-                dist = dist_prod(world, subset, dist, dist, bound=bound,
-                                 kernel=kernel, phase=f"square{i}")
+                prev, dist = dist, dist_prod(world, subset, dist, dist, bound=bound,
+                                             kernel=kernel, phase=f"square{i}")
+                # no check after the last squaring, which skips nothing, nor
+                # after the first, which stops only graphs whose shortest
+                # paths are all single edges
+                if not 1 <= i < reps - 1:
+                    continue
+
+                def changed(view):
+                    pos = view.pos
+                    view.put("apsp_changed", int(not np.array_equal(
+                        view.get(prev.row_key(pos)), view.get(dist.row_key(pos)))))
+
+                world.run_local(subset, f"changed{i}", changed)
+                allgather_scalars(world, subset, f"fix{i}", "apsp_changed", "apsp_changed_all")
+                if not world.stores[subset[0]]["apsp_changed_all"].any():
+                    break
         keep(dist)
     return dist
 
@@ -192,7 +217,8 @@ def share_sample(world: CliqueWorld, subset: Sequence[int], phase: str, label: s
 def diameter(world: CliqueWorld, graph: WeightedGraph,
              kernel: str = "trivial") -> int:
     """Largest pairwise distance; INF when some pair is unreachable.  The
-    stores keep nothing."""
+    stores keep nothing.  Runs apsp_minplus_squaring, so its rounds depend
+    on the input the same way, plus one 2-round allgather of row maxima."""
     subset = world.all_nodes()
     n = graph.n
     with world.frame():

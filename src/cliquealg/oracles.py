@@ -210,26 +210,26 @@ def matching_table(n: int, edges) -> list[int]:
     """best[mask] = maximum matching size of the induced subgraph on mask.
 
     One bottom-up pass over all 2^n vertex subsets; queries for any induced
-    subgraph (vertex deletions) are then O(1).
+    subgraph (vertex deletions) are then O(1).  The lowest vertex `low` of a
+    mask is either unmatched or matched to a neighbour v in the rest, so
+    best[mask] = max(best[rest], 1 + best[rest - v]).  The masks whose lowest
+    vertex is `low` are the stride 2^(low + 1) slice starting at 2^low, and
+    their rests, which hold only higher vertices, are the slice starting at 0;
+    taking `low` from n - 1 down fills every rest before it is read.
     """
-    masks = [0] * n
+    higher = [set() for _ in range(n)]
     for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    best = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << low)
-        out = best[rest]
-        nbrs = masks[low] & rest
-        while nbrs:
-            vbit = nbrs & -nbrs
-            nbrs ^= vbit
-            cand = 1 + best[rest ^ vbit]
-            if cand > out:
-                out = cand
-        best[mask] = out
-    return best
+        higher[min(u, v)].add(max(u, v))
+    best = np.zeros(1 << n, dtype=np.int64)
+    for low in reversed(range(n)):
+        step = 2 << low
+        rests = np.arange(0, 1 << n, step)
+        out = best[rests]
+        for v in higher[low]:
+            has_v = (rests >> v) & 1
+            np.maximum(out, best[rests & ~(1 << v)] + has_v, out=out)
+        best[1 << low::step] = out
+    return best.tolist()
 
 
 def graph_adj_sets(n: int, edges) -> tuple[frozenset, ...]:

@@ -28,9 +28,9 @@ GOLDEN = {
         ("minpol", 8): "984f574c55d047c71aa132b7e31a2eab60f0524f166cc91d5b9d0802ac6402aa",
         ("solve", 8): "61b186c8664801d94a90cc41c167a861c9ebf1b1a3b68d70af5caec72135bf0f",
         ("rank", 8): "a03e0fd26949650276ed9dd9a3a288253f4e63eb22caf177951e750e2cdcf2d7",
-        ("apsp", 8): "399efcba7debce58af1dd8d35f3608b2f2858568566129d2844ff42a7b5e59b4",
+        ("apsp", 8): "48eb49b36971359562568ec87bc643999b211d720c947e9b79a9ed4f6cf3b0e4",
         ("apsp-zwick", 8): "6bd4686cf8c404878920a57f784cbdc767187cb070c885e9c251ab0c5bb4d398",
-        ("diameter", 8): "261842b4f4c3c3af2deb8ce4e9fc89ce36142700290efe321b240ad9934a5bb6",
+        ("diameter", 8): "0875c88f377c46bd4ef09ca00a0c17ff1f5027ff42860d9d3d788cdd04b61d5e",
         ("matching-size", 8): "e8caa7787e9b214fc46d30cc9bf6364c3feb40fc824dea4214e7fc46484a2bff",
         ("allowed-edges", 8): "c54c350b92eb301f2f44cfaa46dd603118c1a1e90d184ff9a1b00189b20d4877",
         ("gallai-edmonds", 8): "d69756eafa324f920c7947610b55b4b507162e88a1d751f122c94cee8437aba6",
@@ -41,9 +41,9 @@ GOLDEN = {
         ("minpol", 16): "8cd3ba4f53715c41ea1e2995d1e908de6f9cff0e23649594defccb73cf6ce9d8",
         ("solve", 16): "11700a8eee56be189626bdbdd1fa3d4235a4ca82ff701401f5bdefb8052934da",
         ("rank", 16): "706edf7382a164200557798ad4d7c3f65055fd9977e2cfaab5df481924a4c4dc",
-        ("apsp", 16): "228419b0d365e19a8c4983195a7b61c95187331ff3ea634953f2654e60ff5a1e",
+        ("apsp", 16): "7ed720913411646bf433549145ceb15ed733cdd0a7cd3977be3dcf4148aa7230",
         ("apsp-zwick", 16): "e9ebcc0ada6609b517c0702fe7b0ce0ca7033a6f88b3166a87282990231fddce",
-        ("diameter", 16): "bef48efcbd14349b668e11df1db4c2298cabac423aeb0c21419936c40acd34c8",
+        ("diameter", 16): "697d3dc1662ec0f476d82762a7ffb9df3d7ac414ac190826654882f5a86ee6fb",
         ("matching-size", 16): "939fe468b3f0ca909f5e5a7e5723e4cad7b06528b54be7671033530ff23c88b4",
         ("allowed-edges", 16): "13b49afc7cd2397880567f39549fa42087ee23d9e483f2fb4041d3e9bbfbf307",
         ("gallai-edmonds", 16): "c6ab7ea492bdac3b2bdbe135ebae723672bd4a33c763180fcc945ab21ba6be9f",
@@ -54,9 +54,9 @@ GOLDEN = {
         ("minpol", 64): "ccbbae1f51b7b171a07fca4e778319f6044ab138d44211beb2bb3f014b4a44ad",
         ("solve", 64): "d756a6121541c83588ecc869816ce3b64fb7047e72847a4eb5bf7b9ca337dc11",
         ("rank", 64): "5327b3447434c79d614822f74cc4982594b85083201989baf5420c0f72a78fb4",
-        ("apsp", 64): "7769079ef2d5448b205634ff5e9675918d999dd3eccb6d376e97fb08faa7e4a0",
+        ("apsp", 64): "e4f71eda3a53a85fd65fcd4e4f5ef839164d2f2326d2cbe3602c61b6a304acc8",
         ("apsp-zwick", 64): "f65ccd3cf5d174aecf5dcbfa3ed6d2b0f08fe1cc68e14e2583f38ae30dfa38da",
-        ("diameter", 64): "23f90ccc4ba92ef9cc69debb3624a4084e64c092d2a30b5ecf7098fe6866610e",
+        ("diameter", 64): "bbf7630f4490b2020ed9fc333c081e28b61edd07e16e39ed9d34134bb608bfe1",
         ("matching-size", 64): "9248b7b0f5b8e5b0e8d7b9970c89365e4ed2243598e8a4d363a4d76579b06d9b",
         ("allowed-edges", 64): "943a674bbebcc3659a48e42757033ce554e3a49bc4c889ec370b312d49f64dad",
         ("gallai-edmonds", 64): "916f4105c53c189072abdb8f8fb178a0d2c7e4fdc583b25575b91c8c261626f9",

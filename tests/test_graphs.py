@@ -1,4 +1,5 @@
 import collections
+import math
 import random
 import warnings
 
@@ -123,6 +124,89 @@ def test_zwick_matches_squaring_and_oracle():
         assert np.array_equal(s, want)
         agree += int(np.array_equal(z, want))
     assert agree >= 19
+
+
+def random_graph(rng, n, prob, bound):
+    adj = np.full((n, n), INF, dtype=np.int64)
+    np.fill_diagonal(adj, 0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < prob:
+                adj[i, j] = adj[j, i] = rng.randrange(bound + 1)
+    return graphs.WeightedGraph(n, False, bound, adj)
+
+
+def squarings(n):
+    return math.ceil(math.log2(n)) if n > 1 else 0
+
+
+def full_schedule_distances(adj):
+    """ceil(log2 n) min-plus squarings, none skipped."""
+    dist = adj
+    for _ in range(squarings(len(adj))):
+        dist = oracles.minplus_product(dist, dist)
+    return dist
+
+
+def full_schedule_rounds(n, bound):
+    """Rounds of ceil(log2 n) distance-product squarings with the bounds of
+    walks of <= 2^i edges; a product's ledger depends on its shape only."""
+    world = CliqueWorld(n, seed=0)
+    sub = world.all_nodes()
+    dist = distprod.scatter_minplus(world, sub, np.zeros((n, n), dtype=np.int64), bound)
+    for i in range(squarings(n)):
+        distprod.dist_prod(world, sub, dist, dist, bound=min(2 ** i, n) * max(1, bound))
+    return world.ledger.total_rounds
+
+
+def same_answers_cases():
+    rng = random.Random(22)
+    for n in (2, 5, 8, 16, 32):
+        yield f"path{n}", unweighted(n, [(i, i + 1) for i in range(n - 1)])
+        yield f"cycle{n}", unweighted(n, [(i, (i + 1) % n) for i in range(n)])
+        yield f"complete{n}", unweighted(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    for n in (8, 16, 32):
+        for prob in (0.05, 0.1, 0.3, 0.6):
+            yield f"gnp{n},{prob}", random_graph(rng, n, prob, 3)
+        yield f"digraph{n}", random_digraph(rng, n, 0.3, 3)
+    negative = random_graph(rng, 16, 0.3, 3)
+    negative.adj[0, 1] = negative.adj[1, 0] = -1  # the walk 0-1-0 is a negative cycle
+    yield "negative-edge16", negative
+
+
+@pytest.mark.parametrize("name,g", [pytest.param(name, g, id=name)
+                                    for name, g in same_answers_cases()])
+def test_apsp_and_diameter_match_the_full_schedule(name, g):
+    n = g.n
+    want = full_schedule_distances(g.adj)
+    world = CliqueWorld(n, seed=1)
+    got = distprod.gather_minplus(world, graphs.apsp_minplus_squaring(world, g))
+    assert np.array_equal(got, want)
+    checks = max(0, squarings(n) - 2)
+    full = full_schedule_rounds(n, g.bound)
+    assert world.ledger.total_rounds <= full + 2 * checks
+    if name.startswith("negative"):  # the rows never settle: every squaring runs
+        assert world.ledger.total_rounds == full + 2 * checks
+
+    off = want[~np.eye(n, dtype=bool)]
+    want_diam = INF if (off >= INF_THRESHOLD).any() else int(off.max(initial=0))
+    world = CliqueWorld(n, seed=1)
+    assert graphs.diameter(world, g) == want_diam
+    assert world.ledger.total_rounds <= full + 2 * checks + 2
+
+
+def test_apsp_stops_at_its_fixpoint_on_the_complete_graph():
+    # squarings 0 and 1 give the same D, so the check after squaring 1 ends
+    # the loop: 2 of 6 squarings at 32 rounds each, and one 2-round allgather
+    n = 64
+    g = unweighted(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    world = CliqueWorld(n, seed=1)
+    dist = distprod.gather_minplus(world, graphs.apsp_minplus_squaring(world, g))
+    assert np.array_equal(dist, 1 - np.eye(n, dtype=np.int64))
+    assert full_schedule_rounds(n, 1) == 192
+    assert world.ledger.total_rounds == 66
+    world = CliqueWorld(n, seed=1)
+    assert graphs.diameter(world, g) == 1 and world.ledger.total_rounds == 68
 
 
 def test_diameter_examples():

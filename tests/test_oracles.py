@@ -93,6 +93,36 @@ def test_matching_enumeration_known():
     assert oracles.max_matching_size(p5) == 2
 
 
+def matching_table_by_masks(n, edges):
+    """The one-mask-at-a-time bitmask DP that matching_table vectorizes."""
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    best = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << low)
+        out = best[rest]
+        nbrs = masks[low] & rest
+        while nbrs:
+            vbit = nbrs & -nbrs
+            nbrs ^= vbit
+            out = max(out, 1 + best[rest ^ vbit])
+        best[mask] = out
+    return best
+
+
+def test_matching_table_equals_the_per_mask_loop():
+    for n, edges in oracles.connected_graphs_up_to(6):
+        assert oracles.matching_table(n, edges) == matching_table_by_masks(n, edges)
+    rng = random.Random(16)
+    for _ in range(50):
+        prob = rng.choice((0.1, 0.2, 0.3, 0.5))
+        edges = [(i, j) for i in range(16) for j in range(i + 1, 16) if rng.random() < prob]
+        assert oracles.matching_table(16, edges) == matching_table_by_masks(16, edges)
+
+
 def test_gallai_edmonds_oracle_p3():
     d, k, c = oracles.gallai_edmonds_oracle(3, [(0, 1), (1, 2)])
     assert d == {0, 2} and k == {1} and c == set()
