@@ -7,7 +7,11 @@ both the row and the column of each product delivered to node ell.
 Three routes:
   * k > n:            sequential batches of at most n products;
   * otherwise, whichever of these two predicts fewer rounds:
-      - column-block partitioning, one block per worker node;
+      - column-block partitioning (`_mm_large`), one span of the inner
+        dimension of one product per worker node: each node sends one
+        block of its rows of every left factor and one of its columns of
+        every right factor, plus one block of the narrower last spans when
+        the span width does not divide m;
       - the four-step bilinear-kernel pattern, dimensioned by `choose_plan`.
 
 `predict_rounds` gives the rounds a call charges from its shape alone, by
@@ -435,40 +439,59 @@ def _block_split(n: int, m: int, k: int) -> tuple[int, int]:
 
 def _mm_large(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
               b_list: Sequence[DMat]) -> list[DMat]:
+    """Column-block route (Censor-Hillel et al., PODC'15), for k <= n.
+
+    The inner dimension of each product is cut into g spans of w indices
+    (`_block_split`), and worker (s0, t0), the node at position s0 * g + t0,
+    multiplies span t0 of product s0: an (n, w) slice of A_s0 by a (w, n)
+    slice of B_s0.  In `blocks`, the node at position ell sends one block
+    per factor family, under the key ("LA", ell) or ("LB", ell): its row
+    of every A_s0 (or column of every B_s0) it holds, cut into the w-wide
+    spans, row (s0, t0) of the block to worker (s0, t0).  When w does not
+    divide m, a second block under the same key carries the narrower last
+    spans to the workers (s0, g - 1).  Each worker stacks the n rows it
+    received into its operands, and `assemble` sends every partial product
+    to all nodes, which sum them per product.
+    """
     n, k = len(subset), len(a_list)
     m = a_list[0].cols
     p = a_list[0].p
     nodes = np.array(subset)
     g, w = _block_split(n, m, k)
-    spans = [(t0 * w, min((t0 + 1) * w, m)) for t0 in range(g)]
     full = m // w  # the first `full` spans are w wide, then at most one narrower
+    cut = full * w
+    workers = nodes[:k * g].reshape(k, g)  # workers[s0, t0] multiplies span t0 of product s0
+    # destinations of the full and the narrower spans from a node holding every factor
+    every = workers[:, :full].reshape(-1), workers[:, full:].reshape(-1)
 
     def build_gather(view):
         pos = view.pos
-        for s0 in range(k):
-            row = view.get(a_list[s0].row_key(pos))
-            col = view.get(b_list[s0].col_key(pos))
-            for vec, key in ((row, ("LA", s0, pos)), (col, ("LB", s0, pos))):
-                if vec is not None:
-                    yield nodes[s0 * g:s0 * g + full], key, vec[:full * w].reshape(full, w)
-                    if m % w:
-                        yield subset[s0 * g + full], key, vec[full * w:]
+        for family, vecs in (("LA", [view.get(a.row_key(pos)) for a in a_list]),
+                             ("LB", [view.get(b.col_key(pos)) for b in b_list])):
+            rows = [vec for vec in vecs if vec is not None]
+            if not rows:
+                continue
+            if len(rows) == k:
+                wide, narrow = every
+            else:
+                held = workers[[vec is not None for vec in vecs]]
+                wide, narrow = held[:, :full].reshape(-1), held[:, full:].reshape(-1)
+            rows = np.array(rows)
+            yield wide, (family, pos), rows[:, :cut].reshape(-1, w)
+            if cut < m:
+                yield narrow, (family, pos), rows[:, cut:]
 
     world.route(subset, "blocks", build_gather)
+    a_keys = [("LA", ell) for ell in range(n)]
+    b_keys = [("LB", ell) for ell in range(n)]
 
     def compute(view):
         pos = view.pos
         if pos >= k * g:
             return
-        s0, t0 = divmod(pos, g)
-        lo, hi = spans[t0]
-        width = hi - lo
-        ablk = np.zeros((n, width), dtype=np.int64)
-        bblk = np.zeros((width, n), dtype=np.int64)
-        for ell in range(n):
-            ablk[ell] = view.pop(("LA", s0, ell))
-            bblk[:, ell] = view.pop(("LB", s0, ell))
-        view.put(("LC", s0), matmul_mod(ablk, bblk, p))
+        ablk = np.array(view.pop_many(a_keys))
+        bblk = np.array(view.pop_many(b_keys)).T
+        view.put(("LC", pos // g), matmul_mod(ablk, bblk, p))
 
     world.run_local(subset, "block-multiply", compute)
 

@@ -73,6 +73,26 @@ def test_large_m_branch_dispatch():
     assert "block-multiply" in names
 
 
+@pytest.mark.parametrize("n,m,k,blocks,assemble", [
+    (6, 13, 3, (24, 390), (20, 360)),       # ragged last span (w = 7), every node works
+    (11, 25, 5, (48, 2500), (40, 2200)),    # ragged last span, one idle node
+    (8, 13, 5, (46, 910), (28, 560)),       # one span per product, three idle nodes
+    (2, 2, 1, (2, 4), (4, 8)),              # k = 1
+    (16, 16, 16, (60, 7680), (60, 7680)),   # k = n
+])
+def test_column_block_products_and_ledger(n, m, k, blocks, assemble):
+    p = 2 ** 31 - 1
+    world, a_mats, b_mats, res = run_mm(n, m, k, p=p)
+    for s in range(k):
+        exact = a_mats[s].astype(object) @ b_mats[s].astype(object) % p
+        assert np.array_equal(res[s], exact.astype(np.int64))
+    charged = {path.split("/")[-1]: (rec.rounds, rec.messages)
+               for path, rec in world.ledger.leaves()}
+    assert charged == {"blocks": blocks, "block-multiply": (0, 0),
+                       "assemble": assemble, "sum-blocks": (0, 0)}
+    assert mm.predict_rounds(n, m, k) == world.ledger.total_rounds
+
+
 def test_degenerate_plan_budget_below_kernel():
     # n=8, k=2: rank budget 4 forces d=1; the pattern degenerates gracefully
     plan = mm.make_medium_plan(8, 8, 2, "trivial", 1.0)
