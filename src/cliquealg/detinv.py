@@ -220,13 +220,12 @@ def char_poly(world: CliqueWorld, subset: Sequence[int], a: DMat,
 
         def scatter_traces(view):
             # entry (a1, a2) is this node's part of the trace of A^(a1*pc + a2 + 1)
-            yield nodes[:traced], ("trpart", view.pos), view.pop("trU").ravel()[:traced]
+            yield nodes[:traced], "trpart", view.pop("trU").ravel()[:traced]
 
         world.route(subset, "traces", scatter_traces)
 
-        def sum_traces(view):
-            total = sum(map(int, view.pop_many(("trpart", sender) for sender in range(n))))
-            view.put("s_own", total % p)
+        def sum_traces(view):  # one part from every node
+            view.put("s_own", sum(view.pop("trpart").tolist()) % p)
 
         world.run_local(subset, "trace-sum", sum_traces)
         allgather_scalars(world, subset, "trace-share", "s_own", "s_all")

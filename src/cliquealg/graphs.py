@@ -272,23 +272,18 @@ def build_tutte_instance(world: CliqueWorld, graph: WeightedGraph, p: int,
             values = np.zeros(n, dtype=np.int64)
             values[later] = [rng.randrange(p) for _ in later]  # in increasing j
             view.put("tutte_vals", values)
-            yield nodes[later], ("tutte_x", pos), values[later]
+            yield nodes[later], "tutte_x", values[later]
 
         world.route(subset, "exchange", draw_and_send)
 
         def build_rows(view):
             pos = view.pos
             adj_row = graph.adj[pos]
-            row = np.zeros(n, dtype=np.int64)
-            own = view.pop("tutte_vals")
-            for j in range(n):
-                if j == pos or adj_row[j] >= INF_THRESHOLD:
-                    continue
-                if j > pos:
-                    # this node drew x_(pos,j); entry above the diagonal is -x
-                    row[j] = (-int(own[j])) % p
-                else:
-                    row[j] = int(view.pop(("tutte_x", j))) % p
+            # this node drew x_(pos,j) for j > pos; entry above the diagonal is -x
+            row = -view.pop("tutte_vals") % p
+            earlier = np.flatnonzero(adj_row[:pos] < INF_THRESHOLD)
+            if earlier.size:  # x_(j,pos) from each earlier neighbour j, in order of j
+                row[earlier] = view.pop("tutte_x") % p
             view.put(out.row_key(pos), row)
             view.put(out.col_key(pos), (-row) % p)
 
@@ -362,7 +357,7 @@ def _share_incidence(world: CliqueWorld, graph: WeightedGraph, inv: DMat,
         bits[:n] = (np.asarray(row) % inv.p != 0) & (graph.adj[pos] < INF_THRESHOLD)
         return (bits.reshape(words, word_bits) << shifts).sum(axis=1)
 
-    allgather_vectors(world, subset, tag, "ae_packed_all", pack)
+    allgather_vectors(world, subset, tag, "ae_packed_all", [words] * n, pack)
 
     def unpack(view):
         bits = view.pop("ae_packed_all").reshape(n, words)[:, :, None] >> shifts & 1
@@ -477,7 +472,7 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], b: DMat,
     world.route(subset, "moveN12", send_n12)
     x_chunks = mm_multi(world, sub_r, [inv11] * len(n12), n12, kernel, phase="solve-tail")
 
-    def send_x(view):  # column j0 of X goes to position j0
+    def send_x(view):  # column j0 of X goes to position j0, alone under ge_x
         pos = view.pos  # sub_r is a prefix of subset
         if pos >= min(rank, tail):
             return
@@ -491,7 +486,7 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], b: DMat,
         pos = view.pos
         y = np.zeros(n, dtype=np.int64)
         if pos < tail:
-            y[:rank] = -view.pop("ge_x")
+            y[:rank] = -view.pop("ge_x")[0]
             y[rank + pos] = 1
         pre = view.get("rk_pre_all")
         v = unit_toeplitz(pre, n, p)[1]

@@ -23,6 +23,7 @@ from the generator of B = U A V D, formed around two transposes; the B of
 one `rank_attempt` also gives Gallai-Edmonds null(A) = V D null(B).
 
 Guarantees assume |F| >= 4 n^2 ceil(log2 n); smaller fields get a warning.
+A prime that `ff.check_prime` refuses raises ValueError before any phase.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .collective import allgather_scalars, share_random
-from .ff import Polynomial, generating_polynomial, matmul_mod, warn_small_field
+from .ff import Polynomial, check_prime, generating_polynomial, matmul_mod, warn_small_field
 from .mm import DMat, mm_multi, predict_rounds as product_rounds
 from .sim import CliqueWorld
 
@@ -178,6 +179,7 @@ def minpol_monte_carlo(world: CliqueWorld, subset: Sequence[int], a: DMat,
     subset = tuple(subset)
     n = len(subset)
     p = a.p
+    check_prime(p)
     warn_small_field(p, field_size_bound(n), "minpol")
     s = _giant_step(n, kernel)[1]
 
@@ -215,6 +217,7 @@ def det_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
     subset = tuple(subset)
     n = len(subset)
     p = a.p
+    check_prime(p)
     warn_small_field(p, field_size_bound(n), "det_rand")
     with world.ledger.group(world.fresh_name("detrand")), world.frame() as keep:
         keep("dr_d_all", "mp_vw_all", "mp_poly")
@@ -258,6 +261,7 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
     subset = tuple(subset)
     n = len(subset)
     p = a.p
+    check_prime(p)
     warn_small_field(p, field_size_bound(n), "solve")
     b = np.asarray(b, dtype=np.int64) % p
     s = _giant_step(n, kernel, solve=True)[1]
@@ -329,20 +333,17 @@ def transpose(world: CliqueWorld, subset: Sequence[int], phase: str, src_key, ds
     """Node pos holds src_key(pos), row (or column) pos of an n x n matrix, and
     afterwards also dst_key(pos), its column (or row) pos.  Entry i of each
     vector goes to position i: one routed phase of 2 rounds and n(n - 1)
-    messages."""
+    messages, after which each node holds its entries stacked in subset
+    order."""
     subset = tuple(subset)
     nodes = np.array(subset)
-    n = len(subset)
 
     def send(view):
-        yield nodes, ("tr", view.pos), view.get(src_key(view.pos))
+        yield nodes, "tr", view.get(src_key(view.pos))
 
     world.route(subset, phase, send)
-
-    def stack(view):
-        view.put(dst_key(view.pos), np.array(view.pop_many(("tr", j0) for j0 in range(n))))
-
-    world.run_local(subset, f"{phase}-stack", stack)
+    world.run_local(subset, f"{phase}-stack",
+                    lambda view: view.put(dst_key(view.pos), view.pop("tr")))
 
 
 def rank_attempt(world: CliqueWorld, subset: Sequence[int], a: DMat, tag: str,
@@ -401,6 +402,7 @@ def rank_rand(world: CliqueWorld, subset: Sequence[int], a: DMat,
     B is popped.
     """
     subset = tuple(subset)
+    check_prime(a.p)
     warn_small_field(a.p, field_size_bound(len(subset)), "rank_rand")
     with world.ledger.group(world.fresh_name("rankrand")), world.frame() as keep:
         keep("rk_pre_all", "mp_vw_all", "mp_poly")

@@ -444,14 +444,16 @@ def _mm_large(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
     The inner dimension of each product is cut into g spans of w indices
     (`_block_split`), and worker (s0, t0), the node at position s0 * g + t0,
     multiplies span t0 of product s0: an (n, w) slice of A_s0 by a (w, n)
-    slice of B_s0.  In `blocks`, the node at position ell sends one block
-    per factor family, under the key ("LA", ell) or ("LB", ell): its row
-    of every A_s0 (or column of every B_s0) it holds, cut into the w-wide
-    spans, row (s0, t0) of the block to worker (s0, t0).  When w does not
-    divide m, a second block under the same key carries the narrower last
-    spans to the workers (s0, g - 1).  Each worker stacks the n rows it
-    received into its operands, and `assemble` sends every partial product
-    to all nodes, which sum them per product.
+    slice of B_s0.  In `blocks`, every node sends one block per factor
+    family, under the key "LA" or "LB": its row of every A_s0 (or column of
+    every B_s0) it holds, cut into the w-wide spans, row (s0, t0) of the
+    block to worker (s0, t0).  When w does not divide m, a second block under
+    the same key carries the narrower last spans to the workers (s0, g - 1).
+    Each worker receives its operands stacked, one row per node.  In
+    `assemble`, every worker sends row i of its partial product to node i
+    under "LCr" (and column i under "LCc"), so node i receives the k g
+    partial rows stacked in worker order and `sum-blocks` is one sum over
+    the g spans of each product.
     """
     n, k = len(subset), len(a_list)
     m = a_list[0].cols
@@ -477,21 +479,17 @@ def _mm_large(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
                 held = workers[[vec is not None for vec in vecs]]
                 wide, narrow = held[:, :full].reshape(-1), held[:, full:].reshape(-1)
             rows = np.array(rows)
-            yield wide, (family, pos), rows[:, :cut].reshape(-1, w)
+            yield wide, family, rows[:, :cut].reshape(-1, w)
             if cut < m:
-                yield narrow, (family, pos), rows[:, cut:]
+                yield narrow, family, rows[:, cut:]
 
     world.route(subset, "blocks", build_gather)
-    a_keys = [("LA", ell) for ell in range(n)]
-    b_keys = [("LB", ell) for ell in range(n)]
 
     def compute(view):
         pos = view.pos
         if pos >= k * g:
             return
-        ablk = np.array(view.pop_many(a_keys))
-        bblk = np.array(view.pop_many(b_keys)).T
-        view.put(("LC", pos // g), matmul_mod(ablk, bblk, p))
+        view.put(("LC", pos // g), matmul_mod(view.pop("LA"), view.pop("LB").T, p))
 
     world.run_local(subset, "block-multiply", compute)
 
@@ -501,10 +499,9 @@ def _mm_large(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
         pos = view.pos
         if pos >= k * g:
             return
-        s0, t0 = divmod(pos, g)
-        prod = view.get(("LC", s0))
-        yield nodes, ("LCr", s0, t0), prod
-        yield nodes, ("LCc", s0, t0), prod.T
+        prod = view.get(("LC", pos // g))
+        yield nodes, "LCr", prod
+        yield nodes, "LCc", prod.T
 
     world.route(subset, "assemble", build_scatter)
 
@@ -512,16 +509,12 @@ def _mm_large(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
         pos = view.pos
         if pos < k * g:
             view.pop(("LC", pos // g))
-        for s0 in range(k):
-            # the first block's rows become the output, so a received block is
-            # not kept alive beside a fresh copy of it
-            row = view.pop(("LCr", s0, 0))
-            col = view.pop(("LCc", s0, 0))
-            for t0 in range(1, g):
-                row = (row + view.pop(("LCr", s0, t0))) % p
-                col = (col + view.pop(("LCc", s0, t0))) % p
-            view.put(outs[s0].row_key(pos), row)
-            view.put(outs[s0].col_key(pos), col)
+        # g partial rows (and columns) per product, below g * p < 2^63
+        rows = view.pop("LCr").reshape(k, g, n).sum(axis=1) % p
+        cols = view.pop("LCc").reshape(k, g, n).sum(axis=1) % p
+        for s0, out in enumerate(outs):
+            view.put(out.row_key(pos), rows[s0])
+            view.put(out.col_key(pos), cols[s0])
 
     world.run_local(subset, "sum-blocks", finish)
     return outs
@@ -570,7 +563,12 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
     of the s-th product under outs[s]'s keys.  `algebra` supplies the zero
     element and the node-local steps (form, multiply, combine); every routed
     step moves blocks whose destinations come from `plan.routes`, and each
-    element is charged `width` units.
+    element is charged `width` units.  Keys name a step, not a sender, so a
+    receiver pops each step's input as one array stacked in sender order:
+    a worker its slots' rows under "fA"/"fB", a multiply node its product's
+    q^2 worker blocks under "fS"/"fT", a worker its t products under "fP";
+    in `deliver`, a node receives one row per product for each block column
+    under ("fR", column) and ("fK", column).
     """
     subset = tuple(subset)
     nodes = np.array(subset)
@@ -585,9 +583,9 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
         rows = np.stack([view.get(a.row_key(pos)) for a in a_list])
         cols = np.stack([view.get(b.col_key(pos)) for b in b_list])
         for vs, sel in routes.inner_groups:
-            yield nodes[routes.workers[:, u_own, vs].ravel()], ("fA", pos), \
+            yield nodes[routes.workers[:, u_own, vs].ravel()], "fA", \
                 rows[:, sel].reshape(-1, sel.shape[1])
-            yield nodes[routes.workers[:, vs, u_own].ravel()], ("fB", pos), \
+            yield nodes[routes.workers[:, vs, u_own].ravel()], "fB", \
                 cols[:, sel].reshape(-1, sel.shape[1])
 
     world.route(subset, "form", build_form, width)
@@ -602,8 +600,8 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
         for blk, key, w_out, w_in in ((ablk, "fA", u0, v0), (bblk, "fB", v0, u0)):
             width_in = routes.inner_counts[w_in]
             if routes.slots[w_out].size and width_in:
-                pieces = view.pop_many((key, slot) for slot in routes.slots[w_out].tolist())
-                blk[:len(pieces), :width_in] = np.concatenate(pieces).reshape(len(pieces), -1)
+                piece = view.pop(key)  # one row from each slot of w_out, in slot order
+                blk[:len(piece), :width_in] = piece
         view.put("fST", algebra.form(ablk.reshape(d, c, e, r), bblk.reshape(d, c, e, r)))
 
     world.run_local(subset, algebra.form_phase, local_form)
@@ -614,21 +612,18 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
             return
         s0, u0, v0 = label
         s_all, t_all = view.get("fST")
-        yield nodes[routes.mul_nodes[s0]], ("fS", u0, v0), s_all
-        yield nodes[routes.mul_nodes[s0]], ("fT", u0, v0), t_all
+        yield nodes[routes.mul_nodes[s0]], "fS", s_all
+        yield nodes[routes.mul_nodes[s0]], "fT", t_all
 
     world.route(subset, "gather", build_gather, width)
-
-    pairs = [(u0, v0) for u0 in range(q) for v0 in range(q)]
 
     def local_multiply(view):
         view.pop("fST", None)
         if view.pos >= k * t:
             return
-        s_mat = np.concatenate(view.pop_many(("fS",) + pair for pair in pairs))
-        t_mat = np.concatenate(view.pop_many(("fT",) + pair for pair in pairs))
-        s_mat = s_mat.reshape(q, q, c, r).transpose(0, 2, 1, 3).reshape(X, q * r)
-        t_mat = t_mat.reshape(q, q, r, c).transpose(0, 2, 1, 3).reshape(q * r, X)
+        # one block from each worker (u0, v0) of this product, in worker order
+        s_mat = view.pop("fS").reshape(q, q, c, r).transpose(0, 2, 1, 3).reshape(X, q * r)
+        t_mat = view.pop("fT").reshape(q, q, r, c).transpose(0, 2, 1, 3).reshape(q * r, X)
         view.put("fProd", algebra.multiply(s_mat, t_mat))
 
     world.run_local(subset, "multiply", local_multiply)
@@ -638,7 +633,7 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
             return
         s0, mu0 = divmod(view.pos, t)
         prod = view.get("fProd").reshape(q, c, q, c).transpose(0, 2, 1, 3)
-        yield nodes[routes.workers[s0].ravel()], ("fP", mu0), prod.reshape(q * q, c, c)
+        yield nodes[routes.workers[s0].ravel()], "fP", prod.reshape(q * q, c, c)
 
     world.route(subset, "combine", build_combine, width)
 
@@ -646,8 +641,7 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
         view.pop("fProd", None)
         if _worker_label(plan, view.pos) is None:
             return
-        prods = np.concatenate(view.pop_many(("fP", mu0) for mu0 in range(t)))
-        view.put("fC", algebra.combine(prods.reshape(t, c, c)))
+        view.put("fC", algebra.combine(view.pop("fP")))  # one block per multiply node
 
     world.run_local(subset, "combine-local", local_combine)
 
@@ -657,26 +651,27 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
             return
         s0, u0, v0 = label
         cblk = view.get("fC").reshape(d * c, d * c)[:len(routes.slots[u0]), :len(routes.slots[v0])]
-        # the destination fixes the slot, so one key per sending worker suffices
-        yield nodes[routes.slots[u0]], ("fR", s0, v0), cblk
-        yield nodes[routes.slots[v0]], ("fK", s0, u0), cblk.T
+        # the destination fixes the slot, and rows of one column share a width
+        yield nodes[routes.slots[u0]], ("fR", v0), cblk
+        yield nodes[routes.slots[v0]], ("fK", u0), cblk.T
 
     world.route(subset, "deliver", build_deliver, width)
 
     def local_deliver(view):
         view.pop("fC", None)
+        rows = np.full((k, n), zero, dtype=np.int64)
+        cols = np.full((k, n), zero, dtype=np.int64)
+        for w0 in range(q):
+            # one row per product, from its worker in block column (row) w0
+            piece = view.pop(("fR", w0), None)
+            if piece is not None:
+                rows[:, routes.slots[w0]] = piece
+            piece = view.pop(("fK", w0), None)
+            if piece is not None:
+                cols[:, routes.slots[w0]] = piece
         for s0, out in enumerate(outs):
-            row = np.full(n, zero, dtype=np.int64)
-            col = np.full(n, zero, dtype=np.int64)
-            for w0 in range(q):
-                piece = view.pop(("fR", s0, w0), None)
-                if piece is not None:
-                    row[routes.slots[w0]] = piece
-                piece = view.pop(("fK", s0, w0), None)
-                if piece is not None:
-                    col[routes.slots[w0]] = piece
-            view.put(out.row_key(view.pos), row)
-            view.put(out.col_key(view.pos), col)
+            view.put(out.row_key(view.pos), rows[s0])
+            view.put(out.col_key(view.pos), cols[s0])
 
     world.run_local(subset, "deliver-local", local_deliver)
 

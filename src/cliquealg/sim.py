@@ -4,12 +4,14 @@ A routed phase is described by a build function that each node of the active
 subset runs on its own `NodeView` (which carries the node's id and its
 position `pos` in the subset).  It yields sends of one of two shapes:
 
-    (dst, key, payload)     one message: payload goes to node dst under key;
-    (dsts, key, payload)    a block: dsts is an int array of nodes, and row
-                            payload[i] goes to node dsts[i] under key.
+    (dst, key, payload)     one message: payload goes to node dst under key,
+                            as it is;
+    (dsts, key, rows)       a block: dsts is an int array of nodes, and row
+                            rows[i] goes to node dsts[i].
 
-A one-message send is the one-row case of a block; both are checked and
-charged by the same rules.
+A receiver holds one array under each key that block rows reach it by: the
+rows sent to it under that key, stacked in sender (subset) order.  Both kinds
+of send are checked and charged by the same rules (`CliqueWorld.route`).
 
 Cost convention: a routing phase on an active subset of size n_act, in which the
 most loaded node sends or receives S message units, is charged
@@ -27,9 +29,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections import Counter
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -258,17 +259,29 @@ class CliqueWorld:
     def route(self, subset: Sequence[int], phase: str,
               build: Callable[[NodeView], Iterable[tuple]],
               width: int = 1) -> PhaseRecord:
-        """One routed phase.  build(view) yields (dst, key, payload) sends.
+        """One routed phase.  build(view) yields sends of two shapes:
 
-        dst is a node, or an int array of nodes for a block send, in which
-        row payload[i] goes to dsts[i]; a send of one message is the one-row
-        block.  Payloads are ints or numpy arrays of field values; each
-        element of a row counts `width` units.  Every destination must lie in
-        the subset, and no (destination, key) pair may be delivered twice.
-        A row addressed to its own sender stays local and is free; a send
-        whose rows hold no elements is skipped.  All sends are checked and
-        charged before any is delivered, and each delivered block is copied
-        once, so later changes at the sender do not reach the receivers.
+            (dst, key, payload)   one message: payload is put at node dst
+                                  under key, as it is;
+            (dsts, key, rows)     a block: dsts is an int array of nodes, and
+                                  row i of the array rows goes to dsts[i].
+
+        Each receiver of block rows holds one array under each key: the rows
+        sent to it under that key, stacked in sender (subset) order.
+        Payloads are ints or numpy arrays of field values; each element
+        counts `width` units.  Every destination must lie in the subset, a
+        sender addresses one (destination, key) at most once, the rows
+        stacked under one (destination, key) share one shape and dtype, and a
+        message never lands where any other row does; each breach raises
+        RoutingViolation.  A row addressed to its own sender stays local and
+        is free; a send whose rows hold no elements is skipped.  All sends
+        are checked and charged before any is delivered, and every delivered
+        element is copied once, so later changes at the sender do not reach
+        the receivers.
+
+        The rows of a phase are ordered by (key, destination, sender) once;
+        each block is scattered into that order, one buffer per row format,
+        and each receiver stores one slice of it per key.
         """
         n_act = len(subset)
         sends: list[tuple] = []
@@ -279,47 +292,88 @@ class CliqueWorld:
             srcs += [node] * (len(sends) - before)
         if not sends:
             return self.ledger.phase(phase, n_act, 0, 0)
-        dsts, keys, payloads = zip(*sends)
-        blocks = list(map(isinstance, dsts, repeat(np.ndarray)))
-        # a send to one node is a block of one row
-        rows = [len(dst) if blk else 1 for dst, blk in zip(dsts, blocks)]
-        row_size = [(pl.size // count if count else 0) if blk
-                    else (pl.size if isinstance(pl, np.ndarray) else 1)
-                    for pl, count, blk in zip(payloads, rows, blocks)]
-        key_ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-        # one entry per delivered row: source, key, elements, destination
-        src, key_id, units = np.repeat(
-            np.array([srcs, list(map(key_ids.__getitem__, keys)), row_size]), rows, axis=1)
-        dst = np.hstack(dsts).astype(np.int64) if any(blocks) else np.array(dsts, dtype=np.int64)
+        key_ids: dict = {}
+        formats: dict = {}  # (row shape, dtype) of block rows -> kind >= 1; kind 0 is a message
+        key_of, kinds, rows, sizes = [], [], [], []
+        for to, key, payload in sends:
+            key_of.append(key_ids.setdefault(key, len(key_ids)))
+            if isinstance(to, np.ndarray):
+                shape = payload.shape[1:]
+                kinds.append(formats.setdefault((shape, payload.dtype), len(formats) + 1))
+                rows.append(len(to))
+                sizes.append(math.prod(shape))
+            else:
+                kinds.append(0)
+                rows.append(1)
+                sizes.append(payload.size if isinstance(payload, np.ndarray) else 1)
+        dsts = [send[0] for send in sends]
+        if not formats:
+            dst = np.array(dsts, dtype=np.int64)
+        elif 0 in kinds:
+            dst = np.hstack(dsts).astype(np.int64)
+        else:
+            dst = np.concatenate(dsts).astype(np.int64, copy=False)
         if not self._members(subset).take(dst, mode="clip").all():
             raise RoutingViolation(f"phase {phase}: a destination lies outside the active subset")
-        taken = key_id * (self.n + 1) + dst
-        if 0 in row_size:
-            taken = taken[units > 0]
-        taken = taken.tolist()
-        if len(set(taken)) < len(taken):
-            again = next(code for code, times in Counter(taken).items() if times > 1)
-            raise RoutingViolation(
-                f"phase {phase}: duplicate delivery key "
-                f"{list(key_ids)[again // (self.n + 1)]!r} at node {again % (self.n + 1)}")
+        # one entry per row: source, key, kind, elements
+        table = np.array([srcs, key_of, kinds, sizes])
+        src, key_id, kind, units = np.repeat(table, rows, axis=1) if formats else table
+        # rows by (key, destination); the stable sort keeps sender order within a pair
+        pair = key_id * (self.n + 1) + dst
+        if 0 in sizes:
+            pair[units == 0] = -1
+        order = pair.argsort(kind="stable")
+        pair = pair[order]
+        if 0 in sizes:  # rows holding no elements are skipped
+            skip = int(np.searchsorted(pair, 0))
+            order, pair = order[skip:], pair[skip:]
+        same = pair[1:] == pair[:-1]  # the next row joins this row's pair
+        mixed = len(formats) > 1 or 0 in kinds
+        sorted_kind = kind[order] if mixed else None
+        if same.any():
+            by = src[order]
+            clash = same & (by[1:] == by[:-1])  # one sender, one pair, twice
+            if mixed:  # stacked rows share a kind, and a message stands alone
+                clash |= same & ((sorted_kind[1:] != sorted_kind[:-1]) | (sorted_kind[1:] == 0))
+            if clash.any():
+                at = int(clash.argmax()) + 1
+                row = order[at]
+                why = ("sent twice by one node" if by[at] == by[at - 1]
+                       else "rows of different shapes, or a message beside other rows")
+                raise RoutingViolation(
+                    f"phase {phase}: key {list(key_ids)[key_id[row]]!r} at node {dst[row]}: {why}")
         units *= dst != src  # self-addressed rows stay local and are free
         sent = np.bincount(src, weights=units, minlength=self.n + 1)
         recv = np.bincount(dst, weights=units, minlength=self.n + 1)
         rounds = self.route_rounds(width * int(max(sent.max(), recv.max())), n_act)
         total = width * int(units.sum())
         # the per-row bookkeeping would otherwise live on beside the delivered copies
-        del taken, src, key_id, units, dst, sent, recv
+        del table, src, units, sent, recv, pair
         stores = self.stores
-        for to, key, payload, blk, size in zip(dsts, keys, payloads, blocks, row_size):
-            if size == 0:
-                continue
-            if isinstance(payload, np.ndarray):
-                payload = payload.copy()
-            if blk:
-                for node, row in zip(to.tolist(), payload):
-                    stores[node][key] = row
-            else:
-                stores[to][key] = payload
+        for (to, key, payload), fmt, size in zip(sends, kinds, sizes):
+            if fmt == 0 and size:
+                stores[to][key] = payload.copy() if isinstance(payload, np.ndarray) else payload
+        if not formats:
+            return self.ledger.phase(phase, n_act, rounds, total)
+        first = np.empty(order.size, dtype=bool)  # a row that opens a (key, destination) pair
+        first[:1] = True
+        np.logical_not(same, out=first[1:])
+        ends = list(accumulate(rows))
+        keys = list(key_ids)
+        for (shape, dtype), fmt in formats.items():
+            pick = sorted_kind == fmt if mixed else None
+            here = order if pick is None else order[pick]
+            slot = np.empty(dst.size, dtype=np.intp)
+            slot[here] = np.arange(here.size)
+            buf = np.empty((here.size, *shape), dtype=dtype)
+            for (_, _, payload), f, size, count, end in zip(sends, kinds, sizes, rows, ends):
+                if f == fmt and size:
+                    buf[slot[end - count:end]] = payload
+            starts = np.flatnonzero(first if pick is None else first[pick])
+            heads = here[starts]
+            bounds = starts.tolist() + [here.size]
+            for i, (node, kid) in enumerate(zip(dst[heads].tolist(), key_id[heads].tolist())):
+                stores[node][keys[kid]] = buf[bounds[i]:bounds[i + 1]]
         return self.ledger.phase(phase, n_act, rounds, total)
 
     def parallel_phases(self, name: str,

@@ -36,7 +36,7 @@ def test_share_random_delivers_and_charges_hand_count(n):
 def test_allgather_vectors_concatenates_in_subset_order():
     world = CliqueWorld(5)
     subset = (4, 2, 5)  # parts of 0, 1 and 2 elements
-    allgather_vectors(world, subset, "g", "out",
+    allgather_vectors(world, subset, "g", "out", (0, 1, 2),
                       lambda view: [10 * view.node + k for k in range(view.pos)])
     for node in subset:
         assert world.stores[node]["out"].tolist() == [20, 50, 51]

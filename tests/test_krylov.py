@@ -561,6 +561,20 @@ def test_rank_rand_raises_when_no_estimate_is_in_range():
         krylov.rank_rand(world, sub, dm)
 
 
+@pytest.mark.parametrize("routine", [
+    krylov.rank_rand, krylov.minpol_monte_carlo, krylov.det_rand,
+    lambda world, sub, dm: krylov.solve(world, sub, dm, np.ones(4, dtype=np.int64)),
+], ids=["rank_rand", "minpol", "det_rand", "solve"])
+def test_refused_prime_raises_before_any_phase(routine):
+    # 2^40 + 15 lies above FLOAT_PRIME_MAX, where matmul_mod is not exact
+    p = next_prime_at_least(2 ** 40)
+    mat = np.arange(16, dtype=np.int64).reshape(4, 4) * (2 ** 35 + 1) % p
+    world, sub, dm = world_with(mat, p)
+    with pytest.raises(ValueError, match="exceeds"):
+        routine(world, sub, dm)
+    assert world.ledger.leaves() == [] and world.ledger.total_messages == 0
+
+
 def test_toeplitz_builder_shapes():
     p = 101
     n = 5

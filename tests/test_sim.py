@@ -284,7 +284,9 @@ def test_block_send_delivers_rows_and_charges_like_messages():
 
     rec = world.route(world.all_nodes(), "block", build)
     assert rec.messages == 6 and rec.rounds == 2 * -(-6 // 4)
-    assert [list(world.stores[node][("blk",)]) for node in (2, 3, 4)] == [[0, 1], [2, 3], [4, 5]]
+    # each receiver holds its one row, stacked into a one-row array
+    assert [world.stores[node][("blk",)].tolist() for node in (2, 3, 4)] == [[[0, 1]], [[2, 3]],
+                                                                            [[4, 5]]]
 
 
 def test_block_rows_are_copies():
@@ -372,7 +374,8 @@ def message_sets(draw):
 @given(message_sets())
 def test_blocks_and_single_sends_agree(case):
     """The same messages sent one by one and grouped into blocks per
-    (source, key) give the same phase record and the same stores."""
+    (source, key) give the same phase record, and the same stores once each
+    one-row stack is read as its row."""
     n, width, size, pairs = case
     outcomes = []
     for as_blocks in (False, True):
@@ -390,6 +393,114 @@ def test_blocks_and_single_sends_agree(case):
                 yield dsts, key, rows
 
         rec = world.route(world.all_nodes(), "agree", build, width=width)
-        stores = [{key: list(val) for key, val in store.items()} for store in world.stores]
+        stores = [{key: val.reshape(-1).tolist() for key, val in store.items()}
+                  for store in world.stores]
         outcomes.append((rec.rounds, rec.messages, stores))
     assert outcomes[0] == outcomes[1]
+
+
+# ------------------------------------------------------------- stacked rows
+
+def test_rows_from_several_senders_stack_in_sender_order():
+    world = CliqueWorld(5)
+    subset = (4, 2, 5, 1)
+
+    def build(view):  # every node sends a row of (node, pos) to nodes 1 and 5
+        yield np.array([1, 5]), "k", np.full((2, 2), [view.node, view.pos])
+
+    world.route(subset, "stack", build)
+    for node in (1, 5):
+        assert world.stores[node]["k"].tolist() == [[4, 0], [2, 1], [5, 2], [1, 3]]
+    assert "k" not in world.stores[2] and "k" not in world.stores[4]
+
+
+def test_scalar_rows_stack_into_a_vector():
+    world = CliqueWorld(3)
+    nodes = np.array(world.all_nodes())
+
+    def build(view):
+        yield nodes, "v", np.full(3, 10 * view.node)
+
+    world.route(world.all_nodes(), "vec", build)
+    assert all(world.stores[node]["v"].tolist() == [10, 20, 30] for node in (1, 2, 3))
+
+
+def test_one_sender_addressing_a_pair_twice_is_rejected():
+    world = CliqueWorld(4)
+
+    def build(view):
+        if view.node == 1:  # two blocks under one key, both reaching node 3
+            yield np.array([2, 3]), "k", np.ones((2, 2), dtype=np.int64)
+            yield np.array([3, 4]), "k", np.ones((2, 2), dtype=np.int64)
+
+    with pytest.raises(RoutingViolation, match="sent twice"):
+        world.route(world.all_nodes(), "repeat", build)
+    assert not any(world.stores)
+
+
+@pytest.mark.parametrize("row", [
+    lambda node: np.ones(node, dtype=np.int64),  # widths 1, 2, 3
+    lambda node: np.ones(2, dtype=np.int64 if node == 1 else np.float64),
+], ids=["width", "dtype"])
+def test_rows_of_different_shapes_under_one_pair_are_rejected(row):
+    world = CliqueWorld(3)
+
+    def build(view):
+        yield np.array([3]), "k", row(view.node)[None]
+
+    with pytest.raises(RoutingViolation, match="different shapes"):
+        world.route(world.all_nodes(), "formats", build)
+    assert not any(world.stores)
+
+
+def test_rows_of_one_shape_may_differ_across_destinations():
+    world = CliqueWorld(3)
+
+    def build(view):
+        if view.node == 1:
+            yield np.array([2]), "k", np.ones((1, 3), dtype=np.int64)
+            yield np.array([3]), "k", np.ones((1, 5), dtype=np.int64)
+
+    world.route(world.all_nodes(), "widths", build)
+    assert world.stores[2]["k"].shape == (1, 3) and world.stores[3]["k"].shape == (1, 5)
+
+
+def test_self_rows_are_stacked_and_free():
+    world = CliqueWorld(3)
+    nodes = np.array(world.all_nodes())
+
+    def build(view):
+        yield nodes, "all", np.full((3, 2), view.node)
+
+    rec = world.route(world.all_nodes(), "all", build)
+    # each node sends 2 elements to each of 2 others; its own row is free
+    assert rec.messages == 12 and rec.rounds == 2 * -(-4 // 3)
+    for node in (1, 2, 3):
+        assert world.stores[node]["all"].tolist() == [[1, 1], [2, 2], [3, 3]]
+
+
+def test_zero_size_sends_leave_the_stack_untouched():
+    world = CliqueWorld(3)
+
+    def build(view):  # node 2's rows hold no elements, so the stack skips it
+        yield np.array([1]), "k", np.full((1, 0 if view.node == 2 else 2), view.node)
+
+    rec = world.route(world.all_nodes(), "gaps", build)
+    assert world.stores[1]["k"].tolist() == [[1, 1], [3, 3]]
+    assert rec.messages == 2
+
+
+def test_stacked_rows_are_copies():
+    world = CliqueWorld(3)
+    payloads = {node: np.zeros((3, 2), dtype=np.int64) for node in (1, 2, 3)}
+    nodes = np.array(world.all_nodes())
+
+    def build(view):
+        yield nodes, "c", payloads[view.node]
+
+    world.route(world.all_nodes(), "copy", build)
+    for payload in payloads.values():
+        payload[:] = 7
+    assert not any(world.stores[node]["c"].any() for node in (1, 2, 3))
+    world.stores[1]["c"][:] = 5  # one receiver's stack is its own
+    assert not world.stores[2]["c"].any()
