@@ -206,6 +206,8 @@ def build_instance(algorithm: str, gen: Optional[str], input_path: Optional[str]
         desc = f"gen:complete:n={n}"
     else:
         prob = field("p", 0.5, low=0, parse=float)
+        if prob > 1:
+            raise UsageError(f"--gen field p: a probability is at most 1, got {prob}")
         graph = _rand_graph(rng, n, prob, bound, directed)
         desc = f"gen:gnp:n={n},p={prob},M={bound},directed={int(directed)}"
     return Instance(algorithm, n, desc, {"graph": graph})

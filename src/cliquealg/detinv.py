@@ -66,6 +66,7 @@ def _tri_inverse_inner(world: CliqueWorld, subset: tuple[int, ...], a: DMat,
     h = (n + 1) // 2
     nh2 = n - h
     sub1, sub2 = subset[:h], subset[h:]
+    nodes = np.array(subset)
     a11 = DMat(world.fresh_name("A11"), h, h, p, sub1)
     a22 = DMat(world.fresh_name("A22"), nh2, nh2, p, sub2)
 
@@ -95,8 +96,7 @@ def _tri_inverse_inner(world: CliqueWorld, subset: tuple[int, ...], a: DMat,
         if pos < h:
             return
         j = pos - h
-        row = view.get(inv22.row_key(j))
-        yield sub1[j], lhs22.row_key(j), row
+        yield nodes[j:j + 1], lhs22.row_key(j), view.get(inv22.row_key(j))[None]
 
     world.route(subset, "handover", hand_over)
 
@@ -106,7 +106,7 @@ def _tri_inverse_inner(world: CliqueWorld, subset: tuple[int, ...], a: DMat,
         pos = view.pos
         row = np.zeros(h, dtype=np.int64)
         if pos < nh2:
-            row[:nh2] = view.get(lhs22.row_key(pos))
+            row[:nh2] = view.get(lhs22.row_key(pos))[0]
         view.put(lhs22.row_key(pos), row)
         col = np.zeros(h, dtype=np.int64)
         col[:nh2] = view.get(a.col_key(pos))[h:]
@@ -122,7 +122,7 @@ def _tri_inverse_inner(world: CliqueWorld, subset: tuple[int, ...], a: DMat,
         pos = view.pos
         if pos >= h or pos >= nh2:
             return
-        yield sub2[pos], ("yrow",), (-view.get(y.row_key(pos))) % p
+        yield nodes[h + pos:h + pos + 1], ("yrow",), (-view.get(y.row_key(pos)))[None] % p
 
     world.route(subset, "handback", hand_back)
 
@@ -138,7 +138,7 @@ def _tri_inverse_inner(world: CliqueWorld, subset: tuple[int, ...], a: DMat,
             col[h:] = (-view.get(y.col_key(pos))[:nh2]) % p
         else:
             j = pos - h
-            row[:h] = view.pop(("yrow",))
+            row[:h] = view.pop(("yrow",))[0]
             row[h:] = view.get(inv22.row_key(j))
             col[h:] = view.get(inv22.col_key(j))
         view.put(out.row_key(pos), row)

@@ -467,9 +467,16 @@ def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], b: DMat,
         if pos < rank:
             return
         g, j0 = divmod(pos - rank, rank)
-        yield sub_r[j0], n12[g].col_key(j0), view.get(b.col_key(pos))[:rank]
+        yield nodes[j0:j0 + 1], n12[g].col_key(j0), view.get(b.col_key(pos))[None, :rank]
 
     world.route(subset, "moveN12", send_n12)
+
+    def flatten(view):  # each chunk's column arrived as a one-row stack
+        for chunk in n12:
+            key = chunk.col_key(view.pos)
+            view.put(key, view.get(key).reshape(rank))
+
+    world.run_local(sub_r, "flatten", flatten)
     x_chunks = mm_multi(world, sub_r, [inv11] * len(n12), n12, kernel, phase="solve-tail")
 
     def send_x(view):  # column j0 of X goes to position j0, alone under ge_x

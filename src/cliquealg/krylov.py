@@ -141,9 +141,9 @@ def _terms(world: CliqueWorld, subset: Sequence[int], a: DMat, s: int, u: Callab
         _giants(world, subset, apow, giants, u, suffix)
 
     def form(view):
-        ys = np.stack([w(view), *view.pop_many(("kr_y", r) for r in range(1, s))])
+        ys = np.stack([w(view), *(view.pop(("kr_y", r)) for r in range(1, s))])
         keys = [("kr_x", j) for j in range(1, giants + 1)]
-        vecs = view.pop_many(keys) if apow is not None else map(view.get, keys)
+        vecs = map(view.pop if apow is not None else view.get, keys)
         xs = np.stack([u(view), *vecs])
         view.put(out_key, matmul_mod(xs, ys.T, p).ravel()[:2 * n])
 
@@ -285,7 +285,7 @@ def solve(world: CliqueWorld, subset: Sequence[int], a: DMat, b: np.ndarray,
 
     def check(view):
         v = view.pop("sv_v")
-        x = [v[-1], *view.pop_many(("sv_acc", i) for i in range(1, s))][-1]
+        x = [v[-1], *(view.pop(("sv_acc", i)) for i in range(1, s))][-1]
         view.put("sv_x_all", x)
         lhs = int(matmul_mod(view.get(a.row_key(view.pos)), x, p))
         view.put("sv_ok", 1 if lhs == int(b[view.pos]) else 0)

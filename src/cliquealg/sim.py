@@ -2,16 +2,14 @@
 
 A routed phase is described by a build function that each node of the active
 subset runs on its own `NodeView` (which carries the node's id and its
-position `pos` in the subset).  It yields sends of one of two shapes:
+position `pos` in the subset).  It yields sends of one shape, a block
 
-    (dst, key, payload)     one message: payload goes to node dst under key,
-                            as it is;
-    (dsts, key, rows)       a block: dsts is an int array of nodes, and row
-                            rows[i] goes to node dsts[i].
+    (dsts, key, rows)       dsts is an int array of nodes, and row rows[i]
+                            goes to node dsts[i].
 
-A receiver holds one array under each key that block rows reach it by: the
-rows sent to it under that key, stacked in sender (subset) order.  Both kinds
-of send are checked and charged by the same rules (`CliqueWorld.route`).
+A receiver holds one array under each key that rows reach it by: the rows
+sent to it under that key, stacked in sender (subset) order, so a single row
+arrives as a one-row stack.  `CliqueWorld.route` checks and charges them.
 
 Cost convention: a routing phase on an active subset of size n_act, in which the
 most loaded node sends or receives S message units, is charged
@@ -162,11 +160,6 @@ class NodeView:
     def pop(self, key, default=None):
         return self._store.pop(key, default)
 
-    def pop_many(self, keys: Iterable) -> list:
-        """Remove and return the values of several keys, in order."""
-        store = self._store
-        return [store.pop(key) for key in keys]
-
     def rng(self, phase: str) -> random.Random:
         return self._world.node_rng(phase, self.node)
 
@@ -259,25 +252,20 @@ class CliqueWorld:
     def route(self, subset: Sequence[int], phase: str,
               build: Callable[[NodeView], Iterable[tuple]],
               width: int = 1) -> PhaseRecord:
-        """One routed phase.  build(view) yields sends of two shapes:
+        """One routed phase.  build(view) yields blocks (dsts, key, rows):
+        dsts is an int array of nodes, and row i of the array rows goes to
+        dsts[i].
 
-            (dst, key, payload)   one message: payload is put at node dst
-                                  under key, as it is;
-            (dsts, key, rows)     a block: dsts is an int array of nodes, and
-                                  row i of the array rows goes to dsts[i].
-
-        Each receiver of block rows holds one array under each key: the rows
-        sent to it under that key, stacked in sender (subset) order.
-        Payloads are ints or numpy arrays of field values; each element
-        counts `width` units.  Every destination must lie in the subset, a
-        sender addresses one (destination, key) at most once, the rows
-        stacked under one (destination, key) share one shape and dtype, and a
-        message never lands where any other row does; each breach raises
-        RoutingViolation.  A row addressed to its own sender stays local and
-        is free; a send whose rows hold no elements is skipped.  All sends
-        are checked and charged before any is delivered, and every delivered
-        element is copied once, so later changes at the sender do not reach
-        the receivers.
+        Each receiver holds one array under each key that rows reach it by:
+        the rows sent to it under that key, stacked in sender (subset) order.
+        Each row element counts `width` units.  Every destination must lie in
+        the subset, a sender addresses one (destination, key) at most once,
+        and the rows stacked under one (destination, key) share one shape and
+        dtype; each breach raises RoutingViolation.  A row addressed to its
+        own sender stays local and is free; a row holding no elements is
+        skipped.  All rows are checked and charged before any is delivered,
+        and every delivered element is copied once, so later changes at the
+        sender do not reach the receivers.
 
         The rows of a phase are ordered by (key, destination, sender) once;
         each block is scattered into that order, one buffer per row format,
@@ -287,37 +275,25 @@ class CliqueWorld:
         sends: list[tuple] = []
         srcs: list[int] = []
         for pos, node in enumerate(subset):
-            before = len(sends)
-            sends.extend(build(NodeView(node, pos, self.stores[node], self)))
-            srcs += [node] * (len(sends) - before)
+            for send in build(NodeView(node, pos, self.stores[node], self)):
+                sends.append(send)
+                srcs.append(node)
         if not sends:
             return self.ledger.phase(phase, n_act, 0, 0)
         key_ids: dict = {}
-        formats: dict = {}  # (row shape, dtype) of block rows -> kind >= 1; kind 0 is a message
-        key_of, kinds, rows, sizes = [], [], [], []
+        formats: dict = {}  # (row shape, dtype) -> format id
+        key_of, fmts, rows = [], [], []
         for to, key, payload in sends:
             key_of.append(key_ids.setdefault(key, len(key_ids)))
-            if isinstance(to, np.ndarray):
-                shape = payload.shape[1:]
-                kinds.append(formats.setdefault((shape, payload.dtype), len(formats) + 1))
-                rows.append(len(to))
-                sizes.append(math.prod(shape))
-            else:
-                kinds.append(0)
-                rows.append(1)
-                sizes.append(payload.size if isinstance(payload, np.ndarray) else 1)
-        dsts = [send[0] for send in sends]
-        if not formats:
-            dst = np.array(dsts, dtype=np.int64)
-        elif 0 in kinds:
-            dst = np.hstack(dsts).astype(np.int64)
-        else:
-            dst = np.concatenate(dsts).astype(np.int64, copy=False)
+            fmts.append(formats.setdefault((payload.shape[1:], payload.dtype), len(formats)))
+            rows.append(len(to))
+        sizes = [math.prod(shape) for shape, _ in formats]  # elements in a row of each format
+        dst = np.concatenate([send[0] for send in sends]).astype(np.int64, copy=False)
         if not self._members(subset).take(dst, mode="clip").all():
             raise RoutingViolation(f"phase {phase}: a destination lies outside the active subset")
-        # one entry per row: source, key, kind, elements
-        table = np.array([srcs, key_of, kinds, sizes])
-        src, key_id, kind, units = np.repeat(table, rows, axis=1) if formats else table
+        # one entry per row: source, key, format; and the elements it holds
+        src, key_id, fmt = np.repeat(np.array([srcs, key_of, fmts]), rows, axis=1)
+        units = np.array(sizes)[fmt]
         # rows by (key, destination); the stable sort keeps sender order within a pair
         pair = key_id * (self.n + 1) + dst
         if 0 in sizes:
@@ -328,18 +304,18 @@ class CliqueWorld:
             skip = int(np.searchsorted(pair, 0))
             order, pair = order[skip:], pair[skip:]
         same = pair[1:] == pair[:-1]  # the next row joins this row's pair
-        mixed = len(formats) > 1 or 0 in kinds
-        sorted_kind = kind[order] if mixed else None
+        mixed = len(formats) > 1
+        sorted_fmt = fmt[order] if mixed else None
         if same.any():
             by = src[order]
             clash = same & (by[1:] == by[:-1])  # one sender, one pair, twice
-            if mixed:  # stacked rows share a kind, and a message stands alone
-                clash |= same & ((sorted_kind[1:] != sorted_kind[:-1]) | (sorted_kind[1:] == 0))
+            if mixed:  # stacked rows share a format
+                clash |= same & (sorted_fmt[1:] != sorted_fmt[:-1])
             if clash.any():
                 at = int(clash.argmax()) + 1
                 row = order[at]
                 why = ("sent twice by one node" if by[at] == by[at - 1]
-                       else "rows of different shapes, or a message beside other rows")
+                       else "rows of different shapes")
                 raise RoutingViolation(
                     f"phase {phase}: key {list(key_ids)[key_id[row]]!r} at node {dst[row]}: {why}")
         units *= dst != src  # self-addressed rows stay local and are free
@@ -348,32 +324,28 @@ class CliqueWorld:
         rounds = self.route_rounds(width * int(max(sent.max(), recv.max())), n_act)
         total = width * int(units.sum())
         # the per-row bookkeeping would otherwise live on beside the delivered copies
-        del table, src, units, sent, recv, pair
-        stores = self.stores
-        for (to, key, payload), fmt, size in zip(sends, kinds, sizes):
-            if fmt == 0 and size:
-                stores[to][key] = payload.copy() if isinstance(payload, np.ndarray) else payload
-        if not formats:
-            return self.ledger.phase(phase, n_act, rounds, total)
+        del src, units, sent, recv, pair
         first = np.empty(order.size, dtype=bool)  # a row that opens a (key, destination) pair
         first[:1] = True
         np.logical_not(same, out=first[1:])
         ends = list(accumulate(rows))
         keys = list(key_ids)
-        for (shape, dtype), fmt in formats.items():
-            pick = sorted_kind == fmt if mixed else None
+        stores = self.stores
+        for (shape, dtype), f in formats.items():
+            pick = sorted_fmt == f if mixed else None
             here = order if pick is None else order[pick]
             slot = np.empty(dst.size, dtype=np.intp)
             slot[here] = np.arange(here.size)
             buf = np.empty((here.size, *shape), dtype=dtype)
-            for (_, _, payload), f, size, count, end in zip(sends, kinds, sizes, rows, ends):
-                if f == fmt and size:
+            for (_, _, payload), g, count, end in zip(sends, fmts, rows, ends):
+                if g == f and sizes[f]:
                     buf[slot[end - count:end]] = payload
             starts = np.flatnonzero(first if pick is None else first[pick])
             heads = here[starts]
             bounds = starts.tolist() + [here.size]
-            for i, (node, kid) in enumerate(zip(dst[heads].tolist(), key_id[heads].tolist())):
-                stores[node][keys[kid]] = buf[bounds[i]:bounds[i + 1]]
+            for node, kid, lo, hi in zip(dst[heads].tolist(), key_id[heads].tolist(),
+                                         bounds, bounds[1:]):
+                stores[node][keys[kid]] = buf[lo:hi]
         return self.ledger.phase(phase, n_act, rounds, total)
 
     def parallel_phases(self, name: str,

@@ -351,7 +351,7 @@ def test_criterion_3_routing_accounting():
         def build(view, msgs=msgs):
             for i, (src, dst) in enumerate(msgs):
                 if src == view.node:
-                    yield dst, ("m", i), 1
+                    yield np.array([dst]), ("m", i), np.ones(1, dtype=np.int64)
 
         rec = world.route(sub, "acct", build)
         assert rec.rounds == 2, (n, len(msgs))

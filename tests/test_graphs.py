@@ -1,4 +1,7 @@
 import collections
+import contextlib
+import hashlib
+import io
 import math
 import random
 import warnings
@@ -6,9 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cliquealg import detinv, distprod, ff, graphs, krylov, mm, oracles
+from cliquealg import cli, detinv, distprod, ff, graphs, krylov, mm, oracles
 from cliquealg.minplus import INF, INF_THRESHOLD
 from cliquealg.sim import CliqueWorld
+from test_golden import ledger_summary
 
 warnings.filterwarnings("ignore", message=".*field size.*")
 
@@ -310,6 +314,29 @@ def test_gallai_edmonds_examples():
         ge = graphs.gallai_edmonds(CliqueWorld(n, seed=0), unweighted(n, []))
         assert (ge.d_set, ge.k_set, ge.c_set) == (frozenset(range(1, n + 1)), frozenset(),
                                                   frozenset())
+
+
+def test_gallai_edmonds_null_space_run_is_pinned(tmp_path):
+    # The 7-vertex path has a rank-6 Tutte matrix, so its run takes the
+    # null-space path (moveN12 and its flatten step) that no full-rank
+    # golden graph reaches.  The routed phases and the 0-round phases are
+    # pinned by the sha256 of their `ledger_summary` lines.
+    report = tmp_path / "report"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", "gallai-edmonds", "--gen", "path:n=7", "--seed", "1",
+                         "--out", str(report)]) == 0
+    summary = ledger_summary(report.read_text())
+    assert summary[1:4] == ["verdict: pass", "rounds: 262", "messages: 4163"]
+    routed = [line for line in summary if line.startswith("routed ")]
+    local = [line for line in summary if line.startswith("local ")]
+    assert "routed geattempt#/moveN# subset=7 rounds=2 messages=6" in routed
+    assert "local flatten x1" in local
+
+    def digest(lines):
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    assert digest(routed) == "b9c95f1c6ae07b930384dc1a032c3e66b6c782b3d2068119e0e715f51fa79f84"
+    assert digest(local) == "f30fdb81ff6546a5ea9ed9ac6e31e92e45d954b9327f469090322a25a540faca"
 
 
 def test_gallai_edmonds_random_graphs():
