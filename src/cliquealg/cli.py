@@ -197,6 +197,7 @@ def build_instance(algorithm: str, gen: Optional[str], input_path: Optional[str]
             n, [(i, i + 1, 1) for i in range(1, n)], directed=False, bound=1)
         desc = f"gen:path:n={n}"
     elif kind == "cycle":
+        n = field("n", 8, low=2)  # n = 1 would be a loop
         edges = [(i, i + 1, 1) for i in range(1, n)] + [(n, 1, 1)]
         graph = graphs.WeightedGraph.from_edges(n, edges, directed=False, bound=1)
         desc = f"gen:cycle:n={n}"

@@ -17,8 +17,8 @@ from . import detinv, krylov
 from .collective import allgather_scalars, allgather_vectors, share_random
 from .distprod import MinPlusMatrix, dist_prod, scatter_minplus
 from .ff import capped_prime, matmul_mod
-from .krylov import transpose, unit_toeplitz
-from .mm import DMat, identity_dmat, mm_multi
+from .krylov import unit_toeplitz
+from .mm import DMat
 from .minplus import INF, INF_THRESHOLD, parse_fields, read_records
 from .sim import CliqueWorld, message_bits
 
@@ -382,14 +382,24 @@ class GEDecomposition:
 
 def gallai_edmonds(world: CliqueWorld, graph: WeightedGraph, tag: str = "ge",
                    kernel: str = "trivial") -> GEDecomposition:
-    """Criticality decomposition via a null-space basis of the edge matrix T
-    (Cheriyan, SIAM J. Comput. 1997); correct whp at p >= 4 n^4.
+    """Criticality decomposition from one random null vector z of the edge
+    matrix T: D is the support of z (Cheriyan, SIAM J. Comput. 1997), K the
+    neighbors of D outside it, C the rest; correct whp at p >= 4 n^4.
 
     Each of the GE_RETRIES attempts is one ledger group: a fresh T and one
-    `krylov.rank_attempt` on it, whose B and coins give the basis at an even
-    rank below n.  An inconclusive or odd rank, a singular leading block, or
-    a basis that fails to annihilate T starts the next attempt.  Each attempt
-    also runs in one frame, so the stores keep nothing.
+    `krylov.rank_attempt` on it, which leaves every node B = U T V D, its
+    coins and its generator g.  Rank n gives D = K = {}, and rank 0 (T = 0)
+    gives D = V with no vector.  At an even rank r in between, g(t) =
+    t q(t); when g = minpol(B) and q(0) != 0, q(B) is q(0) times the
+    projector onto null(B), so for n shared coins x, y = q(B) x is uniform on
+    null(B) (Kaltofen-Saunders, AAECC 1991) and z = V D y is uniform on
+    null(T).  Horner in B takes deg q = r allgathers; every node then forms
+    z, checks z != 0 and its entry of T z, and one allgather of those flags
+    decides.  An inconclusive or odd rank, q(0) = 0, z = 0 or T z != 0
+    starts the next attempt.  A vertex v of D is missed only when z_v, a
+    nonzero linear form in x, vanishes: probability 1/p, so at most
+    |D|/p <= 1/(4 n^3) by the union bound.  Each attempt runs in one frame,
+    so the stores keep nothing.
     """
     n = graph.n
     p = matching_prime(n)
@@ -406,149 +416,65 @@ def gallai_edmonds(world: CliqueWorld, graph: WeightedGraph, tag: str = "ge",
                 continue
             if rank == n:
                 return GEDecomposition(frozenset(), frozenset(), frozenset(range(1, n + 1)))
-            basis = _null_space_basis(world, subset, b, rank, kernel)
-            if basis is not None and _verify_null_basis(world, subset, tutte, basis, rank,
-                                                        kernel):
-                return _classify(world, graph, basis, n - rank)
+            if rank == 0:
+                return GEDecomposition(frozenset(range(1, n + 1)), frozenset(), frozenset())
+            if _null_vector(world, subset, tutte, b, rank, f"{tag}-x{attempt}"):
+                return _classify(world, graph)
     raise DecompositionFailedError("decomposition failed after retries")
 
 
-def _null_space_basis(world: CliqueWorld, subset: tuple[int, ...], b: DMat,
-                      rank: int, kernel: str) -> Optional[DMat]:
-    """n x (n - rank) matrix whose columns span null(T) = V D null(B) (whp),
-    for the B = U T V D of a `krylov.rank_attempt` and its coins rk_pre_all
-    at every node; padded to n columns, distributed rows+cols.
-
-    None when the leading block N11 of B is singular.  Only the first rank
-    nodes invert N11, so a routed `verdict` phase tells the others the
-    outcome either way.  Column pos of the basis is V (d o y) for column pos
-    y of Y = [[-X], [I]], X = N11^-1 N12, formed where y is and transposed
-    for the rows; at rank 0 it is the identity.  N11, its inverse, N12 and
-    X stay in the stores until the caller's frame ends.
-    """
+def _null_vector(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat, b: DMat,
+                 rank: int, label: str) -> bool:
+    """Whether z = V D q(B) x, for the B = U T V D, coins rk_pre_all and
+    generator g = t q(t) of a `krylov.rank_attempt` of the given rank and n
+    fresh coins x, is a nonzero null vector of T; if so, every node holds
+    its support under ge_d_all.  q(0) = 0 draws no coins."""
     n = len(subset)
-    nodes = np.array(subset)
     p = b.p
-    if rank == 0:
-        return identity_dmat(world, subset, n, p)
-    basis = DMat(world.fresh_name("basis"), n, n, p, subset)
-    sub_r = subset[:rank]
-    tail = n - rank
-    n11 = DMat(world.fresh_name("N11"), rank, rank, p, sub_r)
-    # column j0 of N12 is column j0 mod rank of chunk j0 // rank, zero-padded
-    n12 = [DMat(world.fresh_name("N12"), rank, rank, p, sub_r, has_rows=False)
-           for _ in range(math.ceil(tail / rank))]
+    q = world.stores[subset[0]]["mp_poly"].coeffs[1:]  # every node holds g
+    if q[0] == 0:
+        return False
+    share_random(world, subset, "share-x", label, "ge_x_all", n,
+                 lambda rng, i: rng.randrange(p))
 
-    def slice_n11(view):
+    def start(view):
+        return q[rank] * view.get("ge_x_all") % p
+
+    def horner(view, i, y):  # entry pos of B y + q_(r-i) x
         pos = view.pos
-        if pos >= rank:
-            return
-        view.put(n11.row_key(pos), view.get(b.row_key(pos))[:rank])
-        view.put(n11.col_key(pos), view.get(b.col_key(pos))[:rank])
-        for chunk in n12:
-            view.put(chunk.col_key(pos), np.zeros(rank, dtype=np.int64))
+        return (int(matmul_mod(view.get(b.row_key(pos)), y, p))
+                + q[rank - i] * int(view.get("ge_x_all")[pos])) % p
 
-    world.run_local(subset, "slice", slice_n11)
-    try:
-        inv11 = detinv.inverse(world, sub_r, n11, kernel)
-    except detinv.SingularMatrixError:
-        inv11 = None
+    krylov._chain(world, subset, "horner", "", "ge_y", rank, start, horner)
 
-    def send_verdict(view):  # only sub_r learned whether N11 is invertible
-        if view.pos == 0:
-            yield nodes[rank:], "ge_n11_ok", np.full(tail, int(inv11 is not None))
-
-    world.route(subset, "verdict", send_verdict)
-    if inv11 is None:
-        return None
-
-    def send_n12(view):
+    def check(view):
         pos = view.pos
-        if pos < rank:
-            return
-        g, j0 = divmod(pos - rank, rank)
-        yield nodes[j0:j0 + 1], n12[g].col_key(j0), view.get(b.col_key(pos))[None, :rank]
-
-    world.route(subset, "moveN12", send_n12)
-
-    def flatten(view):  # each chunk's column arrived as a one-row stack
-        for chunk in n12:
-            key = chunk.col_key(view.pos)
-            view.put(key, view.get(key).reshape(rank))
-
-    world.run_local(sub_r, "flatten", flatten)
-    x_chunks = mm_multi(world, sub_r, [inv11] * len(n12), n12, kernel, phase="solve-tail")
-
-    def send_x(view):  # column j0 of X goes to position j0, alone under ge_x
-        pos = view.pos  # sub_r is a prefix of subset
-        if pos >= min(rank, tail):
-            return
-        dsts = nodes[pos:tail:rank]
-        yield dsts, "ge_x", np.stack([view.get(x_chunks[g].col_key(pos))
-                                      for g in range(len(dsts))])
-
-    world.route(subset, "moveX", send_x)
-
-    def build_basis(view):  # column pos of V (d o y)
-        pos = view.pos
-        y = np.zeros(n, dtype=np.int64)
-        if pos < tail:
-            y[:rank] = -view.pop("ge_x")[0]
-            y[rank + pos] = 1
         pre = view.get("rk_pre_all")
-        v = unit_toeplitz(pre, n, p)[1]
-        view.put(basis.col_key(pos), matmul_mod(v, y * pre[2 * (n - 1):] % p, p))
+        dy = view.get(("ge_y", rank)) * pre[2 * (n - 1):] % p
+        z = matmul_mod(unit_toeplitz(pre, n, p)[1], dy, p)
+        view.put("ge_d_all", z != 0)
+        tz = int(matmul_mod(view.get(tutte.row_key(pos)), z, p))
+        view.put("ge_ok", int(bool(z.any()) and tz == 0))
 
-    world.run_local(subset, "basis", build_basis)
-    transpose(world, subset, "basis-rows", basis.col_key, basis.row_key)
-    return basis
-
-
-def _verify_null_basis(world: CliqueWorld, subset: tuple[int, ...], tutte: DMat,
-                       basis: DMat, rank: int, kernel: str) -> bool:
-    n = len(subset)
-    check = mm_multi(world, subset, [tutte], [basis], kernel, phase="check")[0]
-
-    def flag(view):
-        pos = view.pos
-        row = view.get(check.row_key(pos))
-        view.put("ge_ok", 1 if int((row[:max(1, n - rank)] % tutte.p).max(initial=0)) == 0
-                 else 0)
-
-    world.run_local(subset, "flag", flag)
+    world.run_local(subset, "check", check)
     allgather_scalars(world, subset, "okshare", "ge_ok", "ge_ok_all")
     return int(world.stores[subset[0]]["ge_ok_all"].min()) == 1
 
 
-def _classify(world: CliqueWorld, graph: WeightedGraph, basis: DMat,
-              tail: int) -> GEDecomposition:
+def _classify(world: CliqueWorld, graph: WeightedGraph) -> GEDecomposition:
+    """D from ge_d_all at every node, K (the vertices outside D with a
+    neighbor in D) from one allgather of flags, C the rest."""
     subset = world.all_nodes()
-    n = graph.n
-    p = basis.p
-
-    def d_flag(view):
-        pos = view.pos
-        row = view.get(basis.row_key(pos)) % p
-        view.put("ge_d", 1 if int(row[:tail].max(initial=0)) != 0 else 0)
-
-    world.run_local(subset, "dflag", d_flag)
-    allgather_scalars(world, subset, "dshare", "ge_d", "ge_d_all")
 
     def k_flag(view):
         pos = view.pos
         d_all = view.get("ge_d_all")
-        if d_all[pos]:
-            view.put("ge_k", 0)
-            return
         nbrs = graph.adj[pos] < INF_THRESHOLD
-        nbrs[pos] = False
-        view.put("ge_k", 1 if bool((d_all[np.where(nbrs)[0]] == 1).any()) else 0)
+        view.put("ge_k", int(not d_all[pos] and bool(d_all[nbrs].any())))
 
     world.run_local(subset, "kflag", k_flag)
     allgather_scalars(world, subset, "kshare", "ge_k", "ge_k_all")
-    d_all = world.stores[subset[0]]["ge_d_all"]
-    k_all = world.stores[subset[0]]["ge_k_all"]
-    d_set = frozenset(i + 1 for i in range(n) if d_all[i])
-    k_set = frozenset(i + 1 for i in range(n) if k_all[i])
-    c_set = frozenset(range(1, n + 1)) - d_set - k_set
-    return GEDecomposition(d_set, k_set, c_set)
+    store = world.stores[subset[0]]
+    d_set, k_set = (frozenset((np.flatnonzero(store[key]) + 1).tolist())
+                    for key in ("ge_d_all", "ge_k_all"))
+    return GEDecomposition(d_set, k_set, frozenset(range(1, graph.n + 1)) - d_set - k_set)

@@ -19,8 +19,9 @@ evaluates x = -g(0)^-1 h(A) b, h(z) = (g(z) - g(0)) / z, from the sums
 v_r = sum_j h_(js+r) A^(js) b at every node and Horner in A, s - 1
 allgathers, so every node ends up holding x.  Its s is chosen by
 `predict_solve_rounds` from the same schedule.  rank_rand reads the rank
-from the generator of B = U A V D, formed around two transposes; the B of
-one `rank_attempt` also gives Gallai-Edmonds null(A) = V D null(B).
+from the generator g of B = U A V D, formed around two transposes.  Below
+rank n, g(t) = t q(t), and one `rank_attempt` also gives Gallai-Edmonds its
+random null vector V D q(B) x of A.
 
 Guarantees assume |F| >= 4 n^2 ceil(log2 n); smaller fields get a warning.
 A prime that `ff.check_prime` refuses raises ValueError before any phase.

@@ -278,7 +278,10 @@ def test_malformed_graph_and_pair_files(tmp_path, capsys):
 def test_generator_fields_are_checked(capsys):
     for algorithm, spec, field in (("det", "matrix:n=x", "n"), ("det", "matrix:n=0", "n"),
                                    ("apsp", "gnp:n=4,p=abc", "p"), ("apsp", "gnp:n=5,p=1.5", "p"),
-                                   ("mm", "mm:n=4,k=0", "k")):
+                                   ("mm", "mm:n=4,k=0", "k"),
+                                   ("gallai-edmonds", "cycle:n=1", "n"),
+                                   ("apsp", "cycle:n=1", "n"),
+                                   ("allowed-edges", "cycle:n=1", "n")):
         _assert_usage_error(["run", algorithm, "--gen", spec], capsys, f"--gen field {field}")
 
 

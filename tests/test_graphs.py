@@ -310,7 +310,7 @@ def test_gallai_edmonds_examples():
     ge = graphs.gallai_edmonds(CliqueWorld(4, seed=0), c4)
     assert ge.d_set == frozenset() and ge.k_set == frozenset()
     assert ge.c_set == {1, 2, 3, 4}
-    for n in (2, 3, 4):  # rank 0: the identity is the basis, and D is every vertex
+    for n in (2, 3, 4):  # rank 0: T = 0, so D is every vertex, with no null vector
         ge = graphs.gallai_edmonds(CliqueWorld(n, seed=0), unweighted(n, []))
         assert (ge.d_set, ge.k_set, ge.c_set) == (frozenset(range(1, n + 1)), frozenset(),
                                                   frozenset())
@@ -318,25 +318,28 @@ def test_gallai_edmonds_examples():
 
 def test_gallai_edmonds_null_space_run_is_pinned(tmp_path):
     # The 7-vertex path has a rank-6 Tutte matrix, so its run takes the
-    # null-space path (moveN12 and its flatten step) that no full-rank
-    # golden graph reaches.  The routed phases and the 0-round phases are
-    # pinned by the sha256 of their `ledger_summary` lines.
+    # null-vector step (the x coins, six Horner allgathers in B and the
+    # okshare verdict) that no full-rank golden graph reaches.  The routed
+    # phases and the 0-round phases are pinned by the sha256 of their
+    # `ledger_summary` lines.
     report = tmp_path / "report"
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["run", "gallai-edmonds", "--gen", "path:n=7", "--seed", "1",
                          "--out", str(report)]) == 0
     summary = ledger_summary(report.read_text())
-    assert summary[1:4] == ["verdict: pass", "rounds: 262", "messages: 4163"]
+    assert summary[1:4] == ["verdict: pass", "rounds: 60", "messages: 1212"]
     routed = [line for line in summary if line.startswith("routed ")]
     local = [line for line in summary if line.startswith("local ")]
-    assert "routed geattempt#/moveN# subset=7 rounds=2 messages=6" in routed
-    assert "local flatten x1" in local
+    assert "routed geattempt#/horner#-exchange subset=7 rounds=2 messages=42" in routed
+    assert "local check x1" in local
+    assert not [line for line in summary if any(
+        name in line for name in ("moveN", "flatten", "solve-tail"))]
 
     def digest(lines):
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
-    assert digest(routed) == "b9c95f1c6ae07b930384dc1a032c3e66b6c782b3d2068119e0e715f51fa79f84"
-    assert digest(local) == "f30fdb81ff6546a5ea9ed9ac6e31e92e45d954b9327f469090322a25a540faca"
+    assert digest(routed) == "2532de5a66a396ed95faae4ebdde138748f4d1b15e2eddd65d8e366ee005abc9"
+    assert digest(local) == "ff6a59ce95d3aff0d22fbf73c357cb4f0d821eeffa22a03476ab5c7de6425316"
 
 
 def test_gallai_edmonds_random_graphs():
@@ -397,81 +400,99 @@ def test_matching_size_raises_after_odd_ranks():
         graphs.matching_size(CliqueWorld(6, seed=49), unweighted(6, pairs), p=7)
 
 
-@pytest.mark.parametrize("p,seed,ok", [(None, 1, 1), (7, 1, 0)])
-def test_null_space_basis_charges_its_verdict(p, seed, ok, monkeypatch):
-    # only the first rank nodes invert N11; one routed phase tells the other
-    # n - rank nodes the outcome, whichever it is (ok = 0 forces N11 singular)
-    n, rank = 6, 4
-    world = CliqueWorld(n, seed=seed)
-    sub = world.all_nodes()
-    graph = unweighted(n, [(0, 1), (1, 2), (3, 4)])
-    tutte = graphs.build_tutte_instance(world, graph, p or graphs.matching_prime(n), "t")
-    got, b = krylov.rank_attempt(world, sub, tutte, "r", 0)
-    assert got == rank
-    if not ok:
-        def singular(*args):
-            raise detinv.SingularMatrixError("forced")
+def _attempt_phases(world):
+    """Phase names under each top-level ledger group, in ledger order."""
+    attempts = collections.defaultdict(list)
+    for path, _ in world.ledger.leaves():
+        group, _, name = path.partition("/")
+        attempts[group].append(name)
+    return attempts
 
-        monkeypatch.setattr(detinv, "inverse", singular)
-    with world.frame() as keep:  # N11 and N12 live until the caller's frame ends
-        basis = graphs._null_space_basis(world, sub, b, rank, "trivial")
-        keep("ge_n11_ok")
-    assert (basis is not None) == bool(ok)
-    verdicts = [(rec.rounds, rec.messages) for path, rec in world.ledger.leaves()
-                if path.endswith("verdict")]
-    assert verdicts == [(2, n - rank)]
-    assert [world.stores[node].get("ge_n11_ok") for node in sub[rank:]] == [ok] * (n - rank)
-    leftover = [key for node in sub for key in world.stores[node]
-                if isinstance(key, str) and key.startswith(("N11", "N12"))]
-    assert leftover == []
+
+def _assert_oracle_decomposition(ge, n, pairs):
+    dw, kw, cw = oracles.gallai_edmonds_oracle(n, pairs)
+    assert (ge.d_set, ge.k_set, ge.c_set) == tuple(frozenset(v + 1 for v in s)
+                                                   for s in (dw, kw, cw))
 
 
 def test_gallai_edmonds_preconditions_once_per_attempt(monkeypatch):
     # no perfect matching (rank 4 of 6): each attempt is one ledger group
-    # that draws coins and forms B = U T V D once, and the null space reuses
+    # that draws coins and forms B = U T V D once, and the null vector reuses
     # them.  The first attempt is forced to an odd rank, so a second attempt
-    # draws a fresh Tutte matrix and fresh coins.  B, N11, its inverse, N12
-    # and X are all popped.
+    # draws a fresh Tutte matrix and fresh coins.  Every B is popped.
     n = 6
     pairs = [(0, 1), (1, 2), (3, 4)]
     world = CliqueWorld(n, seed=1)
-    real_attempt, real_mm = krylov.rank_attempt, graphs.mm_multi
+    real_attempt = krylov.rank_attempt
     draws, popped = [], []
 
     def first_odd(world, subset, a, *args):
         rank, b = real_attempt(world, subset, a, *args)
         store = world.stores[subset[0]]
         draws.append((store[a.row_key(0)].copy(), store["rk_pre_all"].copy()))
-        popped.append(b.name)
+        popped.append(f"{b.name}:")
         return (1 if len(draws) == 1 else rank), b
 
-    def spy(*args, phase=None, **kwargs):
-        out = real_mm(*args, phase=phase, **kwargs)
-        if phase == "solve-tail":
-            popped.extend(dm.name for dm in out)
-        return out
-
     monkeypatch.setattr(krylov, "rank_attempt", first_odd)
-    monkeypatch.setattr(graphs, "mm_multi", spy)
-    ge = graphs.gallai_edmonds(world, unweighted(n, pairs))
-    dw, kw, cw = oracles.gallai_edmonds_oracle(n, pairs)
-    assert (ge.d_set, ge.k_set, ge.c_set) == tuple(frozenset(v + 1 for v in s)
-                                                   for s in (dw, kw, cw))
+    _assert_oracle_decomposition(graphs.gallai_edmonds(world, unweighted(n, pairs)), n, pairs)
     assert len(draws) == 2
     assert all(not np.array_equal(x, y) for x, y in zip(*draws))
-    attempts = collections.defaultdict(list)
-    for path, _ in world.ledger.leaves():
-        group, _, name = path.partition("/")
-        attempts[group].append(name)
+    attempts = _attempt_phases(world)
     assert [group.rstrip("0123456789") for group in attempts] == ["geattempt"] * 2
     for names in attempts.values():
         assert sum(name.startswith("share-pre") and name.endswith("-allgather")
                    for name in names) == 1
         assert names.count("ua-rows") == names.count("uavd-cols") == 1
         assert not any("-uv" in name for name in names)
-    prefixes = (*(f"{name}:" for name in popped), "N11", "N12", "Ainv")
     assert not [key for store in world.stores for key in store
-                if isinstance(key, str) and key.startswith(prefixes)]
+                if isinstance(key, str) and key.startswith(tuple(popped))]
+
+
+@pytest.mark.parametrize("wrong", ["q(0) = 0", "T z != 0"])
+def test_gallai_edmonds_retries_a_vector_that_is_not_null(wrong, monkeypatch):
+    # rank 4 of 6.  The first attempt's generator g = t q(t) is replaced at
+    # every node: by t^2 (g / t^2) with the linear term dropped, so q(0) = 0
+    # and no coins are drawn; or by t (t^4 + 1), whose q(B) x is no null
+    # vector of B, so the okshare verdict fails.  Either way the next
+    # geattempt group starts and ends on the oracle's answer.
+    n = 6
+    pairs = [(0, 1), (1, 2), (3, 4)]
+    world = CliqueWorld(n, seed=1)
+    real_attempt = krylov.rank_attempt
+    calls = []
+
+    def first_wrong(world, subset, a, *args):
+        rank, b = real_attempt(world, subset, a, *args)
+        calls.append(rank)
+        if len(calls) == 1:
+            g = world.stores[subset[0]]["mp_poly"]
+            coeffs = (0, 0, *g.coeffs[2:]) if wrong == "q(0) = 0" else (0, 1, 0, 0, 0, 1)
+            for store in world.stores:
+                store["mp_poly"] = ff.Polynomial(coeffs, a.p)
+        return rank, b
+
+    monkeypatch.setattr(krylov, "rank_attempt", first_wrong)
+    _assert_oracle_decomposition(graphs.gallai_edmonds(world, unweighted(n, pairs)), n, pairs)
+    assert calls == [4, 4]
+    first, second = _attempt_phases(world).values()
+    assert ("share-x-allgather" in first) == (wrong == "T z != 0")
+    assert ("okshare-exchange" in first) == (wrong == "T z != 0")
+    assert "kshare-exchange" not in first
+    assert {"share-x-allgather", "okshare-exchange", "kshare-exchange"} <= set(second)
+
+
+def test_gallai_edmonds_null_vector_keeps_the_basis_answer():
+    # the output digest of the null-space basis this step replaced, at a
+    # fraction of its 648 rounds
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["run", "gallai-edmonds", "--gen", "gnp:n=32,p=0.05",
+                         "--seed", "1"]) == 0
+    fields = dict(line.split(": ", 1) for line in out.getvalue().splitlines()
+                  if line.startswith(("output-digest:", "rounds:")))
+    assert fields["output-digest"] == (
+        "sha256:f16adef72cb8722eec1e47886c6ec15dff1e77b76021b731f015a09817ca35ac")
+    assert int(fields["rounds"]) < 648
 
 
 def test_gallai_edmonds_runs_one_generator_per_attempt(monkeypatch):
