@@ -1,9 +1,11 @@
 """Deterministic distributed determinant and inverse.
 
-Pipeline: batched computation of the powers A^1..A^p and (A^p)^0..(A^p)^(p-1)
+Pipeline: batched computation of the powers A^1..A^p and (A^p)^1..(A^p)^(p-1)
 for p = ceil(sqrt(n)); local p x p trace tableaus whose entries are diagonal
 elements of A^k; Newton's identities solved through a recursive triangular
-inversion; and reassembly of the inverse from p coefficient-weighted products.
+inversion; and reassembly of the inverse from p - 1 coefficient-weighted
+products E_j A^j plus the local A^0 term E_0.  Row and column i of A^0 are
+the unit vector e_i, which every node forms itself.
 
 Requires a field of characteristic greater than n (the triangular Newton
 system has diagonal 1..n).
@@ -18,7 +20,7 @@ import numpy as np
 
 from .collective import allgather_scalars
 from .ff import matmul_mod
-from .mm import DMat, identity_dmat, mm_multi
+from .mm import DMat, mm_multi
 from .sim import CliqueWorld
 
 
@@ -180,16 +182,22 @@ def _doubling_powers(world: CliqueWorld, subset: tuple[int, ...], base: DMat,
     return powers[:count]
 
 
+def _unit(n: int, pos: int) -> np.ndarray:
+    """Row (and column) pos of the n x n identity, A^0."""
+    e = np.zeros(n, dtype=np.int64)
+    e[pos] = 1
+    return e
+
+
 class CharPolyState:
     """Everything char_poly leaves behind that the inverse step reuses."""
 
     def __init__(self, coeffs: np.ndarray, pc: int, lows: list[DMat],
-                 strides: list[DMat], identity: DMat):
+                 strides: list[DMat]):
         self.coeffs = coeffs          # c_1..c_n, known at every node
         self.pc = pc
         self.lows = lows              # A^1..A^pc
         self.strides = strides        # (A^pc)^1..(A^pc)^(pc-1)
-        self.identity = identity
 
 
 def char_poly(world: CliqueWorld, subset: Sequence[int], a: DMat,
@@ -204,12 +212,11 @@ def char_poly(world: CliqueWorld, subset: Sequence[int], a: DMat,
     with world.ledger.group(world.fresh_name("charpoly")):
         lows, strides = power_batch(world, subset, a, kernel)
         pc = len(lows)
-        ident = identity_dmat(world, subset, n, p)
-        stride_mats = [ident] + strides  # exponents 0, pc, 2*pc, ...
 
         def tableau(view):
             pos = view.pos
-            r_mat = np.stack([view.get(dm.row_key(pos)) for dm in stride_mats])
+            # rows of A^0, A^pc, A^(2pc), ...
+            r_mat = np.stack([_unit(n, pos)] + [view.get(dm.row_key(pos)) for dm in strides])
             c_mat = np.stack([view.get(dm.col_key(pos)) for dm in lows], axis=1)
             view.put("trU", matmul_mod(r_mat, c_mat, p))
 
@@ -258,7 +265,7 @@ def char_poly(world: CliqueWorld, subset: Sequence[int], a: DMat,
         world.run_local(subset, "coeff", coeff)
         allgather_scalars(world, subset, "coeff-share", "c_own", "c_all")
         coeffs = world.stores[subset[0]]["c_all"].copy()
-    return CharPolyState(coeffs, pc, lows, strides, ident)
+    return CharPolyState(coeffs, pc, lows, strides)
 
 
 def det(world: CliqueWorld, subset: Sequence[int], a: DMat,
@@ -294,9 +301,9 @@ def inverse(world: CliqueWorld, subset: Sequence[int], a: DMat,
             return 0
 
         with world.ledger.group(world.fresh_name("inverse")):
-            stride_mats = [state.identity] + state.strides
-            e_mats = [DMat(world.fresh_name("E"), n, n, p, subset, has_cols=False)
-                      for _ in range(pc)]
+            # E_0 A^0 = E_0 is no product, so E_0 also gets its columns here
+            e_mats = [DMat(world.fresh_name("E"), n, n, p, subset, has_cols=a2 == 0)
+                      for a2 in range(pc)]
 
             # weights[a2, a1] multiplies A^(a1*pc) in the row of E_a2
             weights = np.array([[chat(n - 1 - (a1 * pc + a2)) for a1 in range(pc)]
@@ -304,14 +311,18 @@ def inverse(world: CliqueWorld, subset: Sequence[int], a: DMat,
 
             def build_e(view):
                 pos = view.pos
-                rows = np.stack([view.get(dm.row_key(pos)) for dm in stride_mats])
+                unit = _unit(n, pos)
+                rows = np.stack([unit] + [view.get(dm.row_key(pos)) for dm in state.strides])
                 e_rows = matmul_mod(weights, rows, p)
                 for a2 in range(pc):
                     view.put(e_mats[a2].row_key(pos), e_rows[a2])
+                cols = np.stack([unit] + [view.get(dm.col_key(pos)) for dm in state.strides])
+                view.put(e_mats[0].col_key(pos), matmul_mod(weights[:1], cols, p)[0])
 
             world.run_local(subset, "weights", build_e)
-            rhs = [state.identity] + state.lows[:pc - 1]  # A^0 .. A^(pc-1)
-            prods = mm_multi(world, subset, e_mats, rhs, kernel)
+            prods = [e_mats[0]]
+            if pc > 1:  # E_1 A^1 .. E_(pc-1) A^(pc-1)
+                prods += mm_multi(world, subset, e_mats[1:], state.lows[:pc - 1], kernel)
             out = DMat(world.fresh_name("Ainv"), n, n, p, subset)
             scale = (-pow(cn, -1, p)) % p
 

@@ -23,8 +23,8 @@ from .minplus import INF, INF_THRESHOLD, parse_fields, read_records
 from .sim import CliqueWorld, message_bits
 
 ZWICK_SAMPLE_C = 3.0  # the c of apsp_zwick's sample size
-# Fresh substitutions matching_size and allowed_edges try, and
-# gallai_edmonds' attempts, before they give up.
+# Fresh substitutions matching_size tries, and gallai_edmonds' attempts,
+# before they give up.
 MATCHING_RETRIES = 3
 GE_RETRIES = 5
 
@@ -320,25 +320,26 @@ def allowed_edges(world: CliqueWorld, graph: WeightedGraph, tag: str = "allowed"
                   kernel: str = "trivial") -> set[frozenset[int]]:
     """Edges lying in at least one perfect matching (whp); 1-based endpoints.
 
-    Requires the graph to have a perfect matching; raises
-    NoPerfectMatchingError otherwise.  Each attempt runs in one frame, so the
-    stores keep nothing.
+    The inverse of one random Tutte substitution T is the certificate: T is
+    nonsingular only if the graph has a perfect matching, and then edge
+    {i, j} is allowed iff (T^-1)_ij != 0 (Rabin-Vazirani, J. Algorithms
+    1989).  A graph with a perfect matching gets a singular T with
+    probability at most n/p <= 1/(4n^3) (Schwartz-Zippel).  A singular T
+    raises NoPerfectMatchingError, so an even-order graph without a perfect
+    matching is refused after one char_poly; an odd order is refused before
+    any phase.  The run is one frame, so the stores keep nothing.
     """
     n = graph.n
-    p = matching_prime(n)
-    subset = world.all_nodes()
-    if n % 2 != 0 or matching_size(world, graph, p, f"{tag}-nu", kernel) != n // 2:
+    if n % 2 != 0:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    for attempt in range(MATCHING_RETRIES):
-        with world.frame():
-            tutte = build_tutte_instance(world, graph, p, f"{tag}-t{attempt}")
-            try:
-                inv = detinv.inverse(world, subset, tutte, kernel)
-            except detinv.SingularMatrixError:
-                continue
-            return _share_incidence(world, graph, inv, tag=f"{tag}-share{attempt}")
-    raise NoPerfectMatchingError(
-        "substituted edge matrix stayed singular; no perfect matching (whp)")
+    with world.frame():
+        tutte = build_tutte_instance(world, graph, matching_prime(n), f"{tag}-t")
+        try:
+            inv = detinv.inverse(world, world.all_nodes(), tutte, kernel)
+        except detinv.SingularMatrixError:
+            raise NoPerfectMatchingError(
+                "substituted edge matrix is singular; no perfect matching (whp)") from None
+        return _share_incidence(world, graph, inv, tag=f"{tag}-share")
 
 
 def _share_incidence(world: CliqueWorld, graph: WeightedGraph, inv: DMat,

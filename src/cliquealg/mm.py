@@ -98,21 +98,6 @@ def gather_matrix(world: CliqueWorld, dm: DMat) -> np.ndarray:
     return dm.read(world, 0)
 
 
-def identity_dmat(world: CliqueWorld, subset: Sequence[int], size: int, p: int) -> DMat:
-    dm = DMat(world.fresh_name("I"), size, size, p, tuple(subset))
-
-    def build(view):
-        pos = view.pos
-        if pos < size:
-            e = np.zeros(size, dtype=np.int64)
-            e[pos] = 1 % p
-            view.put(dm.row_key(pos), e)
-            view.put(dm.col_key(pos), e.copy())
-
-    world.run_local(subset, "identity", build)
-    return dm
-
-
 @dataclass
 class MediumPlan:
     """Dimensioning of the four-step pattern, all derived from shape only.
@@ -446,9 +431,9 @@ def _mm_large(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
     multiplies span t0 of product s0: an (n, w) slice of A_s0 by a (w, n)
     slice of B_s0.  In `blocks`, every node sends one block per factor
     family, under the key "LA" or "LB": its row of every A_s0 (or column of
-    every B_s0) it holds, cut into the w-wide spans, row (s0, t0) of the
-    block to worker (s0, t0).  When w does not divide m, a second block under
-    the same key carries the narrower last spans to the workers (s0, g - 1).
+    every B_s0), cut into the w-wide spans, row (s0, t0) of the block to
+    worker (s0, t0).  When w does not divide m, a second block under the same
+    key carries the narrower last spans to the workers (s0, g - 1).
     Each worker receives its operands stacked, one row per node.  In
     `assemble`, every worker sends row i of its partial product to node i
     under "LCr" (and column i under "LCc"), so node i receives the k g
@@ -463,21 +448,13 @@ def _mm_large(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
     full = m // w  # the first `full` spans are w wide, then at most one narrower
     cut = full * w
     workers = nodes[:k * g].reshape(k, g)  # workers[s0, t0] multiplies span t0 of product s0
-    # destinations of the full and the narrower spans from a node holding every factor
-    every = workers[:, :full].reshape(-1), workers[:, full:].reshape(-1)
+    # destinations of the full and the narrower spans
+    wide, narrow = workers[:, :full].reshape(-1), workers[:, full:].reshape(-1)
 
     def build_gather(view):
         pos = view.pos
-        for family, vecs in (("LA", [view.get(a.row_key(pos)) for a in a_list]),
+        for family, rows in (("LA", [view.get(a.row_key(pos)) for a in a_list]),
                              ("LB", [view.get(b.col_key(pos)) for b in b_list])):
-            rows = [vec for vec in vecs if vec is not None]
-            if not rows:
-                continue
-            if len(rows) == k:
-                wide, narrow = every
-            else:
-                held = workers[[vec is not None for vec in vecs]]
-                wide, narrow = held[:, :full].reshape(-1), held[:, full:].reshape(-1)
             rows = np.array(rows)
             yield wide, family, rows[:, :cut].reshape(-1, w)
             if cut < m:

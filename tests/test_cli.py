@@ -298,6 +298,7 @@ def test_refused_inputs_give_one_error_line(tmp_path, capsys):
     cases = (
         (["run", "inverse", "--input", str(singular)], 2, "not invertible"),
         (["run", "allowed-edges", "--gen", "path:n=3"], 2, "no perfect matching"),
+        (["run", "allowed-edges", "--gen", "gnp:n=4,p=0"], 2, "no perfect matching"),
         (["run", "distprod", "--gen", "minplus:n=4,m=8,M=2", "--strategy", "dft"], 2,
          "requires m <= n"),
         (["plan", "theorem1", "--a", "-1", "--b", "1"], 2, "nonnegative"),

@@ -182,7 +182,7 @@ def test_det_multiplicative():
     assert det_ab == dets[0] * dets[1] % P
 
 
-@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])  # n = 1: pc = 1, no product; n = 3: ragged
 def test_det_and_inverse_match_oracle(n):
     rng = random.Random(n * 7 + 1)
     for trial in range(25):
@@ -210,6 +210,33 @@ def test_inverse_block_embedded_example():
     want = np.eye(4, dtype=np.int64)
     want[0, 1] = P - 1
     assert np.array_equal(inv, want)
+
+
+def test_inverse_forms_the_power_zero_term_locally(monkeypatch):
+    # A^0 = I is never distributed: E_0 A^0 = E_0 is formed in `weights`, so
+    # inverse's last batch holds E_1 A^1 .. E_(pc-1) A^(pc-1), pc = 4 at n = 16
+    batches = []
+    real = detinv.mm_multi
+
+    def spy(world, subset, a_list, b_list, *args, **kwargs):
+        batches.append(len(a_list))
+        return real(world, subset, a_list, b_list, *args, **kwargs)
+
+    monkeypatch.setattr(detinv, "mm_multi", spy)
+    rng = random.Random(16)
+    n = 16
+    while True:
+        mat = np.array([[rng.randrange(P) for _ in range(n)] for _ in range(n)])
+        if oracles.det_mod(mat, P):
+            break
+    world, sub, dm = world_with(mat)
+    inv = mm.gather_matrix(world, detinv.inverse(world, sub, dm))
+    assert np.array_equal(inv, oracles.inverse_mod(mat, P))
+    assert batches[-1] == 3
+    det_world, det_sub, det_dm = world_with(mat)
+    assert detinv.det(det_world, det_sub, det_dm) == oracles.det_mod(mat, P)
+    for ledger in (world.ledger, det_world.ledger):
+        assert "identity" not in [path.rsplit("/", 1)[-1] for path, _ in ledger.leaves()]
 
 
 def test_detinv_oblivious_ledger():

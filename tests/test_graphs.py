@@ -273,10 +273,30 @@ def test_allowed_edges_examples():
     assert len(graphs.allowed_edges(CliqueWorld(4, seed=0), c4)) == 4
 
 
+def group_names(group):
+    """Names of every ledger group below `group`, depth first, digits dropped."""
+    names = []
+    for child in group.children:
+        if hasattr(child, "children"):
+            names += [child.name.rstrip("0123456789")] + group_names(child)
+    return names
+
+
 def test_allowed_edges_requires_perfect_matching():
     p3 = unweighted(3, [(0, 1), (1, 2)])
+    world = CliqueWorld(3, seed=0)
     with pytest.raises(graphs.NoPerfectMatchingError):
-        graphs.allowed_edges(CliqueWorld(3, seed=0), p3)
+        graphs.allowed_edges(world, p3)
+    assert world.ledger.total_rounds == 0  # an odd order is refused before any phase
+    # an even order is refused by its singular substitution: one char_poly
+    # and no rank precheck
+    star = unweighted(4, [(0, 1), (0, 2), (0, 3)])
+    for graph in (star, unweighted(4, [])):
+        world = CliqueWorld(4, seed=0)
+        with pytest.raises(graphs.NoPerfectMatchingError):
+            graphs.allowed_edges(world, graph)
+        names = group_names(world.ledger.root)
+        assert names.count("charpoly") == 1 and "rankrand" not in names
 
 
 def test_allowed_edges_deletion_property():
