@@ -155,7 +155,7 @@ class MediumPlan:
         the worker sends 2 N_u N_v and every node receives 2kn.  A worker
         whose own slot lies in column u keeps its a_v (form) or N_v (deliver)
         piece, and in column v its a_u or N_u piece; `gather` and `combine`
-        keep one block when a worker is also one of its multiply nodes.
+        keep one row or block when a worker is also one of its multiply nodes.
         """
         n, m, k, t, q, c, r = self.n, self.m, self.k, self.t, self.q, self.c, self.r
         N = _real_counts(n, c, q)
@@ -207,6 +207,16 @@ class FourStepRoutes:
     slots and inner indices of a column always come first.  Worker
     (s0, u, v) sits at position (s0*q + u)*q + v and multiply node (s0, mu)
     at s0*t + mu.
+
+    Columns are grouped by how many real entries they hold, so that a group
+    travels as one block of equally long rows:
+      * `form_sends[u]` lists, for a node whose slot lies in worker column u,
+        one (fA workers, fB workers, inner selection) triple per group of
+        inner columns vs: its rows go to workers (s0, u, vs) and its columns
+        to workers (s0, vs, u), in position order;
+      * `width_groups` lists (width, slot positions) per group of worker
+        columns, the positions of the group's columns concatenated in column
+        order.  The groups partition range(n), since the slots do.
     """
 
     def __init__(self, plan: MediumPlan):
@@ -219,12 +229,19 @@ class FourStepRoutes:
         self.inner_counts = [sel.size for sel in inner_real]
         self.workers = np.arange(k * q * q).reshape(k, q, q)
         self.mul_nodes = np.arange(k * t).reshape(k, t)
-        # form sends: inner columns grouped by how many real indices they hold,
-        # so that each group travels as one block of equally long rows
-        self.inner_groups: list[tuple[np.ndarray, np.ndarray]] = []
-        for size in sorted(set(self.inner_counts) - {0}):
-            vs = [v0 for v0 in range(q) if self.inner_counts[v0] == size]
-            self.inner_groups.append((np.array(vs), np.stack([inner_real[v0] for v0 in vs])))
+        inner_groups = [(vs, np.array([inner_real[v0] for v0 in vs]))
+                        for _, vs in _by_size(inner_real)]
+        self.form_sends = [[(self.workers[:, u0, vs].ravel(), self.workers[:, vs, u0].ravel(), sel)
+                            for vs, sel in inner_groups] for u0 in range(q)]
+        self.width_groups = [(width, np.concatenate([self.slots[u0] for u0 in us]))
+                             for width, us in _by_size(self.slots)]
+
+
+def _by_size(parts: Sequence[np.ndarray]) -> list[tuple[int, list[int]]]:
+    """(size, indices) of the nonempty parts, grouped by size, smallest first."""
+    sizes = [len(part) for part in parts]
+    return [(size, [i for i, s in enumerate(sizes) if s == size])
+            for size in sorted(set(sizes) - {0})]
 
 
 def make_medium_plan(n: int, m: int, k: int, family: str, gamma: float) -> MediumPlan:
@@ -396,6 +413,8 @@ def mm_multi(world: CliqueWorld, subset: Sequence[int], a_list: Sequence[DMat],
             raise ValueError("dimension mismatch with the node subset")
         if a.p != p or b.p != p:
             raise ValueError("field mismatch between factors")
+        if not (a.has_rows and b.has_cols):
+            raise ValueError("left factors must hold rows and right factors columns")
     phase = phase or world.fresh_name("mm")
     with world.ledger.group(phase):
         if k > n:
@@ -542,10 +561,12 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
     step moves blocks whose destinations come from `plan.routes`, and each
     element is charged `width` units.  Keys name a step, not a sender, so a
     receiver pops each step's input as one array stacked in sender order:
-    a worker its slots' rows under "fA"/"fB", a multiply node its product's
-    q^2 worker blocks under "fS"/"fT", a worker its t products under "fP";
-    in `deliver`, a node receives one row per product for each block column
-    under ("fR", column) and ("fK", column).
+    a worker its slots' rows under "fA"/"fB"; a multiply node one row per
+    worker of its product under "fG", the worker's left and right operands
+    side by side; a worker its t products under "fP".  In `deliver`, a node
+    receives one stack per slot width w of the sending workers' columns,
+    under ("fR", w) and ("fK", w): one row per product and column of that
+    width.
     """
     subset = tuple(subset)
     nodes = np.array(subset)
@@ -553,17 +574,19 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
     d, e, c, r, X = plan.d, plan.e, plan.c, plan.r, plan.X
     routes = plan.routes
     zero = algebra.zero
+    # the plan's destinations as nodes of this subset
+    workers, mul_nodes = nodes[routes.workers], nodes[routes.mul_nodes]
+    slot_nodes = [nodes[slots] for slots in routes.slots]
+    form_sends = [[(nodes[to_a], nodes[to_b], sel) for to_a, to_b, sel in column]
+                  for column in routes.form_sends]
 
     def build_form(view):
         pos = view.pos
-        u_own = (pos % X) // c
-        rows = np.stack([view.get(a.row_key(pos)) for a in a_list])
-        cols = np.stack([view.get(b.col_key(pos)) for b in b_list])
-        for vs, sel in routes.inner_groups:
-            yield nodes[routes.workers[:, u_own, vs].ravel()], "fA", \
-                rows[:, sel].reshape(-1, sel.shape[1])
-            yield nodes[routes.workers[:, vs, u_own].ravel()], "fB", \
-                cols[:, sel].reshape(-1, sel.shape[1])
+        rows = np.array([view.get(a.row_key(pos)) for a in a_list])
+        cols = np.array([view.get(b.col_key(pos)) for b in b_list])
+        for to_a, to_b, sel in form_sends[(pos % X) // c]:
+            yield to_a, "fA", rows[:, sel].reshape(-1, sel.shape[1])
+            yield to_b, "fB", cols[:, sel].reshape(-1, sel.shape[1])
 
     world.route(subset, "form", build_form, width)
 
@@ -579,7 +602,9 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
             if routes.slots[w_out].size and width_in:
                 piece = view.pop(key)  # one row from each slot of w_out, in slot order
                 blk[:len(piece), :width_in] = piece
-        view.put("fST", algebra.form(ablk.reshape(d, c, e, r), bblk.reshape(d, c, e, r)))
+        s_all, t_all = algebra.form(ablk.reshape(d, c, e, r), bblk.reshape(d, c, e, r))
+        # row mu: the left (c, r) and the right (r, c) operand of product mu
+        view.put("fST", np.concatenate((s_all.reshape(t, -1), t_all.reshape(t, -1)), axis=1))
 
     world.run_local(subset, algebra.form_phase, local_form)
 
@@ -587,10 +612,7 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
         label = _worker_label(plan, view.pos)
         if label is None:
             return
-        s0, u0, v0 = label
-        s_all, t_all = view.get("fST")
-        yield nodes[routes.mul_nodes[s0]], "fS", s_all
-        yield nodes[routes.mul_nodes[s0]], "fT", t_all
+        yield mul_nodes[label[0]], "fG", view.get("fST")
 
     world.route(subset, "gather", build_gather, width)
 
@@ -598,9 +620,10 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
         view.pop("fST", None)
         if view.pos >= k * t:
             return
-        # one block from each worker (u0, v0) of this product, in worker order
-        s_mat = view.pop("fS").reshape(q, q, c, r).transpose(0, 2, 1, 3).reshape(X, q * r)
-        t_mat = view.pop("fT").reshape(q, q, r, c).transpose(0, 2, 1, 3).reshape(q * r, X)
+        # one row from each worker (u0, v0) of this product, in worker order
+        ops = view.pop("fG")
+        s_mat = ops[:, :c * r].reshape(q, q, c, r).transpose(0, 2, 1, 3).reshape(X, q * r)
+        t_mat = ops[:, c * r:].reshape(q, q, r, c).transpose(0, 2, 1, 3).reshape(q * r, X)
         view.put("fProd", algebra.multiply(s_mat, t_mat))
 
     world.run_local(subset, "multiply", local_multiply)
@@ -608,9 +631,9 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
     def build_combine(view):
         if view.pos >= k * t:
             return
-        s0, mu0 = divmod(view.pos, t)
+        s0 = view.pos // t
         prod = view.get("fProd").reshape(q, c, q, c).transpose(0, 2, 1, 3)
-        yield nodes[routes.workers[s0].ravel()], "fP", prod.reshape(q * q, c, c)
+        yield workers[s0].ravel(), "fP", prod.reshape(q * q, c, c)
 
     world.route(subset, "combine", build_combine, width)
 
@@ -626,26 +649,23 @@ def four_step(world: CliqueWorld, subset: Sequence[int], plan: MediumPlan, algeb
         label = _worker_label(plan, view.pos)
         if label is None:
             return
-        s0, u0, v0 = label
-        cblk = view.get("fC").reshape(d * c, d * c)[:len(routes.slots[u0]), :len(routes.slots[v0])]
-        # the destination fixes the slot, and rows of one column share a width
-        yield nodes[routes.slots[u0]], ("fR", v0), cblk
-        yield nodes[routes.slots[v0]], ("fK", u0), cblk.T
+        _, u0, v0 = label
+        n_u, n_v = len(routes.slots[u0]), len(routes.slots[v0])
+        cblk = view.get("fC").reshape(d * c, d * c)[:n_u, :n_v]
+        # the destination fixes the slot, and the key the width of the row
+        yield slot_nodes[u0], ("fR", n_v), cblk
+        yield slot_nodes[v0], ("fK", n_u), cblk.T
 
     world.route(subset, "deliver", build_deliver, width)
 
     def local_deliver(view):
         view.pop("fC", None)
-        rows = np.full((k, n), zero, dtype=np.int64)
-        cols = np.full((k, n), zero, dtype=np.int64)
-        for w0 in range(q):
-            # one row per product, from its worker in block column (row) w0
-            piece = view.pop(("fR", w0), None)
-            if piece is not None:
-                rows[:, routes.slots[w0]] = piece
-            piece = view.pop(("fK", w0), None)
-            if piece is not None:
-                cols[:, routes.slots[w0]] = piece
+        rows = np.empty((k, n), dtype=np.int64)
+        cols = np.empty((k, n), dtype=np.int64)
+        for w, slots in routes.width_groups:
+            # one row per product and column of width w, in (product, column) order
+            rows[:, slots] = view.pop(("fR", w)).reshape(k, -1)
+            cols[:, slots] = view.pop(("fK", w)).reshape(k, -1)
         for s0, out in enumerate(outs):
             view.put(out.row_key(view.pos), rows[s0])
             view.put(out.col_key(view.pos), cols[s0])
@@ -679,9 +699,10 @@ def _first_count(size: int, block: int, q: int) -> int:
 def _gather_combine_loads(k: int, t: int, q: int, c: int, r: int) -> tuple[int, int]:
     """Per-node loads of the gather and combine steps of a four-step plan.
 
-    A worker sends 2t blocks of c*r elements and a multiply node receives
-    2q^2 of them in gather; combine moves q^2*t blocks of c*c elements back.
-    One block stays local when a worker is also one of its multiply nodes.
+    In gather a worker sends t rows of 2cr elements, a left and a right
+    operand, and a multiply node receives q^2 of them; combine moves q^2*t
+    blocks of c*c elements back.  One row or block stays local when a worker
+    is also one of its multiply nodes.
     """
     workers_self = q * q <= t and (k == 1 or q * q == t)  # every worker multiplies too
     muls_self = t <= q * q and (k == 1 or t == q * q)     # every multiplier is a worker

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from cliquealg import mm, oracles, planner
+from cliquealg import distprod, mm, oracles, planner
+from cliquealg.minplus import INF
 from cliquealg.sim import CliqueWorld
 
 
@@ -330,6 +331,50 @@ def test_phase_loads_match_router(monkeypatch):
     assert any(plan.c == 1 for plan in plans) and any(plan.k > 1 for plan in plans)
 
 
+@pytest.mark.parametrize("algebra,n,m,k", [
+    ("field", 10, 10, 1), ("field", 15, 11, 1), ("field", 15, 7, 2), ("min-plus", 7, 7, 1),
+])
+def test_four_step_layout(monkeypatch, algebra, n, m, k):
+    # at ragged shapes, every routed step of the four-step pattern sends under
+    # one key per factor family, so each receiver pops one stack per step;
+    # deliver keys its rows by slot width, one key per width and direction
+    route = CliqueWorld.route
+    keys = {}
+
+    def spying_route(world, subset, phase, build, width=1):
+        def spy(view):
+            for send in build(view):
+                keys.setdefault(phase, set()).add(send[1])
+                yield send
+        return route(world, subset, phase, spy, width)
+
+    monkeypatch.setattr(CliqueWorld, "route", spying_route)
+    if algebra == "field":
+        plan = mm._plan_for(n, m, k, "trivial")
+        _, a_mats, b_mats, res = run_mm(n, m, k, seed=n + m + k)
+        for s0 in range(k):
+            assert np.array_equal(res[s0], oracles.mat_mult(a_mats[s0], b_mats[s0], 101))
+    else:
+        plan, _ = distprod._semiring_plan(n, m, 3)
+        world = CliqueWorld(n, seed=1)
+        sub = world.all_nodes()
+        rng, values = random.Random(n), [-3, -1, 0, 2, 3, INF]
+        a_mat = np.array([[rng.choice(values) for _ in range(m)] for _ in range(n)])
+        b_mat = np.array([[rng.choice(values) for _ in range(n)] for _ in range(m)])
+        a = distprod.scatter_minplus(world, sub, a_mat, 3, has_cols=False)
+        b = distprod.scatter_minplus(world, sub, b_mat, 3, has_rows=False)
+        out = distprod.dist_prod_semiring(world, sub, a, b)
+        assert np.array_equal(distprod.gather_minplus(world, out),
+                              oracles.minplus_product(a_mat, b_mat))
+    widths = sorted({len(slots) for slots in plan.routes.slots} - {0})
+    assert len(widths) >= 2  # the shape is ragged
+    assert keys == {"form": {"fA", "fB"}, "gather": {"fG"}, "combine": {"fP"},
+                    "deliver": {(key, w) for key in ("fR", "fK") for w in widths}}
+    groups = plan.routes.width_groups
+    assert [w for w, _ in groups] == widths
+    assert sorted(np.concatenate([slots for _, slots in groups]).tolist()) == list(range(n))
+
+
 def test_shape_only_plan_builds_no_tensors():
     n = 2 ** 18
     plan = mm.make_medium_plan(n, n, 1, "trivial", 1.0)
@@ -350,3 +395,18 @@ def test_dimension_and_field_mismatch_errors():
         mm.mm_multi(world, sub, [a], [b, b])
     with pytest.raises(ValueError):
         mm.mm_multi(world, sub, [a], [b_bad])
+    # a left factor without its rows, or a right factor without its columns,
+    # is refused before any phase, on the column-block and the four-step route
+    for n, k, blocks in ((8, 3, True), (10, 1, False)):
+        assert (mm._plan_for(n, n, k, "trivial") is None) == blocks
+        world = CliqueWorld(n, seed=0)
+        sub = world.all_nodes()
+        eye = np.eye(n, dtype=np.int64)
+        rows = [mm.scatter_matrix(world, sub, eye, 101, has_cols=False) for _ in range(k)]
+        cols = [mm.scatter_matrix(world, sub, eye, 101, has_rows=False) for _ in range(k)]
+        for a_list, b_list in ((cols, cols), (rows, rows), (rows[:-1] + cols[-1:], cols)):
+            with pytest.raises(ValueError, match="must hold rows"):
+                mm.mm_multi(world, sub, a_list, b_list)
+        assert world.ledger.leaves() == []
+        for out in mm.mm_multi(world, sub, rows, cols):
+            assert np.array_equal(mm.gather_matrix(world, out), eye)
